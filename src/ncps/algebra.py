@@ -99,6 +99,14 @@ class AlgebraElement:
                     clean[w] = s
         self._terms = clean
 
+    @classmethod
+    def _raw(cls, terms: dict[Word, ExactScalar]) -> "AlgebraElement":
+        """Trusted constructor for internal arithmetic: the term map must
+        already be zero-free."""
+        obj = object.__new__(cls)
+        obj._terms = terms
+        return obj
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -132,10 +140,10 @@ class AlgebraElement:
                     del out[w]
                     continue
             out[w] = s
-        return AlgebraElement(out)
+        return AlgebraElement._raw(out)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement({w: -s for w, s in self._terms.items()})
+        return AlgebraElement._raw({w: -s for w, s in self._terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
@@ -154,7 +162,7 @@ class AlgebraElement:
                         del out[w]
                         continue
                 out[w] = s
-        return AlgebraElement(out)
+        return AlgebraElement._raw(out)
 
     def scale(self, s: ExactScalar) -> "AlgebraElement":
         if s.is_zero():
@@ -164,13 +172,12 @@ class AlgebraElement:
             v = c * s
             if not v.is_zero():
                 out[w] = v
-        return AlgebraElement(out)
+        return AlgebraElement._raw(out)
 
     def scale_rational(self, q: RationalLike) -> "AlgebraElement":
-        q = Fraction(q)
         if q == 0:
             return AlgebraElement.zero()
-        return AlgebraElement({w: s.scale(q) for w, s in self._terms.items()})
+        return AlgebraElement._raw({w: s.scale(q) for w, s in self._terms.items()})
 
     def power(self, k: int) -> "AlgebraElement":
         if k < 0:
@@ -215,7 +222,7 @@ class AlgebraElement:
                     out[nw] = v
                 else:
                     out[nw] = s
-        return AlgebraElement(out)
+        return AlgebraElement._raw(out)
 
     # -- grading and filtering -------------------------------------------------
 
@@ -234,23 +241,15 @@ class AlgebraElement:
     def max_t_power(self) -> int:
         return max((s.max_t_power() for s in self._terms.values()), default=0)
 
-    def is_t_nilpotent(self) -> bool:
-        """True when every term carries a strictly positive t grade."""
-        return all((s.min_t_power() or 0) >= 1 for s in self._terms.values())
-
     def t_cap_min(self) -> Optional[int]:
         """Tightest t cap carried by any coefficient, or None if uncapped."""
         caps = [s.t_cap for s in self._terms.values() if s.t_cap is not None]
         return min(caps) if caps else None
 
-    def base_degree(self, bases: Iterable[str], word: Word) -> int:
-        names = set(bases)
-        return sum(1 for g in word if g.base in names)
-
     def filter_base_degree(self, bases: Iterable[str], cap: int) -> "AlgebraElement":
         """Drop words containing more than ``cap`` letters from ``bases``."""
         names = set(bases)
-        return AlgebraElement(
+        return AlgebraElement._raw(
             {
                 w: s
                 for w, s in self._terms.items()
@@ -439,7 +438,7 @@ def _group_in_delta_span(terms: dict[Word, ExactScalar]) -> bool:
     # target vectors, one rational channel per (pi power, t grade, re/im)
     channels: dict[tuple, list[Fraction]] = {}
     for w, s in terms.items():
-        for (p, jg), (re, im) in s._terms.items():
+        for (p, jg), (re, im) in s.terms():
             for tag, val in (("re", re), ("im", im)):
                 if val:
                     channels.setdefault((p, jg, tag), [Fraction(0)] * len(index))[

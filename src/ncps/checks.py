@@ -244,6 +244,8 @@ def _check_flow_index(cfg: dict) -> tuple[str, str, Optional[str], dict]:
     grid_n = int(cfg.get("grid", 101))
     cutoff = int(cfg.get("cutoff", 6))
     dim = int(cfg.get("dim", 3))
+    if len(u) != dim:
+        raise DomainError(f"lattice vector u has {len(u)} entries but dim is {dim}")
     grid = np.linspace(0.0, 1.0, grid_n)
     spectra = nm.unitary_flow_spectra(u, grid, cutoff, dim)
     flow = nm.spectral_flow(spectra, kernel_shift=float(cfg.get("kernel_shift", 1e-9)))
@@ -334,8 +336,9 @@ def run_check(name: str, config: Optional[dict] = None) -> CheckReport:
     t0 = time.perf_counter()
     try:
         status, level, witness, details = spec.runner(cfg)
-    except (DomainError, sy.InsufficientFloorError, sy.EllipticityShapeError,
-            nm.GridTooCoarseError, nm.ZeroEigenvalueError) as exc:
+    except (DomainError, sy.FamilyError, sy.InsufficientFloorError,
+            sy.EllipticityShapeError, nm.GridTooCoarseError,
+            nm.ZeroEigenvalueError) as exc:
         elapsed = int((time.perf_counter() - t0) * 1000)
         return CheckReport(name, "error", "n-a", str(exc),
                            {**cfg, "conventions": CONVENTIONS}, elapsed)

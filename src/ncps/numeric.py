@@ -5,8 +5,11 @@ Multiplication by a basic unitary of lattice vector ``m`` is the twisted shift
 ``k -> k + m`` with phase ``exp(pi i Theta(m, k))``; conformal factors are
 matrix exponentials of truncated multiplication operators, which keeps the
 assembled family Hermitian exactly (up to symmetrization, whose defect is
-recorded).  Spectra and flows are quoted on interior modes where the twisted
-shifts are exact isometries.
+recorded).  Spectra and flows are taken over the whole truncated box.  Each
+assembled operator records ``interior_cutoff``, the radius of the interior
+modes on which the twisted shifts are exact isometries, but no spectrum is
+restricted to it; only :func:`gauge_conjugation_deviation` compares on
+interior modes.
 
 Also hosts the numeric evaluator for formal trace classes: words in derived
 generators are mapped to twisted convolutions of concrete Fourier data and the

@@ -10,6 +10,14 @@ deformation parameter ``t``.  A scalar may carry a cap ``t_cap = M``; grades
 ``j > M`` are identically dropped by every operation, which makes ``t``
 nilpotent of order ``M + 1``.  A cap of ``None`` means "no truncation".
 
+Each coefficient ``a + b i`` is stored as an integer triple ``(re, im, den)``
+meaning ``(re + im i) / den``, in canonical form: ``den > 0``,
+``gcd(re, im, den) == 1`` and never ``re == im == 0``.  Ring arithmetic is
+plain integer arithmetic on these triples and builds no
+:class:`fractions.Fraction`.  Fractions appear only at the boundary: the
+constructors accept ``int`` or ``Fraction`` values, and :meth:`ExactScalar.terms`
+and :meth:`ExactScalar.rational_part` return ``Fraction`` pairs.
+
 pi is never evaluated numerically on the symbolic path: sphere and Gaussian
 integrals produce exact rational multiples of half-integer powers of pi and
 all vanishing statements are decided by exact zero tests.
@@ -19,9 +27,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Mapping, Optional, Union
 
 RationalLike = Union[int, Fraction]
+Triple = tuple[int, int, int]
+
+_NO_CAP = 1 << 62  # above every t grade: stands for an absent cap in loops
+# the hot methods (__add__, __mul__, scale) build their result inline rather
+# than through ExactScalar._raw, whose call costs as much as a small product
+_new = object.__new__
 
 
 class DomainError(ValueError):
@@ -36,63 +51,91 @@ def _min_cap(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
-def _fmt_rational(q: Fraction) -> str:
-    return str(q)
+def _triple(re: RationalLike, im: RationalLike) -> Optional[Triple]:
+    """Canonical triple of ``re + im i``, or None for zero."""
+    a, b = re.numerator, re.denominator
+    c, d = im.numerator, im.denominator
+    if not (a or c):
+        return None
+    den = b * d // gcd(b, d)
+    return (a * (den // b), c * (den // d), den)
 
 
-def _fmt_complex(re: Fraction, im: Fraction) -> str:
+def _add_triples(x: Triple, y: Triple) -> Optional[Triple]:
+    """Canonical sum of two canonical triples, or None for zero."""
+    a, b, d = x
+    c, f, e = y
+    if d == e:
+        re, im, den = a + c, b + f, d
+    else:
+        re, im, den = a * e + c * d, b * e + f * d, d * e
+    if not (re or im):
+        return None
+    g = gcd(re, im, den)
+    return (re, im, den) if g == 1 else (re // g, im // g, den // g)
+
+
+def _fmt_rational(num: int, den: int) -> str:
+    g = gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _fmt_complex(re: int, im: int, den: int) -> str:
     if im == 0:
-        return _fmt_rational(re)
+        return _fmt_rational(re, den)
     if re == 0:
-        if im == 1:
+        if im == den:
             return "i"
-        if im == -1:
+        if im == -den:
             return "-i"
-        return f"{_fmt_rational(im)} i"
+        return f"{_fmt_rational(im, den)} i"
     sign = "+" if im > 0 else "-"
     mag = abs(im)
-    imtxt = "i" if mag == 1 else f"{_fmt_rational(mag)} i"
-    return f"{_fmt_rational(re)} {sign} {imtxt}"
+    imtxt = "i" if mag == den else f"{_fmt_rational(mag, den)} i"
+    return f"{_fmt_rational(re, den)} {sign} {imtxt}"
 
 
 class ExactScalar:
     """Immutable element of the coefficient ring.
 
-    The term map sends ``(p, j)`` (pi half-power, t grade) to a complex
-    rational stored as a pair of :class:`fractions.Fraction`.  Zero values are
-    never stored, so ``is_zero`` is a trivial emptiness check.
+    The term map sends ``(p, j)`` (pi half-power, t grade) to the canonical
+    integer triple ``(re, im, den)`` of a nonzero complex rational.  Zero
+    values are never stored, so ``is_zero`` is a trivial emptiness check, and
+    equal values have equal term maps.
     """
 
     __slots__ = ("_terms", "t_cap")
 
     def __init__(
         self,
-        terms: Optional[Mapping[tuple[int, int], tuple[Fraction, Fraction]]] = None,
+        terms: Optional[Mapping[tuple[int, int], tuple[RationalLike, RationalLike]]] = None,
         t_cap: Optional[int] = None,
     ):
         if t_cap is not None and t_cap < 0:
             raise DomainError("t_cap must be >= 0")
-        clean: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+        clean: dict[tuple[int, int], Triple] = {}
         if terms:
             for (p, j), (re, im) in terms.items():
                 if p < 0 or j < 0:
                     raise DomainError("pi half-power and t grade must be >= 0")
                 if t_cap is not None and j > t_cap:
                     continue
-                if re == 0 and im == 0:
-                    continue
-                clean[(p, j)] = (Fraction(re), Fraction(im))
+                v = _triple(re, im)
+                if v is not None:
+                    clean[(p, j)] = v
         self._terms = clean
         self.t_cap = t_cap
 
     @classmethod
     def _raw(
         cls,
-        terms: dict[tuple[int, int], tuple[Fraction, Fraction]],
+        terms: dict[tuple[int, int], Triple],
         t_cap: Optional[int],
     ) -> "ExactScalar":
         """Trusted constructor for internal arithmetic: the term map must
-        already be zero-free, Fraction-valued and cap-respecting."""
+        already hold canonical triples only and respect the cap."""
         obj = object.__new__(cls)
         obj._terms = terms
         obj.t_cap = t_cap
@@ -111,7 +154,7 @@ class ExactScalar:
         im: RationalLike = 0,
         t_cap: Optional[int] = None,
     ) -> "ExactScalar":
-        return cls({(0, 0): (Fraction(re), Fraction(im))}, t_cap)
+        return cls({(0, 0): (re, im)}, t_cap)
 
     @classmethod
     def one(cls, t_cap: Optional[int] = None) -> "ExactScalar":
@@ -124,69 +167,85 @@ class ExactScalar:
     @classmethod
     def pi_half(cls, p: int, coeff: RationalLike = 1, t_cap: Optional[int] = None) -> "ExactScalar":
         """``coeff * pi^{p/2}``."""
-        return cls({(p, 0): (Fraction(coeff), Fraction(0))}, t_cap)
+        return cls({(p, 0): (coeff, 0)}, t_cap)
 
     @classmethod
     def t_power(cls, j: int, coeff: RationalLike = 1, t_cap: Optional[int] = None) -> "ExactScalar":
         """``coeff * t^j``."""
-        return cls({(0, j): (Fraction(coeff), Fraction(0))}, t_cap)
+        return cls({(0, j): (coeff, 0)}, t_cap)
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        cap = _min_cap(self.t_cap, other.t_cap)
-        if cap is not None and (self.t_cap != cap or other.t_cap != cap):
+        cap = self.t_cap
+        if cap != other.t_cap:
+            cap = _min_cap(cap, other.t_cap)
             return self.truncate_t(cap) + other.truncate_t(cap)
-        out = dict(self._terms)
-        for key, (re, im) in other._terms.items():
+        out = self._terms.copy()
+        for key, v in other._terms.items():
             if key in out:
-                a, b = out[key]
-                re, im = a + re, b + im
-                if re == 0 and im == 0:
+                v = _add_triples(out[key], v)
+                if v is None:
                     del out[key]
                     continue
-            out[key] = (re, im)
-        return ExactScalar._raw(out, cap)
+            out[key] = v
+        obj = _new(ExactScalar)
+        obj._terms = out
+        obj.t_cap = cap
+        return obj
 
     def __neg__(self) -> "ExactScalar":
         return ExactScalar._raw(
-            {k: (-re, -im) for k, (re, im) in self._terms.items()}, self.t_cap
+            {k: (-re, -im, den) for k, (re, im, den) in self._terms.items()}, self.t_cap
         )
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         return self + (-other)
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
-        cap = _min_cap(self.t_cap, other.t_cap)
-        out: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-        for (p1, j1), (a1, b1) in self._terms.items():
-            for (p2, j2), (a2, b2) in other._terms.items():
+        c1, c2 = self.t_cap, other.t_cap
+        cap = c2 if c1 is None else c1 if c2 is None or c1 < c2 else c2
+        top = _NO_CAP if cap is None else cap
+        out: dict[tuple[int, int], Triple] = {}
+        right = other._terms.items()
+        for (p1, j1), (a1, b1, d1) in self._terms.items():
+            for (p2, j2), (a2, b2, d2) in right:
                 j = j1 + j2
-                if cap is not None and j > cap:
+                if j > top:
                     continue
+                # a product of nonzero Gaussian rationals is nonzero
+                re, im, den = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+                g = gcd(re, im, den)
+                v = (re, im, den) if g == 1 else (re // g, im // g, den // g)
                 key = (p1 + p2, j)
-                re = a1 * a2 - b1 * b2
-                im = a1 * b2 + b1 * a2
                 if key in out:
-                    c, d = out[key]
-                    re, im = c + re, d + im
-                if re == 0 and im == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = (re, im)
-        return ExactScalar._raw(out, cap)
+                    v = _add_triples(out[key], v)
+                    if v is None:
+                        del out[key]
+                        continue
+                out[key] = v
+        obj = _new(ExactScalar)
+        obj._terms = out
+        obj.t_cap = cap
+        return obj
 
     def scale(self, q: RationalLike) -> "ExactScalar":
-        q = Fraction(q)
-        if q == 0:
+        n, m = q.numerator, q.denominator
+        if n == 0:
             return ExactScalar.zero(self.t_cap)
-        return ExactScalar._raw(
-            {k: (re * q, im * q) for k, (re, im) in self._terms.items()}, self.t_cap
-        )
+        out = {}
+        for k, (re, im, den) in self._terms.items():
+            re, im, den = re * n, im * n, den * m
+            g = gcd(re, im, den)
+            out[k] = (re, im, den) if g == 1 else (re // g, im // g, den // g)
+        obj = _new(ExactScalar)
+        obj._terms = out
+        obj.t_cap = self.t_cap
+        return obj
 
     def conjugate(self) -> "ExactScalar":
         return ExactScalar._raw(
-            {k: (re, -im) for k, (re, im) in self._terms.items()}, self.t_cap
+            {k: (re, -im, den) for k, (re, im, den) in self._terms.items()}, self.t_cap
         )
 
     # -- structure queries ---------------------------------------------------
@@ -195,13 +254,11 @@ class ExactScalar:
         return not self._terms
 
     def terms(self) -> Iterator[tuple[tuple[int, int], tuple[Fraction, Fraction]]]:
-        return iter(sorted(self._terms.items()))
-
-    def min_t_power(self) -> Optional[int]:
-        """Lowest t grade present, or None for the zero scalar."""
-        if not self._terms:
-            return None
-        return min(j for (_, j) in self._terms)
+        """Sorted ``((p, j), (re, im))`` pairs with Fraction parts."""
+        return (
+            (k, (Fraction(re, den), Fraction(im, den)))
+            for k, (re, im, den) in sorted(self._terms.items())
+        )
 
     def max_t_power(self) -> int:
         if not self._terms:
@@ -224,7 +281,11 @@ class ExactScalar:
 
     def rational_part(self) -> tuple[Fraction, Fraction]:
         """Coefficient of the pi-free, t-free term."""
-        return self._terms.get((0, 0), (Fraction(0), Fraction(0)))
+        v = self._terms.get((0, 0))
+        if v is None:
+            return Fraction(0), Fraction(0)
+        re, im, den = v
+        return Fraction(re, den), Fraction(im, den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactScalar):
@@ -237,8 +298,8 @@ class ExactScalar:
     def to_complex(self, t: float = 1.0) -> complex:
         """Numerical value with pi evaluated and the t grade read at ``t``."""
         total = 0j
-        for (p, j), (re, im) in self._terms.items():
-            total += complex(re, im) * math.pi ** (p / 2.0) * t**j
+        for (p, j), (re, im, den) in self._terms.items():
+            total += complex(re / den, im / den) * math.pi ** (p / 2.0) * t**j
         return total
 
     # -- rendering ---------------------------------------------------------
@@ -248,8 +309,7 @@ class ExactScalar:
             return "0"
         parts = []
         for (p, j) in sorted(self._terms, key=lambda k: (k[1], k[0])):
-            re, im = self._terms[(p, j)]
-            body = _fmt_complex(re, im)
+            body = _fmt_complex(*self._terms[(p, j)])
             factors = []
             if p:
                 factors.append(f"pi^{{{p}/2}}" if p % 2 else "pi" if p == 2 else f"pi^{p // 2}")
@@ -303,7 +363,7 @@ def half_gamma(x: RationalLike) -> ExactScalar:
     if x <= 0 or (2 * x).denominator != 1:
         raise DomainError(f"half_gamma is defined for positive half-integers, got {x}")
     coeff, p = gamma_half_pair(int(2 * x))
-    return ExactScalar({(p, 0): (coeff, Fraction(0))})
+    return ExactScalar.pi_half(p, coeff)
 
 
 def truncate_t(s: ExactScalar, m: int) -> ExactScalar:

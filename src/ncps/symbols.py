@@ -524,10 +524,6 @@ class Symbol:
         names = tuple(bases)
         return self.map_coeffs(lambda v: v.filter_base_degree(names, cap))
 
-    def truncate_floor(self, floor: int) -> "Symbol":
-        comps = {d: c for d, c in self.components.items() if d >= floor}
-        return Symbol(self.dim, comps, _combine_floor(self.floor, floor))
-
     def equals(self, other: "Symbol", down_to: Optional[int] = None) -> bool:
         lo = down_to
         if lo is None:

@@ -71,6 +71,20 @@ def test_error_reports_on_bad_config():
     assert report.witness is not None
 
 
+def test_family_error_becomes_error_report():
+    report = run_check("eta-conformal", {"t_order": -1})
+    assert report.status == "error"
+    assert "t cap" in report.witness
+    json.loads(report.to_json())
+
+
+def test_flow_index_dimension_mismatch_is_error_report():
+    report = run_check("flow-index", {"dim": 2})
+    assert report.status == "error"
+    assert report.witness == "lattice vector u has 3 entries but dim is 2"
+    assert report.params["u"] == (1, 0, 0)
+
+
 def test_json_roundtrip():
     report = run_check("eta-invariance")
     payload = json.loads(report.to_json())

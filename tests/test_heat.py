@@ -301,3 +301,27 @@ def test_laurent_normalization_against_lattice():
     t = 0.05
     lattice_a0 = t * nm.heat_trace_lattice(t, 40, 2)
     assert abs(lattice_a0 - value) < 1e-6
+
+
+# sha256 of "<matrix render> | <traced render>" per coefficient, pinned
+# before the coefficient ring moved from Fractions to integer triples
+GOLDEN_CONFORMAL_BETAS = {
+    0: "6e8ffa0a6e1245b44d28cb2fcb3056c3253fda35a983c830c8adfb7a2f48c45a",
+    1: "06d6e88daf0684baaed3679db61ee95c4bd214ce4bc0df2006d35f282a20f56f",
+    2: "5f4f1a2b76e3be9f76762ace3470dc68adcbc7d619f580700ca9ed934da54451",
+    3: "06d6e88daf0684baaed3679db61ee95c4bd214ce4bc0df2006d35f282a20f56f",
+}
+
+
+def test_golden_conformal_heat_renders():
+    import hashlib
+
+    _, sd2 = dirac_symbol(OperatorFamily.conformal(3, t_cap=2))
+    coeffs = ht.heat_coefficients(sd2, 3)
+    digests = {
+        c.index: hashlib.sha256(
+            f"{c.matrix.render()} | {c.traced.render()}".encode()
+        ).hexdigest()
+        for c in coeffs
+    }
+    assert digests == GOLDEN_CONFORMAL_BETAS

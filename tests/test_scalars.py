@@ -1,5 +1,6 @@
 """Exact coefficient ring: constructors, ring laws, gamma values, truncation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ rationals = st.fractions(
 )
 
 
-def scalars(max_cap=3):
+def raw_scalars(max_cap=3):
+    """``(terms, cap)`` with Fraction parts, before any ExactScalar is built."""
+
     @st.composite
     def build(draw):
         n_terms = draw(st.integers(0, 3))
@@ -23,9 +26,13 @@ def scalars(max_cap=3):
             j = draw(st.integers(0, 3))
             terms[(p, j)] = (draw(rationals), draw(rationals))
         cap = draw(st.one_of(st.none(), st.integers(0, max_cap)))
-        return ExactScalar(terms, cap)
+        return terms, cap
 
     return build()
+
+
+def scalars(max_cap=3):
+    return raw_scalars(max_cap).map(lambda tc: ExactScalar(*tc))
 
 
 def test_half_gamma_values():
@@ -116,3 +123,137 @@ def test_to_complex():
 
     s = ExactScalar.pi_half(1, Fraction(1, 2)) + ExactScalar.t_power(2, 3)
     assert abs(s.to_complex(t=0.5) - (0.5 * math.sqrt(math.pi) + 3 * 0.25)) < 1e-14
+
+
+# -- integer-triple kernel against a Fraction reference ------------------------
+#
+# The reference ring keeps ``(p, j) -> (re, im)`` Fraction pairs with a cap,
+# exactly as the coefficient ring is specified.
+
+
+def ref_clean(terms, cap):
+    return {
+        k: v for k, v in terms.items() if any(v) and (cap is None or k[1] <= cap)
+    }
+
+
+def ref_min_cap(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def ref_add(x, y):
+    cap = ref_min_cap(x[1], y[1])
+    out = dict(ref_clean(x[0], cap))
+    for k, (re, im) in ref_clean(y[0], cap).items():
+        a, b = out.get(k, (0, 0))
+        out[k] = (a + re, b + im)
+    return ref_clean(out, cap), cap
+
+
+def ref_mul(x, y):
+    cap = ref_min_cap(x[1], y[1])
+    out = {}
+    for (p1, j1), (a1, b1) in x[0].items():
+        for (p2, j2), (a2, b2) in y[0].items():
+            k = (p1 + p2, j1 + j2)
+            a, b = out.get(k, (0, 0))
+            out[k] = (a + a1 * a2 - b1 * b2, b + a1 * b2 + b1 * a2)
+    return ref_clean(out, cap), cap
+
+
+def ref_scale(x, q):
+    return ref_clean({k: (re * q, im * q) for k, (re, im) in x[0].items()}, x[1]), x[1]
+
+
+def ref_value(terms, cap):
+    return ref_clean(terms, cap), cap
+
+
+def assert_matches(s, ref):
+    terms, cap = ref
+    assert s.t_cap == cap
+    assert dict(s.terms()) == terms
+    for (re, im) in dict(s.terms()).values():
+        assert type(re) is Fraction and type(im) is Fraction
+    assert_canonical(s)
+    # the same value built directly from the reference has the same identity
+    direct = ExactScalar(terms, cap)
+    assert s == direct
+    assert hash(s) == hash(direct)
+    assert s.render() == direct.render()
+
+
+def assert_canonical(s):
+    for (p, j), (re, im, den) in s._terms.items():
+        assert type(re) is int and type(im) is int and type(den) is int
+        assert den > 0
+        assert (re, im) != (0, 0)
+        assert math.gcd(re, im, den) == 1
+        assert p >= 0 and j >= 0
+        assert s.t_cap is None or j <= s.t_cap
+
+
+@given(raw_scalars(), raw_scalars())
+@settings(max_examples=200)
+def test_kernel_add_sub_match_fraction_reference(x, y):
+    a, b = ExactScalar(*x), ExactScalar(*y)
+    assert_matches(a, ref_value(*x))
+    assert_matches(a + b, ref_add(ref_value(*x), ref_value(*y)))
+    neg_y = ({k: (-re, -im) for k, (re, im) in y[0].items()}, y[1])
+    assert_matches(-b, ref_value(*neg_y))
+    assert_matches(a - b, ref_add(ref_value(*x), ref_value(*neg_y)))
+
+
+@given(raw_scalars(), raw_scalars())
+@settings(max_examples=200)
+def test_kernel_mul_matches_fraction_reference(x, y):
+    a, b = ExactScalar(*x), ExactScalar(*y)
+    assert_matches(a * b, ref_mul(ref_value(*x), ref_value(*y)))
+
+
+@given(raw_scalars(), st.one_of(st.integers(-6, 6), rationals))
+@settings(max_examples=200)
+def test_kernel_scale_matches_fraction_reference(x, q):
+    assert_matches(ExactScalar(*x).scale(q), ref_scale(ref_value(*x), Fraction(q)))
+
+
+@given(raw_scalars(), st.integers(0, 4), st.integers(0, 4))
+@settings(max_examples=150)
+def test_kernel_conjugate_grade_truncate_match_fraction_reference(x, j, m):
+    a = ExactScalar(*x)
+    terms, cap = ref_value(*x)
+    assert_matches(a.conjugate(), ({k: (re, -im) for k, (re, im) in terms.items()}, cap))
+    assert_matches(a.t_grade(j), ({k: v for k, v in terms.items() if k[1] == j}, cap))
+    trunc_cap = m if cap is None else min(cap, m)
+    assert_matches(a.truncate_t(m), ({k: v for k, v in terms.items() if k[1] <= m}, trunc_cap))
+
+
+def test_equal_values_built_differently_share_identity():
+    half = ExactScalar.rational(Fraction(1, 2))
+    one = half + half
+    assert one == ExactScalar.one()
+    assert hash(one) == hash(ExactScalar.one())
+    assert one.render() == "1"
+    three_sixths = ExactScalar.rational(3).scale(Fraction(1, 6))
+    assert three_sixths._terms == {(0, 0): (1, 0, 2)}
+    assert three_sixths == half
+    assert hash(three_sixths) == hash(half)
+    assert three_sixths.render() == half.render() == "1/2"
+    # (1/2 + 1/2 i)(1 - i) = 1, reached through a non-trivial gcd
+    w = ExactScalar.rational(Fraction(1, 2), Fraction(1, 2)) * ExactScalar.rational(1, -1)
+    assert w == ExactScalar.one() and w.render() == "1"
+    thirds = ExactScalar.rational(Fraction(1, 3), Fraction(2, 3)).scale(3)
+    assert thirds._terms == {(0, 0): (1, 2, 1)}
+    assert thirds.render() == "1 + 2 i"
+
+
+def test_boundary_returns_fractions():
+    s = ExactScalar({(0, 0): (Fraction(3, 4), Fraction(-1, 6)), (1, 0): (2, 0)})
+    assert s._terms[(0, 0)] == (9, -2, 12)
+    assert s.rational_part() == (Fraction(3, 4), Fraction(-1, 6))
+    assert list(s.terms()) == [
+        ((0, 0), (Fraction(3, 4), Fraction(-1, 6))),
+        ((1, 0), (Fraction(2), Fraction(0))),
+    ]
+    assert ExactScalar.zero().rational_part() == (0, 0)
+    assert s.render() == "3/4 - 1/6 i + 2 * pi^{1/2}"

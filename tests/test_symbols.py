@@ -480,3 +480,19 @@ def test_sign_coupled_residue_degree_assembly():
             d1.xi_derivative(i).mul(inv.component(-3).delta(i + 1))
         )
     assert engine.equals(assembled)
+
+
+def _sha256(text):
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_coupled_sign_render():
+    """Byte-identical render of the coupled sign symbol at floor -3, pinned
+    before the coefficient ring moved from Fractions to integer triples."""
+    sd, sd2 = dirac_symbol(OperatorFamily.coupled(3))
+    sgn = star_product(sd, invert_symbol(sqrt_symbol(sd2, -2), -4), -3)
+    assert _sha256(sgn.render()) == (
+        "a79d23b4d478620613b342e030239e59e962a9b97dfa369d0398dad5d8cb8b9b"
+    )
