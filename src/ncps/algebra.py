@@ -13,6 +13,10 @@ cyclicity and vanishing on derivation images, ``tau(delta_mu(x)) = 0``; the
 latter membership is decided by exact elimination over the finitely many
 necklaces of the relevant grade.  Deformation phases never enter at this
 level; concrete evaluation lives in :mod:`ncps.numeric`.
+
+Products truncate in the nilpotent grade ``t`` before any coefficient is
+multiplied: a word pair whose coefficients' lowest t grades sum past the
+smaller of their caps is skipped, since its product would vanish.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .scalars import DomainError, ExactScalar, RationalLike
+from .scalars import _NO_CAP, DomainError, ExactScalar, RationalLike
 
 
 class Generator(NamedTuple):
@@ -84,6 +88,26 @@ def _render_word(w: Word) -> str:
         parts.append(txt)
         i = j
     return "[" + " . ".join(parts) + "]"
+
+
+def _grade_rows(a: "AlgebraElement") -> list[tuple[int, int, Word, ExactScalar]]:
+    """One ``(lowest t grade, cap, word, coefficient)`` row per term of ``a``.
+
+    An uncapped coefficient gets grade 0 and cap ``_NO_CAP``, which no grade
+    sum reaches, so its pairs are never skipped.
+    """
+    rows = []
+    for w, s in a._terms.items():
+        cap = s.t_cap
+        if cap is None:
+            rows.append((0, _NO_CAP, w, s))
+            continue
+        lo = cap
+        for _p, j in s._terms:
+            if j < lo:
+                lo = j
+        rows.append((lo, cap, w, s))
+    return rows
 
 
 class AlgebraElement:
@@ -149,9 +173,15 @@ class AlgebraElement:
         return self + (-other)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        left = _grade_rows(self)
+        right = _grade_rows(other)
         out: dict[Word, ExactScalar] = {}
-        for w1, s1 in self._terms.items():
-            for w2, s2 in other._terms.items():
+        for lo1, cap1, w1, s1 in left:
+            for lo2, cap2, w2, s2 in right:
+                # every grade of s1 * s2 is at least lo1 + lo2: above the
+                # pair's cap the product is zero, so skip the multiply
+                if lo1 + lo2 > (cap1 if cap1 < cap2 else cap2):
+                    continue
                 s = s1 * s2
                 if s.is_zero():
                     continue
@@ -231,9 +261,6 @@ class AlgebraElement:
 
     def terms(self) -> Iterator[tuple[Word, ExactScalar]]:
         return iter(sorted(self._terms.items(), key=lambda kv: _word_key(kv[0])))
-
-    def t_truncate(self, m: int) -> "AlgebraElement":
-        return AlgebraElement({w: s.truncate_t(m) for w, s in self._terms.items()})
 
     def t_grade(self, j: int) -> "AlgebraElement":
         return AlgebraElement({w: s.t_grade(j) for w, s in self._terms.items()})

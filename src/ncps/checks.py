@@ -260,6 +260,11 @@ class CheckSpec:
     description: str
     runner: Callable[[dict], tuple[str, str, Optional[str], dict]]
     defaults: dict
+    # keys the runner reads besides those of ``defaults``
+    optional: tuple[str, ...] = ()
+
+    def reads(self) -> set[str]:
+        return set(self.defaults) | set(self.optional)
 
 
 CHECKS: dict[str, CheckSpec] = {
@@ -314,6 +319,7 @@ CHECKS: dict[str, CheckSpec] = {
             "interval, matching the integrated index pairing (zero)",
             _check_flow_index,
             {"u": (1, 0, 0), "grid": 101, "cutoff": 6, "dim": 3},
+            ("kernel_shift",),
         ),
     ]
 }
@@ -333,6 +339,14 @@ def run_check(name: str, config: Optional[dict] = None) -> CheckReport:
     cfg = dict(spec.defaults)
     if config:
         cfg.update({k: v for k, v in config.items() if v is not None})
+    unread = sorted(set(cfg) - spec.reads())
+    if unread:
+        return CheckReport(
+            name, "error", "n-a",
+            f"check {name!r} does not read {', '.join(unread)}; "
+            f"it reads: {', '.join(sorted(spec.reads())) or 'nothing'}",
+            {**cfg, "conventions": CONVENTIONS}, 0,
+        )
     t0 = time.perf_counter()
     try:
         status, level, witness, details = spec.runner(cfg)

@@ -127,9 +127,6 @@ class Mat2:
         """All entries are scalar multiples of the algebra unit."""
         return all(v.is_scalar() for row in self.e for v in row)
 
-    def max_t_power(self) -> int:
-        return max(v.max_t_power() for row in self.e for v in row)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mat2):
             return NotImplemented
@@ -342,9 +339,6 @@ class Component:
 
     def t_grade(self, j: int) -> "Component":
         return self.map_coeffs(lambda v: v.t_grade(j))
-
-    def max_t_power(self) -> int:
-        return max((mat.max_t_power() for mat in self.terms.values()), default=0)
 
     # -- canonical form ----------------------------------------------------------
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncps.algebra import (
     AlgebraElement,
@@ -181,3 +183,69 @@ def test_render_grammar():
     )
     # words render in canonical sorted order
     assert x.render() == "(1/2 * t)*[h^2] + [h . d(1)(h)]"
+
+
+# -- the product against a pairwise reference -----------------------------------
+
+D1H = Generator("h", (1, 0, 0))
+small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+words = st.lists(st.sampled_from((H, A1, D1H)), max_size=2).map(tuple)
+
+
+@st.composite
+def coefficients(draw):
+    """Scalars with caps None and 0..3; uncapped ones may carry any t grade."""
+    cap = draw(st.one_of(st.none(), st.integers(0, 3)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        key = (draw(st.integers(0, 2)), draw(st.integers(0, 4)))
+        terms[key] = (draw(small), draw(small))
+    return ExactScalar(terms, t_cap=cap)
+
+
+elements = st.dictionaries(words, coefficients(), max_size=4).map(AlgebraElement)
+
+
+def naive_product(a, b):
+    """Sum of ``s1 * s2`` over every word pair, in the product's own order."""
+    out = AlgebraElement.zero()
+    for w1, s1 in a._terms.items():
+        for w2, s2 in b._terms.items():
+            out = out + AlgebraElement({w1 + w2: s1 * s2})
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements, elements)
+def test_product_matches_pairwise_reference(a, b):
+    prod = a * b
+    ref = naive_product(a, b)
+    assert prod == ref
+    assert [s.t_cap for _, s in prod.terms()] == [s.t_cap for _, s in ref.terms()]
+    assert prod.render() == ref.render()
+
+
+def test_product_with_uncapped_t_grades():
+    # an uncapped t^2 against a cap-1 coefficient: the pair cap is 1, and the
+    # uncapped grade is not known to the pruning, so the multiply decides
+    capped = elem(H).scale(ExactScalar.rational(1, t_cap=1) + ExactScalar.t_power(1, t_cap=1))
+    uncapped = elem(A1).scale(ExactScalar.t_power(2) + ExactScalar.rational(3))
+    for a, b in ((capped, uncapped), (uncapped, capped)):
+        assert a * b == naive_product(a, b)
+        ((_w, s),) = list((a * b).terms())
+        assert s == ExactScalar.rational(3, t_cap=1) + ExactScalar.t_power(1, 3, t_cap=1)
+
+
+def test_product_skips_every_pair_over_the_cap(monkeypatch):
+    a = elem(H).scale(ExactScalar.t_power(1, t_cap=1)) + (elem(H) * elem(A1)).scale(
+        ExactScalar.t_power(2, 5, t_cap=3)
+    )
+    b = elem(A1).scale(ExactScalar.t_power(1, -2, t_cap=1)) + elem(D1H).scale(
+        ExactScalar.t_power(2, Fraction(1, 3), t_cap=2) + ExactScalar.t_power(3, 7)
+    )
+    assert naive_product(a, b).is_zero()
+    calls = []
+    mul = ExactScalar.__mul__
+    monkeypatch.setattr(ExactScalar, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    assert (a * b).is_zero()
+    assert calls == []

@@ -85,6 +85,26 @@ def test_flow_index_dimension_mismatch_is_error_report():
     assert report.params["u"] == (1, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "name, config, unread",
+    [
+        ("eta-invariance", {"t_order": 5}, "t_order"),
+        ("flow-index", {"theta": "0.3", "grid": 11, "cutoff": 2}, "theta"),
+    ],
+)
+def test_unread_key_is_error_report(name, config, unread):
+    report = run_check(name, config)
+    assert report.status == "error"
+    assert f"does not read {unread};" in report.witness
+    assert report.params[unread] == config[unread]
+
+
+def test_declared_optional_key_is_read():
+    report = run_check("flow-index", {"grid": 11, "cutoff": 2, "kernel_shift": 1e-6})
+    assert report.passed
+    assert CHECKS["flow-index"].reads() == {"u", "grid", "cutoff", "dim", "kernel_shift"}
+
+
 def test_json_roundtrip():
     report = run_check("eta-invariance")
     payload = json.loads(report.to_json())

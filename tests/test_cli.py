@@ -37,6 +37,14 @@ def test_verify_error_exit_code(capsys):
     assert code == 2
 
 
+def test_verify_unread_flags_are_error(capsys):
+    code, out = run(capsys, "verify", "eta-coupled", "--dim", "2", "--cutoff", "99")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["witness"] == "check 'eta-coupled' does not read cutoff, dim; it reads: floor"
+
+
 def test_wres_family_file(tmp_path, capsys):
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps({"kind": "coupled_dirac", "dim": 3}))

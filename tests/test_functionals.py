@@ -210,6 +210,29 @@ def test_cs_density_linear_and_filtered():
     assert (linear.representative - trunc).is_zero()
 
 
+# sha256 of the render, pinned before products skipped word pairs over the
+# t cap
+GOLDEN_CS_DENSITY = "3183a61967a9063c61d3b1eb98520e53d4cd19aab13782afb6d71fd87e2df36b"
+
+
+def test_cs_density_closed_form():
+    # -4 pi i eps^{mu nu lam} tau(dA_mu (delta_nu A_lam + A_nu A_lam))
+    import hashlib
+
+    full = fn.induced_cs_density(OperatorFamily.coupled(3))
+    A = [AlgebraElement.generator(gen(f"A{m}", DIM)) for m in (1, 2, 3)]
+    dA = [AlgebraElement.generator(gen(f"dA{m}", DIM)) for m in (1, 2, 3)]
+    expect = AlgebraElement.zero()
+    for mu, nu, lam in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        for n, l, sign in ((nu, lam, 1), (lam, nu, -1)):
+            term = dA[mu] * (A[l].delta(n + 1) + A[n] * A[l])
+            expect = expect + term.scale_rational(sign)
+    expect = expect.scale(ExactScalar({(2, 0): (0, -4)}))
+    assert not full.is_zero()
+    assert tau_class(full.representative - expect).is_zero()
+    assert hashlib.sha256(full.render().encode()).hexdigest() == GOLDEN_CS_DENSITY
+
+
 def test_cs_density_rejects_other_families():
     with pytest.raises(DomainError):
         fn.induced_cs_density(OperatorFamily.free(3))

@@ -187,15 +187,27 @@ def test_oracle_equivalence_mellin_vs_sqrt_route(fam):
     assert mel.equals(direct, down_to=-4)
 
 
+# sha256 of the per-grade renders joined by " | ", pinned before products
+# skipped word pairs over the t cap
+GOLDEN_ANOMALY_T2 = "0562b53524efbded94763154787c0c48521539de3e4990c660f2b3fa02880cf4"
+
+
 def test_anomaly_density_grades():
-    fam = OperatorFamily.conformal(2, t_cap=1)
-    grades = ht.anomaly_density(fam)
-    assert grades[0].is_zero()
+    # closed form: -(2 pi / 3) t tau(h Delta h) at grade 1, zero elsewhere
+    import hashlib
+
     h = AlgebraElement.generator(gen("h", 2))
-    lap = (h * h.delta(1).delta(1) + h * h.delta(2).delta(2)).scale(
-        ExactScalar.pi_half(2, Fraction(-2, 3)) * ExactScalar.t_power(1, t_cap=1)
-    )
-    assert (grades[1].representative - tau_class(lap).representative).is_zero()
+    for t_cap in (1, 2):
+        grades = ht.anomaly_density(OperatorFamily.conformal(2, t_cap=t_cap))
+        assert sorted(grades) == list(range(t_cap + 1))
+        lap = (h * (h.delta(1).delta(1) + h.delta(2).delta(2))).scale(
+            ExactScalar.pi_half(2, Fraction(-2, 3)) * ExactScalar.t_power(1, t_cap=t_cap)
+        )
+        assert (grades[1].representative - tau_class(lap).representative).is_zero()
+        assert tau_class(grades[1].representative - lap).is_zero()
+        assert all(grades[j].is_zero() for j in grades if j != 1)
+    text = " | ".join(grades[j].render() for j in sorted(grades))  # t_cap 2
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ANOMALY_T2
 
 
 def test_anomaly_density_rejects_wrong_family():
