@@ -75,7 +75,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "cutoff": args.cutoff,
         "grid": args.grid,
         "u": args.u,
-        "theta": args.theta,
     }
     report = run_check(args.name, cfg)
     _emit(report.to_dict(), args.json)
@@ -239,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--cutoff", type=int, default=None)
     v.add_argument("--grid", type=int, default=None)
     v.add_argument("--u", type=str, default=None)
-    v.add_argument("--theta", type=str, default=None)
     v.add_argument("--json", type=str, default=None)
     v.set_defaults(fn=_cmd_verify)
 

@@ -11,6 +11,13 @@ modes on which the twisted shifts are exact isometries, but no spectrum is
 restricted to it; only :func:`gauge_conjugation_deviation` compares on
 interior modes.
 
+Every family member is assembled blockwise as ``sum_mu B_mu (x) gamma_mu``
+from ``N x N`` mode blocks, so no ``2N x 2N`` product is formed: the
+conformal member ``(e (x) 1) D (e (x) 1)`` with ``e = exp(t h / 2)`` has
+blocks ``e diag(k_mu) e``, three ``N x N`` matrix products.  A localized heat
+trace ``Tr(a exp(-s D^2))`` weighs eigenvector ``v_j`` by ``v_j^* a v_j``,
+read off one BLAS product ``a V`` and a row-wise dot.
+
 Also hosts the numeric evaluator for formal trace classes: words in derived
 generators are mapped to twisted convolutions of concrete Fourier data and the
 trace reads off the zero mode.  This closes the loop between the exact
@@ -137,34 +144,41 @@ def multiplication_matrix(
     a: ConcreteElement, L: int, theta: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Matrix of left multiplication by ``a`` on the mode box (no spinor slot)."""
-    box = mode_box(L, a.dim)
-    index = {k: i for i, k in enumerate(box)}
+    box = np.asarray(mode_box(L, a.dim))
     n = len(box)
+    # flat position of a mode in the lexicographic box order of ``mode_box``
+    strides = (2 * L + 1) ** np.arange(a.dim - 1, -1, -1)
+    cols = np.arange(n)
     out = np.zeros((n, n), dtype=complex)
     th = np.zeros((a.dim, a.dim)) if theta is None else theta
     for m, coeff in a.modes.items():
-        mv = np.asarray(m, dtype=float)
-        for k, i in index.items():
-            tgt = tuple(x + y for x, y in zip(m, k))
-            j = index.get(tgt)
-            if j is not None:
-                phase = np.exp(1j * math.pi * float(mv @ th @ np.asarray(k, dtype=float)))
-                out[j, i] += coeff * phase
+        mv = np.asarray(m)
+        tgt = box + mv
+        inside = np.all(np.abs(tgt) <= L, axis=1)
+        rows = (tgt[inside] + L) @ strides
+        # the shift is injective, so no target repeats within one mode
+        out[rows, cols[inside]] += coeff * np.exp(1j * math.pi * (box[inside] @ (mv @ th)))
     return out
+
+
+def _box_coordinates(L: int, dim: int) -> np.ndarray:
+    """``(dim, N)`` array whose row ``mu - 1`` is ``k_mu`` over the mode box."""
+    return np.asarray(mode_box(L, dim), dtype=float).T
+
+
+def _spinor_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Dense ``sum_mu blocks[mu - 1] (x) gamma_mu``, spinor index fastest."""
+    n = blocks[0].shape[0]
+    out = np.zeros((n, 2, n, 2), dtype=complex)
+    for mu, b in enumerate(blocks, start=1):
+        g = gamma_num(len(blocks), mu)
+        for s, r in zip(*np.nonzero(g)):
+            out[:, s, :, r] += g[s, r] * b
+    return out.reshape(2 * n, 2 * n)
 
 
 def free_dirac_matrix(L: int, dim: int) -> np.ndarray:
-    box = mode_box(L, dim)
-    n = len(box)
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    for i, k in enumerate(box):
-        block = sum(k[mu - 1] * gamma_num(dim, mu) for mu in range(1, dim + 1))
-        out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = block
-    return out
-
-
-def _with_spinor(m: np.ndarray) -> np.ndarray:
-    return np.kron(m, np.eye(2, dtype=complex))
+    return _spinor_sum([np.diag(k) for k in _box_coordinates(L, dim)])
 
 
 def expm_hermitian(m: np.ndarray) -> np.ndarray:
@@ -211,43 +225,41 @@ class NumericFamily:
         return r
 
 
-def build_operator(f: NumericFamily, L: int, t: float = 0.0) -> TruncatedOperator:
-    """Assemble the truncated family member at parameter ``t``."""
+def _dirac_blocks(f: NumericFamily, L: int, t: float) -> list[np.ndarray]:
+    """The ``N x N`` blocks ``B_mu`` of ``D_t = sum_mu B_mu (x) gamma_mu``."""
     dim = f.dim
-    if f.support_radius() > L:
-        raise DomainError("mode support exceeds the truncation box")
-    mat = free_dirac_matrix(L, dim)
+    ks = _box_coordinates(L, dim)
     if f.kind == "free_dirac":
-        pass
-    elif f.kind == "unitary_flow":
+        return [np.diag(k) for k in ks]
+    if f.kind == "unitary_flow":
         if len(f.flow_k) != dim:
             raise DomainError("unitary flow needs a lattice vector of length dim")
-        shift = sum(
-            f.flow_k[mu - 1] * gamma_num(dim, mu) for mu in range(1, dim + 1)
-        )
-        n = mat.shape[0] // 2
-        mat = mat + t * np.kron(np.eye(n, dtype=complex), shift)
-    elif f.kind == "conformal_dirac":
+        return [np.diag(k + t * c) for k, c in zip(ks, f.flow_k)]
+    if f.kind == "conformal_dirac":
         if f.weyl is None or not f.weyl.is_selfadjoint():
             raise DomainError("conformal family needs a self-adjoint Weyl element")
-        mh = multiplication_matrix(f.weyl, L, f.theta)
-        e = _with_spinor(expm_hermitian((t / 2.0) * mh))
-        mat = e @ mat @ e
-    elif f.kind == "coupled_dirac":
+        e = expm_hermitian((t / 2.0) * multiplication_matrix(f.weyl, L, f.theta))
+        # (e (x) 1) D (e (x) 1) = sum_mu (e diag(k_mu) e) (x) gamma_mu
+        return [(e * k) @ e for k in ks]
+    if f.kind == "coupled_dirac":
         if not f.gauge or len(f.gauge) != dim:
             raise DomainError("coupled family needs one gauge element per direction")
-        for mu, a in enumerate(f.gauge, start=1):
-            if not a.is_selfadjoint():
-                raise DomainError("gauge elements must be self-adjoint")
-            ma = multiplication_matrix(a, L, f.theta)
-            mat = mat + np.kron(ma, gamma_num(dim, mu))
-    else:
-        raise DomainError(f"unknown family kind {f.kind!r}")
+        if not all(a.is_selfadjoint() for a in f.gauge):
+            raise DomainError("gauge elements must be self-adjoint")
+        return [np.diag(k) + multiplication_matrix(a, L, f.theta) for k, a in zip(ks, f.gauge)]
+    raise DomainError(f"unknown family kind {f.kind!r}")
+
+
+def build_operator(f: NumericFamily, L: int, t: float = 0.0) -> TruncatedOperator:
+    """Assemble the truncated family member at parameter ``t``."""
+    if f.support_radius() > L:
+        raise DomainError("mode support exceeds the truncation box")
+    mat = _spinor_sum(_dirac_blocks(f, L, t))
     defect = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
     sym = (mat + mat.conj().T) / 2.0
     return TruncatedOperator(
         cutoff=L,
-        dim=dim,
+        dim=f.dim,
         matrix=sym,
         hermiticity_defect=defect,
         interior_cutoff=L - f.support_radius(),
@@ -291,13 +303,21 @@ def heat_trace_lattice(t: float, L: int, dim: int, weight: complex = 1.0) -> flo
 def heat_trace_operator(
     T: TruncatedOperator, t: float, localizer: Optional[np.ndarray] = None
 ) -> float:
-    """``Tr(a exp(-t D^2))`` for a truncated operator, by eigendecomposition."""
-    vals, vecs = np.linalg.eigh(T.matrix)
-    weights = np.exp(-t * vals**2)
+    """``Tr(a exp(-t D^2))`` for a truncated operator, by eigendecomposition.
+
+    The localizer ``a`` is a dense matrix of the operator's size; its weight
+    on eigenvector ``v_j`` is ``v_j^* a v_j``, read off one matrix product.
+    """
     if localizer is None:
-        return float(weights.sum())
-    w = np.einsum("ij,jk,ki->i", vecs.conj().T, localizer, vecs).real
-    return float((w * weights).sum())
+        return float(np.exp(-t * np.linalg.eigvalsh(T.matrix) ** 2).sum())
+    loc = np.asarray(localizer)
+    if loc.shape != T.matrix.shape:
+        raise DomainError(
+            f"localizer shape {loc.shape} does not match operator shape {T.matrix.shape}"
+        )
+    vals, vecs = np.linalg.eigh(T.matrix)
+    w = np.einsum("ij,ij->j", vecs.conj(), loc @ vecs).real
+    return float((w * np.exp(-t * vals**2)).sum())
 
 
 # -- spectral flow -------------------------------------------------------------------
@@ -396,10 +416,8 @@ def gauge_conjugation_deviation(
     r = max(abs(x) for x in m)
     if L - r < 0:
         raise DomainError("cutoff too small for the requested shift")
-    shiftmat = multiplication_matrix(ConcreteElement(dim, {m: 1.0}), L, theta)
-    d = free_dirac_matrix(L, dim)
-    u = _with_spinor(shiftmat)
-    conj = u.conj().T @ d @ u
+    u = multiplication_matrix(ConcreteElement(dim, {m: 1.0}), L, theta)
+    conj = _spinor_sum([(u.conj().T * k) @ u for k in _box_coordinates(L, dim)])
     box = mode_box(L, dim)
     keep = [i for i, k in enumerate(box) if max(abs(x) for x in k) <= L - r]
     idx = np.array(

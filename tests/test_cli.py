@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ncps.cli import main
 
 
@@ -43,6 +45,14 @@ def test_verify_unread_flags_are_error(capsys):
     payload = json.loads(out)
     assert payload["status"] == "error"
     assert payload["witness"] == "check 'eta-coupled' does not read cutoff, dim; it reads: floor"
+
+
+def test_verify_has_no_theta_flag(capsys):
+    # no check reads a deformation matrix; `num flow --theta` keeps its flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "flow-index", "--theta", "x"])
+    assert exc.value.code != 0
+    assert "--theta" in capsys.readouterr().err
 
 
 def test_wres_family_file(tmp_path, capsys):

@@ -237,7 +237,7 @@ def test_anomaly_against_lattice_finite_difference():
     def traces(t, svals):
         top = nm.build_operator(numfam, L, t=t)
         vals, vecs = np.linalg.eigh(top.matrix)
-        w = np.einsum("ij,jk,ki->i", vecs.conj().T, loc, vecs).real
+        w = np.einsum("ij,ij->j", vecs.conj(), loc @ vecs).real
         return np.array([float((w * np.exp(-s * vals**2)).sum()) for s in svals])
 
     svals = np.linspace(0.15, 0.45, 13)

@@ -61,6 +61,67 @@ def test_twisted_product_relation():
         assert abs(lhs[index[tgt], index[m]] - mkl[index[tgt], index[m]]) < 1e-12
 
 
+def _multiplication_reference(a, L, theta):
+    # one phase per (mode, box entry), as a plain loop
+    box = nm.mode_box(L, a.dim)
+    index = {k: i for i, k in enumerate(box)}
+    out = np.zeros((len(box), len(box)), dtype=complex)
+    for m, coeff in a.modes.items():
+        for k, i in index.items():
+            j = index.get(tuple(x + y for x, y in zip(m, k)))
+            if j is not None:
+                phase = np.exp(1j * math.pi * float(np.asarray(m) @ theta @ np.asarray(k)))
+                out[j, i] += coeff * phase
+    return out
+
+
+def _weyl(dim):
+    # self-adjoint, complex coefficients, a zero mode and a diagonal pair
+    a, b = (1,) + (0,) * (dim - 1), (1, -1) + (0,) * (dim - 2)
+    ma, mb = tuple(-x for x in a), tuple(-x for x in b)
+    modes = {(0,) * dim: 0.35, a: 0.2 + 0.1j, ma: 0.2 - 0.1j, b: -0.05 + 0.15j, mb: -0.05 - 0.15j}
+    return nm.ConcreteElement(dim, modes)
+
+
+THETAS = {2: nm.theta_matrix([[0.0, 0.37], [-0.37, 0.0]]), 3: THETA3}
+
+
+def _kron_dirac(L, dim):
+    ks = np.asarray(nm.mode_box(L, dim), dtype=float).T
+    return sum(np.kron(np.diag(ks[mu - 1]), nm.gamma_num(dim, mu)) for mu in range(1, dim + 1))
+
+
+def _symmetrized(m):
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_multiplication_matrix_matches_loop_reference(dim, L):
+    h = _weyl(dim)
+    for theta in (THETAS[dim], np.zeros((dim, dim))):
+        got = nm.multiplication_matrix(h, L, theta)
+        assert np.max(np.abs(got - _multiplication_reference(h, L, theta))) < 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("L", [2, 3])
+def test_blockwise_assembly_matches_kron_reference(dim, L):
+    theta, h = THETAS[dim], _weyl(dim)
+    d = nm.free_dirac_matrix(L, dim)
+    assert np.array_equal(d, _kron_dirac(L, dim))
+    e = np.kron(nm.expm_hermitian(0.35 * nm.multiplication_matrix(h, L, theta)), np.eye(2))
+    top = nm.build_operator(nm.NumericFamily("conformal_dirac", dim, theta=theta, weyl=h), L, t=0.7)
+    assert np.max(np.abs(top.matrix - _symmetrized(e @ d @ e))) <= 1e-12
+    gauge = [_weyl(dim) for _ in range(dim)]
+    top = nm.build_operator(nm.NumericFamily("coupled_dirac", dim, theta=theta, gauge=gauge), L)
+    ref = d + sum(
+        np.kron(nm.multiplication_matrix(a, L, theta), nm.gamma_num(dim, mu))
+        for mu, a in enumerate(gauge, start=1)
+    )
+    assert np.max(np.abs(top.matrix - _symmetrized(ref))) <= 1e-12
+
+
 def test_shift_matrix_unitarity_on_columns():
     u = nm.multiplication_matrix(nm.ConcreteElement(3, {(1, 0, 0): 1.0}), 2, THETA3)
     norms = np.linalg.norm(u, axis=0)
@@ -174,6 +235,26 @@ def test_heat_trace_operator_matches_lattice_for_free():
     direct = nm.heat_trace_operator(top, t)
     lattice = nm.heat_trace_lattice(t, 3, 3)
     assert abs(direct - lattice) < 1e-9
+
+
+def test_localized_heat_trace_matches_dense_trace():
+    dim, L, s = 2, 3, 0.3
+    theta, h = THETAS[dim], _weyl(dim)
+    fam = nm.NumericFamily("conformal_dirac", dim, theta=theta, weyl=h)
+    loc = np.kron(nm.multiplication_matrix(h, L, theta), np.eye(2))
+    top = nm.build_operator(fam, L, t=0.6)
+    vals, vecs = np.linalg.eigh(top.matrix)
+    dense = np.trace(loc @ (vecs * np.exp(-s * vals**2)) @ vecs.conj().T).real
+    assert abs(nm.heat_trace_operator(top, s, loc) - dense) < 1e-12 * abs(dense)
+    # flat member: only the zero mode of the localizer survives the trace
+    flat = nm.heat_trace_operator(nm.build_operator(fam, L, t=0.0), s, loc)
+    assert abs(flat - h.tau() * nm.heat_trace_lattice(s, L, dim)) < 1e-10
+
+
+def test_heat_trace_rejects_wrong_localizer_shape():
+    top = nm.build_operator(nm.NumericFamily("free_dirac", 2), L=2)
+    with pytest.raises(DomainError, match=r"\(48, 48\).*\(50, 50\)"):
+        nm.heat_trace_operator(top, 0.3, np.eye(48))
 
 
 def test_gauge_conjugation_deviation():
