@@ -244,6 +244,11 @@ def _check_flow_index(cfg: dict) -> tuple[str, str, Optional[str], dict]:
     grid_n = int(cfg.get("grid", 101))
     cutoff = int(cfg.get("cutoff", 6))
     dim = int(cfg.get("dim", 3))
+    # cutoff 0 keeps only the zero mode, whose one crossing reads as flow -1
+    if cutoff < 1:
+        raise DomainError(f"cutoff must be >= 1 (mode box |k|_inf <= cutoff), got {cutoff}")
+    if grid_n < 2:
+        raise DomainError(f"grid must be >= 2 points on [0, 1], got {grid_n}")
     if len(u) != dim:
         raise DomainError(f"lattice vector u has {len(u)} entries but dim is {dim}")
     grid = np.linspace(0.0, 1.0, grid_n)

@@ -7,10 +7,12 @@ sum of terms
 
 with ``C`` a 2x2 matrix over the free algebra, ``beta`` a monomial multi-index
 and ``m >= 0``.  The degree of a term is ``|beta| - m``.  Components carry an
-exact zero test: within each parity class of ``m`` the terms are cleared to a
-common denominator and the resulting polynomial numerator is reduced by the
-relation ``sum_i xi_i^2 * (xi^2)^{-(m+2)/2} = (xi^2)^{-m/2}``; a component is
-zero iff both reduced numerators vanish identically.
+exact zero test: each term is rewritten on its own by
+``xi_1^2 = xi^2 - sum_{i>=2} xi_i^2`` until every term with ``m >= 2`` has
+``beta_1 < 2``.  That form is unique, since ``xi^2`` is monic in ``xi_1^2``:
+over a common denominator it is the expansion of the numerator in powers of
+``xi^2`` with remainders of ``xi_1``-degree below 2.  A component is zero iff
+its canonical form has no terms.
 
 The composition law is the graded star product
 
@@ -343,36 +345,13 @@ class Component:
     # -- canonical form ----------------------------------------------------------
 
     def reduced(self) -> "Component":
-        """Canonical representative: common denominator per parity class of m,
-        then maximal peeling of xi^2 factors out of the numerators."""
+        """Canonical representative: the sum of the cached normal forms of the
+        terms (:func:`_normal_form`).  Terms at m >= 2 end with beta_1 < 2,
+        terms at m = 0, 1 are left alone; unique as the module doc explains."""
         out = Component(self.dim, self.degree)
-        for parity in (0, 1):
-            group = {k: v for k, v in self.terms.items() if k[1] % 2 == parity}
-            if not group:
-                continue
-            level = max(m for (_b, m) in group)
-            numer: dict[tuple[int, ...], Mat2] = {}
-            for (beta, m), mat in group.items():
-                k = (level - m) // 2
-                if k == 0:
-                    _acc(numer, beta, mat)
-                else:
-                    for mono, coeff in xi2_monomials(self.dim, k):
-                        b = tuple(x + y for x, y in zip(beta, mono))
-                        _acc(numer, b, mat.scale_rational(coeff))
-            while True:
-                if level < 2:
-                    # nothing left to peel at a polynomial or 1/|xi| level
-                    for beta, mat in numer.items():
-                        out.add_term(beta, level, mat)
-                    break
-                quot, rem = _xi2_divmod(numer, self.dim)
-                for beta, mat in rem.items():
-                    out.add_term(beta, level, mat)
-                if not quot:
-                    break
-                level -= 2
-                numer = quot
+        for (beta, m), mat in self.terms.items():
+            for b, mm, c in _normal_form(beta, m):
+                out.add_term(b, mm, mat if c == 1 else mat.scale_rational(c))
         return out
 
     def is_zero(self) -> bool:
@@ -402,36 +381,22 @@ class Component:
     __repr__ = render
 
 
-def _acc(numer: dict[tuple[int, ...], Mat2], beta: tuple[int, ...], mat: Mat2) -> None:
-    if beta in numer:
-        s = numer[beta].add(mat)
-        if s.is_zero():
-            del numer[beta]
-        else:
-            numer[beta] = s
-    elif not mat.is_zero():
-        numer[beta] = mat
-
-
-def _xi2_divmod(
-    numer: dict[tuple[int, ...], Mat2], dim: int
-) -> tuple[dict[tuple[int, ...], Mat2], dict[tuple[int, ...], Mat2]]:
-    """Divide a polynomial numerator by ``sum_i xi_i^2`` with leading monomial
-    ``xi_1^2`` under lex order; returns (quotient, remainder)."""
-    work = dict(numer)
-    quot: dict[tuple[int, ...], Mat2] = {}
-    while True:
-        cand = [beta for beta in work if beta[0] >= 2]
-        if not cand:
-            return quot, work
-        beta = max(cand)
-        mat = work.pop(beta)
-        q = (beta[0] - 2,) + beta[1:]
-        _acc(quot, q, mat)
-        for i in range(1, dim):
-            b = list(q)
-            b[i] += 2
-            _acc(work, tuple(b), mat.neg())
+@lru_cache(maxsize=None)
+def _normal_form(beta: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """``xi^beta (xi^2)^{-m/2}`` as ``(beta', m', coeff)`` terms with
+    ``beta'_1 < 2`` whenever ``m' >= 2``, by rewriting
+    ``xi_1^2 = xi^2 - sum_{i>=2} xi_i^2`` until no term allows it."""
+    if m < 2 or beta[0] < 2:
+        return ((beta, m, 1),)
+    rest = (beta[0] - 2,) + beta[1:]
+    pieces = [(rest, m - 2, 1)]
+    for i in range(1, len(beta)):
+        pieces.append((rest[:i] + (rest[i] + 2,) + rest[i + 1 :], m, -1))
+    acc: dict[TermKey, int] = {}
+    for b, mm, sign in pieces:
+        for key_b, key_m, c in _normal_form(b, mm):
+            acc[(key_b, key_m)] = acc.get((key_b, key_m), 0) + sign * c
+    return tuple((b, mm, c) for (b, mm), c in acc.items() if c)
 
 
 def normalize_zero_test(c: Component) -> bool:

@@ -71,6 +71,22 @@ def test_error_reports_on_bad_config():
     assert report.witness is not None
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"cutoff": -1}, "cutoff must be >= 1"),
+        ({"cutoff": 0}, "cutoff must be >= 1"),
+        ({"grid": -3}, "grid must be >= 2"),
+        ({"grid": 1}, "grid must be >= 2"),
+    ],
+)
+def test_flow_index_out_of_range_is_error_report(config, message):
+    report = run_check("flow-index", config)
+    assert report.status == "error"
+    assert report.witness.startswith(message)
+    assert "broadcast" not in report.witness and "samples" not in report.witness
+
+
 def test_family_error_becomes_error_report():
     report = run_check("eta-conformal", {"t_order": -1})
     assert report.status == "error"

@@ -39,6 +39,14 @@ def test_verify_error_exit_code(capsys):
     assert code == 2
 
 
+def test_verify_negative_cutoff_is_clean_error(capsys):
+    code, out = run(capsys, "verify", "flow-index", "--cutoff", "-1")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["witness"].startswith("cutoff must be >= 1")
+    assert "broadcast" not in out
+
+
 def test_verify_unread_flags_are_error(capsys):
     code, out = run(capsys, "verify", "eta-coupled", "--dim", "2", "--cutoff", "99")
     assert code == 2

@@ -327,3 +327,21 @@ def test_heat_trace_remainder_is_exponentially_small():
     for t in (0.1, 0.05):
         scaled = t**1.5 * nm.heat_trace_lattice(t, 40, 3)
         assert abs(scaled - target) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["free_dirac", "conformal_dirac", "coupled_dirac", "unitary_flow"])
+def test_build_operator_symmetrization_is_bit_identical(kind):
+    # one adjoint, symmetrized in place, against the two-expression form
+    dim, L, t = 3, 2, 0.7
+    fam = nm.NumericFamily(
+        kind, dim, theta=THETA3,
+        weyl=_weyl(dim) if kind == "conformal_dirac" else None,
+        gauge=[_weyl(dim)] * dim if kind == "coupled_dirac" else None,
+        flow_k=(1, 0, 0) if kind == "unitary_flow" else (),
+    )
+    raw = nm._spinor_sum(nm._dirac_blocks(fam, L, t))
+    top = nm.build_operator(fam, L, t=t)
+    assert np.array_equal(top.matrix, (raw + raw.conj().T) / 2.0)
+    assert top.hermiticity_defect == float(np.max(np.abs(raw - raw.conj().T)))
+    if kind == "conformal_dirac":
+        assert top.hermiticity_defect > 0.0  # rounding leaves e D e off Hermitian

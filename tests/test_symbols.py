@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncps import symbols as sy
 from ncps.algebra import AlgebraElement, Generator, exp_expand, gen
@@ -79,6 +81,128 @@ def test_reduction_is_canonical():
     b.add_term((2, 0, 2), 4, unit_mat())
     assert a.reduced().terms.keys() == b.reduced().terms.keys()
     assert a.sub(b).is_zero()
+
+
+def _reference_acc(numer, beta, mat):
+    if beta in numer:
+        s = numer[beta].add(mat)
+        if s.is_zero():
+            del numer[beta]
+        else:
+            numer[beta] = s
+    elif not mat.is_zero():
+        numer[beta] = mat
+
+
+def _reference_divmod(numer, dim):
+    """Divide a numerator by sum_i xi_i^2, leading monomial xi_1^2 in lex order."""
+    work = dict(numer)
+    quot = {}
+    while True:
+        cand = [beta for beta in work if beta[0] >= 2]
+        if not cand:
+            return quot, work
+        beta = max(cand)
+        mat = work.pop(beta)
+        q = (beta[0] - 2,) + beta[1:]
+        _reference_acc(quot, q, mat)
+        for i in range(1, dim):
+            b = list(q)
+            b[i] += 2
+            _reference_acc(work, tuple(b), mat.neg())
+
+
+def reference_reduced(comp):
+    """The former canonicalization: per parity class of m, clear to a common
+    denominator, then peel xi^2 factors off the numerator level by level."""
+    out = Component(comp.dim, comp.degree)
+    for parity in (0, 1):
+        group = {k: v for k, v in comp.terms.items() if k[1] % 2 == parity}
+        if not group:
+            continue
+        level = max(m for (_b, m) in group)
+        numer = {}
+        for (beta, m), mat in group.items():
+            for mono, coeff in sy.xi2_monomials(comp.dim, (level - m) // 2):
+                b = tuple(x + y for x, y in zip(beta, mono))
+                _reference_acc(numer, b, mat.scale_rational(coeff))
+        while True:
+            if level < 2:
+                for beta, mat in numer.items():
+                    out.add_term(beta, level, mat)
+                break
+            quot, rem = _reference_divmod(numer, comp.dim)
+            for beta, mat in rem.items():
+                out.add_term(beta, level, mat)
+            if not quot:
+                break
+            level -= 2
+            numer = quot
+    return out
+
+
+def same_terms(a, b):
+    return a.terms.keys() == b.terms.keys() and all(
+        a.terms[k] == b.terms[k] for k in a.terms
+    )
+
+
+@st.composite
+def components(draw):
+    """Components in dim 2 and 3: mixed parities and levels of m, t-graded
+    coefficients under one cap, and terms that cancel one level up through
+    ``xi^beta (xi^2)^{-m/2} = sum_i xi^{beta + 2e_i} (xi^2)^{-(m+2)/2}``."""
+    dim = draw(st.sampled_from((2, 3)))
+    degree = draw(st.integers(-3, 2))
+    cap = draw(st.sampled_from((None, 2)))
+    h = AlgebraElement.generator(gen("h", dim))
+    c = Component(dim, degree)
+    for _ in range(draw(st.integers(1, 6))):
+        beta = tuple(draw(st.integers(0, 4)) for _ in range(dim))
+        if sum(beta) < degree:
+            beta = (beta[0] + degree - sum(beta),) + beta[1:]
+        m = sum(beta) - degree
+        coeff = Fraction(draw(st.sampled_from((-3, -1, 1, 2))), draw(st.integers(1, 3)))
+        v = AlgebraElement.scalar(ExactScalar.t_power(draw(st.integers(0, 2)), coeff, cap))
+        if draw(st.booleans()):
+            v = v * h
+        entries = [AlgebraElement.zero()] * 4
+        entries[draw(st.integers(0, 3))] = v
+        mat = Mat2(((entries[0], entries[1]), (entries[2], entries[3])))
+        c.add_term(beta, m, mat)
+        if draw(st.booleans()):
+            for i in range(dim):
+                b = tuple(x + 2 * (j == i) for j, x in enumerate(beta))
+                c.add_term(b, m + 2, mat.neg())
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(components())
+def test_reduced_matches_common_denominator_reference(c):
+    assert same_terms(c.reduced(), reference_reduced(c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(components())
+def test_reduced_is_idempotent_and_peeled(c):
+    r = c.reduced()
+    assert same_terms(r.reduced(), r)
+    assert all(beta[0] < 2 for (beta, m) in r.terms if m >= 2)
+
+
+def test_reduced_peels_xi1_squared_dim2():
+    c = Component(2, 0)
+    c.add_term((2, 0), 2, unit_mat())
+    expect = {((0, 0), 0): unit_mat(), ((0, 2), 2): unit_mat(-1)}
+    assert c.reduced().terms == expect
+
+
+@pytest.mark.parametrize("beta, m", [((4, 1), 0), ((3, 2), 1), ((0, 0), 1)])
+def test_reduced_keeps_polynomial_and_inverse_abs_levels(beta, m):
+    c = Component(2, sum(beta) - m)
+    c.add_term(beta, m, unit_mat(3))
+    assert c.reduced().terms == {(beta, m): unit_mat(3)}
 
 
 # -- star product -----------------------------------------------------------------
