@@ -173,6 +173,8 @@ class AlgebraElement:
         return self + (-other)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not self._terms or not other._terms:
+            return AlgebraElement._raw({})
         left = _grade_rows(self)
         right = _grade_rows(other)
         out: dict[Word, ExactScalar] = {}

@@ -3,13 +3,18 @@
 The resolvent parameter enters through central factors ``(xi^2 - lambda)^{-m}``
 and counts with homogeneity degree two, so the recursion for the inverse of
 ``sigma(D^2) - lambda`` is graded by joint homogeneity: the k-th layer has
-degree ``-2 - k``.  All analytic steps are exact:
+degree ``-2 - k``.  A layer term is ``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}``
+times a matrix, keyed ``(beta, s, m)``: the powers of ``xi^2`` that the
+Neumann series of the leading part brings in stay factored through every
+product and are never expanded into monomials.  All analytic steps are exact:
 
 * the contour integral against ``exp(-lambda)`` reduces to the residue at
   ``lambda = xi^2``, replacing ``(xi^2 - lambda)^{-m}`` by
   ``exp(-xi^2)/(m-1)!`` (orientation pinned so that the flat heat coefficient
   is positive);
-* momentum integrals reduce to Gaussian moments, i.e. Gamma products;
+* momentum integrals reduce to Gaussian moments, i.e. Gamma products; the
+  factored ``(xi^2)^s`` multiplies the moment of ``xi^beta`` by the Gamma
+  ratio ``Gamma(a + s) / Gamma(a)``, ``a = (|beta| + n) / 2``, a rational;
 * the inverse square root comes from the Mellin representation, where each
   ``(xi^2 + lambda)^{-m}`` integrates to a Beta value, a rational multiple of
   ``(xi^2)^{1/2 - m}``.
@@ -24,10 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .algebra import AlgebraElement, TauClass, tau_class
-from .scalars import DomainError, ExactScalar, gamma_half_pair
+from .scalars import DomainError, ExactScalar, RationalLike, gamma_half_pair
 from .symbols import (
     Component,
     EllipticityShapeError,
@@ -39,17 +44,19 @@ from .symbols import (
     _alpha_factorial,
     dirac_symbol,
     multi_indices,
-    xi2_monomials,
 )
 from .algebra import gen
 
 
-ResKey = tuple[tuple[int, ...], int]  # (beta, resolvent power m >= 1)
+ResKey = tuple[tuple[int, ...], int, int]  # (beta, xi^2 power s >= 0, resolvent power m >= 1)
 
 
 class ResolventComponent:
-    """Layer ``r_k``: term map (beta, m) -> matrix, with factors
-    ``xi^beta (xi^2 - lambda)^{-m}`` and joint degree ``|beta| - 2m = -2 - k``."""
+    """Layer ``r_k``: term map (beta, s, m) -> matrix, with factors
+    ``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}`` and joint degree
+    ``|beta| + 2s - 2m = -2 - k``.  The ``(xi^2)^s`` factor stays factored:
+    products add ``s``, and :func:`momentum_integral` integrates it in closed
+    form as a Gamma ratio."""
 
     __slots__ = ("dim", "k", "terms")
 
@@ -58,26 +65,26 @@ class ResolventComponent:
         self.k = k
         self.terms: dict[ResKey, Mat2] = {}
         if terms:
-            for (beta, m), mat in terms.items():
-                self.add_term(beta, m, mat)
+            for (beta, s, m), mat in terms.items():
+                self.add_term(beta, s, m, mat)
 
-    def add_term(self, beta: tuple[int, ...], m: int, mat: Mat2) -> None:
+    def add_term(self, beta: tuple[int, ...], s: int, m: int, mat: Mat2) -> None:
         if mat.is_zero():
             return
-        if m < 1:
-            raise DomainError("resolvent power must be >= 1")
-        if sum(beta) - 2 * m != -2 - self.k:
+        if m < 1 or s < 0:
+            raise DomainError("resolvent power must be >= 1 and xi^2 power >= 0")
+        if sum(beta) + 2 * s - 2 * m != -2 - self.k:
             raise DomainError(
-                f"term xi^{beta} (xi^2-lam)^{{-{m}}} breaks the homogeneity "
-                f"audit for layer {self.k}"
+                f"term xi^{beta} (xi^2)^{s} (xi^2-lam)^{{-{m}}} breaks the "
+                f"homogeneity audit for layer {self.k}"
             )
-        key = (beta, m)
+        key = (beta, s, m)
         if key in self.terms:
-            s = self.terms[key].add(mat)
-            if s.is_zero():
+            v = self.terms[key].add(mat)
+            if v.is_zero():
                 del self.terms[key]
             else:
-                self.terms[key] = s
+                self.terms[key] = v
         else:
             self.terms[key] = mat
 
@@ -86,8 +93,8 @@ class ResolventComponent:
 
     def add(self, other: "ResolventComponent") -> "ResolventComponent":
         out = ResolventComponent(self.dim, self.k, dict(self.terms))
-        for (beta, m), mat in other.terms.items():
-            out.add_term(beta, m, mat)
+        for (beta, s, m), mat in other.terms.items():
+            out.add_term(beta, s, m, mat)
         return out
 
     def neg(self) -> "ResolventComponent":
@@ -107,10 +114,10 @@ class ResolventComponent:
     def mul(self, other: "ResolventComponent") -> "ResolventComponent":
         # joint degrees add: (-2-k1) + (-2-k2) = -2 - (k1+k2+2)
         out = ResolventComponent(self.dim, self.k + other.k + 2)
-        for (b1, m1), mat1 in self.terms.items():
-            for (b2, m2), mat2 in other.terms.items():
+        for (b1, s1, m1), mat1 in self.terms.items():
+            for (b2, s2, m2), mat2 in other.terms.items():
                 beta = tuple(x + y for x, y in zip(b1, b2))
-                out.add_term(beta, m1 + m2, mat1.mul(mat2))
+                out.add_term(beta, s1 + s2, m1 + m2, mat1.mul(mat2))
         return out
 
     def mul_poly_component(self, c: Component) -> "ResolventComponent":
@@ -119,29 +126,17 @@ class ResolventComponent:
         for (b1, m1), mat1 in c.terms.items():
             if m1 != 0:
                 raise DomainError("resolvent recursion needs polynomial input symbols")
-            for (b2, m2), mat2 in self.terms.items():
+            for (b2, s2, m2), mat2 in self.terms.items():
                 beta = tuple(x + y for x, y in zip(b1, b2))
-                out.add_term(beta, m2, mat1.mul(mat2))
-        return out
-
-    def xi_derivative(self, i: int) -> "ResolventComponent":
-        out = ResolventComponent(self.dim, self.k + 1)
-        for (beta, m), mat in self.terms.items():
-            if beta[i] > 0:
-                b = list(beta)
-                b[i] -= 1
-                out.add_term(tuple(b), m, mat.scale_rational(beta[i]))
-            b = list(beta)
-            b[i] += 1
-            out.add_term(tuple(b), m + 1, mat.scale_rational(-2 * m))
+                out.add_term(beta, s2, m2, mat1.mul(mat2))
         return out
 
     def delta(self, mu: int) -> "ResolventComponent":
         out = ResolventComponent(self.dim, self.k)
-        for (beta, m), mat in self.terms.items():
+        for (beta, s, m), mat in self.terms.items():
             v = mat.map(lambda e: e.delta(mu))
             if not v.is_zero():
-                out.add_term(beta, m, v)
+                out.add_term(beta, s, m, v)
         return out
 
     def has_generators(self) -> bool:
@@ -151,12 +146,14 @@ class ResolventComponent:
         if not self.terms:
             return "0"
         parts = []
-        for (beta, m) in sorted(self.terms, key=lambda k: (k[1], k[0])):
-            mat = self.terms[(beta, m)]
+        for (beta, s, m) in sorted(self.terms, key=lambda k: (k[2], k[1], k[0])):
+            mat = self.terms[(beta, s, m)]
             factors = []
             for i, b in enumerate(beta, start=1):
                 if b:
                     factors.append(f"xi{i}" + (f"^{b}" if b > 1 else ""))
+            if s:
+                factors.append("(xi^2)" + (f"^{s}" if s > 1 else ""))
             factors.append(f"(xi^2-lam)^{{-{m}}}")
             parts.append("*".join(factors) + f" . {mat.render()}")
         return "  +  ".join(parts)
@@ -165,8 +162,9 @@ class ResolventComponent:
 
 
 def _resolvent_leading(sd2: Symbol) -> ResolventComponent:
-    """``r_0``: inverse of the leading part, as a finite Neumann series in the
-    nilpotent perturbation of the central symbol."""
+    """``r_0``: inverse of the leading part ``xi^2 (1 + nu)``, as the finite
+    Neumann series ``sum_j (-nu)^j (xi^2)^j (xi^2 - lambda)^{-j-1}`` in the
+    nilpotent perturbation ``nu`` of the central symbol."""
     two, u = _central_leading(sd2)
     if two != 2:
         raise EllipticityShapeError("resolvent recursion expects an order-2 symbol")
@@ -177,24 +175,21 @@ def _resolvent_leading(sd2: Symbol) -> ResolventComponent:
         raise EllipticityShapeError("leading symbol must be xi^2 (1 + nilpotent)")
     nu = u - unit
     r0 = ResolventComponent(dim, 0)
-    r0.add_term((0,) * dim, 1, Mat2.diag(unit))
-    power = AlgebraElement.unit()
+    power = unit
     j = 0
-    while True:
-        power = power * nu
-        if power.is_zero():
-            break
-        j += 1
+    while not power.is_zero():
         if j > 64:
             raise EllipticityShapeError("leading perturbation is not nilpotent")
-        sign = Fraction(-1) ** j
-        for mono, coeff in xi2_monomials(dim, j):
-            r0.add_term(mono, j + 1, Mat2.diag(power).scale_rational(sign * coeff))
+        r0.add_term((0,) * dim, j, j + 1, Mat2.diag(-power if j % 2 else power))
+        power = power * nu
+        j += 1
     return r0
 
 
 def resolvent_symbols(sd2: Symbol, count: int) -> list[ResolventComponent]:
     """Layers ``r_0 .. r_count`` of the resolvent of an order-2 polynomial symbol."""
+    if count < 0:
+        raise DomainError(f"the number of resolvent layers must be >= 0, got {count}")
     dim = sd2.dim
     if sd2.floor is not None:
         raise DomainError("resolvent recursion expects an exact differential symbol")
@@ -202,23 +197,8 @@ def resolvent_symbols(sd2: Symbol, count: int) -> list[ResolventComponent]:
         if not c.is_polynomial():
             raise DomainError("resolvent recursion expects polynomial components")
     r0 = _resolvent_leading(sd2)
+    minus_r0 = r0.neg()  # r_k = -r_0 . cross: negate the short factor
     layers = [r0]
-    dcache: dict[tuple, ResolventComponent] = {}
-
-    def xi_pow(tag: tuple, rc: ResolventComponent, alpha: tuple[int, ...]) -> ResolventComponent:
-        if sum(alpha) == 0:
-            return rc
-        key = (tag, alpha)
-        hit = dcache.get(key)
-        if hit is not None:
-            return hit
-        i = next(idx for idx, a in enumerate(alpha) if a > 0)
-        prev = list(alpha)
-        prev[i] -= 1
-        out = xi_pow(tag, rc, tuple(prev)).xi_derivative(i)
-        dcache[key] = out
-        return out
-
     del_cache: dict[tuple, ResolventComponent] = {}
 
     def delta_pow(tag: tuple, rc: ResolventComponent, alpha: tuple[int, ...]) -> ResolventComponent:
@@ -237,7 +217,7 @@ def resolvent_symbols(sd2: Symbol, count: int) -> list[ResolventComponent]:
 
     sym_cache = _DerivCache(dim)
     for k in range(1, count + 1):
-        cross: Optional[ResolventComponent] = None
+        cross = ResolventComponent(dim, k - 2)
         for d, ad in sd2.components.items():
             for j, rj in enumerate(layers):
                 order = d + k - 2 - j  # joint degree of the pairing must be -k
@@ -252,14 +232,11 @@ def resolvent_symbols(sd2: Symbol, count: int) -> list[ResolventComponent]:
                     right = delta_pow(("r", j), rj, alpha)
                     if right.is_empty():
                         continue
-                    term = right.mul_poly_component(left)
-                    if order:
-                        term = term.scale_rational(Fraction(1, _alpha_factorial(alpha)))
-                    cross = term if cross is None else cross.add(term)
-        if cross is None:
-            layers.append(ResolventComponent(dim, k))
-        else:
-            layers.append(r0.mul(cross).neg())
+                    if order:  # scale the small symbol factor, not the product
+                        left = left.scale_rational(Fraction(1, _alpha_factorial(alpha)))
+                    for (beta, s, m), mat in right.mul_poly_component(left).terms.items():
+                        cross.add_term(beta, s, m, mat)
+        layers.append(minus_r0.mul(cross))
     return layers
 
 
@@ -267,25 +244,27 @@ def resolvent_symbols(sd2: Symbol, count: int) -> list[ResolventComponent]:
 
 
 class GaussianIntegrand:
-    """Momentum-space integrand ``sum_beta M_beta xi^beta exp(-xi^2)``."""
+    """Momentum-space integrand ``sum M_{beta,s} xi^beta (xi^2)^s exp(-xi^2)``,
+    keyed ``(beta, s)``."""
 
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.terms: dict[tuple[int, ...], Mat2] = {}
+        self.terms: dict[tuple[tuple[int, ...], int], Mat2] = {}
 
-    def add_term(self, beta: tuple[int, ...], mat: Mat2) -> None:
+    def add_term(self, beta: tuple[int, ...], s: int, mat: Mat2) -> None:
         if mat.is_zero():
             return
-        if beta in self.terms:
-            s = self.terms[beta].add(mat)
-            if s.is_zero():
-                del self.terms[beta]
+        key = (beta, s)
+        if key in self.terms:
+            v = self.terms[key].add(mat)
+            if v.is_zero():
+                del self.terms[key]
             else:
-                self.terms[beta] = s
+                self.terms[key] = v
         else:
-            self.terms[beta] = mat
+            self.terms[key] = mat
 
 
 def lambda_contour_integral(rc: ResolventComponent) -> GaussianIntegrand:
@@ -296,8 +275,8 @@ def lambda_contour_integral(rc: ResolventComponent) -> GaussianIntegrand:
     pinned so the flat case comes out positive.
     """
     out = GaussianIntegrand(rc.dim)
-    for (beta, m), mat in rc.terms.items():
-        out.add_term(beta, mat.scale_rational(Fraction(1, math.factorial(m - 1))))
+    for (beta, s, m), mat in rc.terms.items():
+        out.add_term(beta, s, mat.scale_rational(Fraction(1, math.factorial(m - 1))))
     return out
 
 
@@ -314,10 +293,22 @@ def gaussian_moment(beta: tuple[int, ...]) -> ExactScalar:
     return ExactScalar.pi_half(p, coeff)
 
 
+def gaussian_xi2_moment(beta: tuple[int, ...], s: int) -> ExactScalar:
+    """Exact moment ``int_{R^n} xi^beta (xi^2)^s exp(-xi^2) dxi``.
+
+    In polar coordinates ``(xi^2)^s`` only shifts the radial Gamma argument
+    ``a = (|beta| + n) / 2`` by ``s``, so the moment is
+    ``gaussian_moment(beta)`` times ``Gamma(a + s) / Gamma(a)``, the rational
+    ``a (a + 1) ... (a + s - 1)``.
+    """
+    a = Fraction(sum(beta) + len(beta), 2)
+    return gaussian_moment(beta).scale(math.prod(a + i for i in range(s)))
+
+
 def momentum_integral(g: GaussianIntegrand) -> Mat2:
     out = Mat2.zero()
-    for beta, mat in g.terms.items():
-        w = gaussian_moment(beta)
+    for (beta, s), mat in g.terms.items():
+        w = gaussian_xi2_moment(beta, s)
         if not w.is_zero():
             out = out.add(mat.scale(w))
     return out
@@ -363,6 +354,27 @@ def _mellin_half_factor(m: int) -> Fraction:
     return c / math.factorial(m - 1)
 
 
+def _inverse_power(
+    sd2: Symbol, floor: int, order: int, weight: Callable[[int], RationalLike]
+) -> Symbol:
+    """Order ``-order`` expansion read off the resolvent layers: layer ``r_j``
+    gives the degree ``-order - j`` component, and its term
+    ``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}`` becomes ``weight(m)`` times
+    ``xi^beta (xi^2)^{-(2m - 2s - 2 + order)/2}``; no ``(xi^2)^s`` is
+    expanded, and :meth:`Symbol.make` reduces the result to normal form."""
+    count = -floor - order
+    if count < 0:
+        raise DomainError(f"floor must be at most -{order} for an order -{order} expansion")
+    comps = []
+    for j, rc in enumerate(resolvent_symbols(sd2, count)):
+        comp = Component(sd2.dim, -order - j)
+        for (beta, s, m), mat in rc.terms.items():
+            w = weight(m)
+            comp.add_term(beta, 2 * (m - s) - 2 + order, mat if w == 1 else mat.scale_rational(w))
+        comps.append(comp)
+    return Symbol.make(sd2.dim, comps, floor)
+
+
 def mellin_inverse_power(sd2: Symbol, floor: int) -> Symbol:
     """Expansion of the inverse square root of an order-2 family.
 
@@ -371,33 +383,13 @@ def mellin_inverse_power(sd2: Symbol, floor: int) -> Symbol:
     a rational multiple of ``(xi^2)^{1/2 - m}``.  Independent of the
     square-root/inversion route, against which it is tested.
     """
-    count = -floor - 1
-    if count < 0:
-        raise DomainError("floor must be at most -1 for an order -1 expansion")
-    layers = resolvent_symbols(sd2, count)
-    comps = []
-    for j, rc in enumerate(layers):
-        comp = Component(sd2.dim, -1 - j)
-        for (beta, m), mat in rc.terms.items():
-            comp.add_term(beta, 2 * m - 1, mat.scale_rational(_mellin_half_factor(m)))
-        comps.append(comp)
-    return Symbol.make(sd2.dim, comps, floor)
+    return _inverse_power(sd2, floor, 1, _mellin_half_factor)
 
 
 def resolvent_at_zero(sd2: Symbol, floor: int) -> Symbol:
     """Expansion of the inverse of an order-2 family: the resolvent at
     ``lambda = 0``, so ``(xi^2 - lambda)^{-m}`` becomes ``(xi^2)^{-m}``."""
-    count = -floor - 2
-    if count < 0:
-        raise DomainError("floor must be at most -2 for an order -2 expansion")
-    layers = resolvent_symbols(sd2, count)
-    comps = []
-    for j, rc in enumerate(layers):
-        comp = Component(sd2.dim, -2 - j)
-        for (beta, m), mat in rc.terms.items():
-            comp.add_term(beta, 2 * m, mat)
-        comps.append(comp)
-    return Symbol.make(sd2.dim, comps, floor)
+    return _inverse_power(sd2, floor, 2, lambda m: 1)
 
 
 # -- localized densities ----------------------------------------------------------

@@ -64,6 +64,21 @@ def test_multiply_examples():
     assert (out - expect).is_zero()
 
 
+def test_product_with_zero_operand_multiplies_nothing(monkeypatch):
+    import ncps.algebra as alg
+
+    def forbidden(*_args):
+        raise AssertionError("a product with an empty operand did arithmetic")
+
+    monkeypatch.setattr(ExactScalar, "__mul__", forbidden)
+    monkeypatch.setattr(alg, "_grade_rows", forbidden)
+    x = elem(H) + AlgebraElement.scalar(ExactScalar.t_power(1, 3, t_cap=2))
+    zero = AlgebraElement.zero()
+    assert (x * zero).is_zero()
+    assert (zero * x).is_zero()
+    assert (zero * zero).is_zero()
+
+
 def test_adjoint_examples():
     d1h = elem(H).delta(1)
     assert adjoint(d1h) == -d1h

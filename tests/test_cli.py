@@ -91,6 +91,16 @@ def test_heat_command(tmp_path, capsys):
     assert payload["coefficients"]["beta_1"]["traced"] == "0"
 
 
+def test_heat_command_negative_orders_is_clean_error(tmp_path, capsys):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"kind": "free_dirac", "dim": 2}))
+    code = main(["heat", "--family", str(fam), "--orders", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "must be >= 0, got -1" in captured.err
+
+
 def test_anomaly_command(capsys):
     code, out = run(capsys, "anomaly", "--t-order", "1")
     assert code == 0

@@ -23,7 +23,7 @@ def unit_mat(scale=1):
 def test_free_resolvent_layers():
     _, sd2 = dirac_symbol(OperatorFamily.free(3))
     layers = ht.resolvent_symbols(sd2, 3)
-    assert list(layers[0].terms) == [((0, 0, 0), 1)]
+    assert list(layers[0].terms) == [((0, 0, 0), 0, 1)]
     assert all(layers[k].is_empty() for k in (1, 2, 3))
 
 
@@ -36,7 +36,7 @@ def test_coupled_first_layer():
     expect = ht.ResolventComponent(3, 1)
     for mu in range(3):
         beta = tuple(1 if j == mu else 0 for j in range(3))
-        expect.add_term(beta, 2, Mat2.diag(A[mu].scale_rational(-2)))
+        expect.add_term(beta, 0, 2, Mat2.diag(A[mu].scale_rational(-2)))
     diff = layers[1].add(expect.neg())
     assert all(m.is_zero() for m in diff.terms.values())
 
@@ -46,23 +46,97 @@ def test_conformal_leading_layer():
     r0 = ht.resolvent_symbols(sd2, 0)[0]
     h = AlgebraElement.generator(gen("h", 3))
     grade0 = {k: m.map(lambda v: v.t_grade(0)) for k, m in r0.terms.items()}
-    assert set(k for k, m in grade0.items() if not m.is_zero()) == {((0, 0, 0), 1)}
-    # t grade: -2 t h xi^2 (xi^2 - lam)^{-2}
-    for i in range(3):
-        beta = tuple(2 if j == i else 0 for j in range(3))
-        mat = r0.terms[(beta, 2)]
-        expect = Mat2.diag(h.scale(ExactScalar.t_power(1, -2, t_cap=1)))
-        assert all(
-            (mat.e[r][c] - expect.e[r][c]).is_zero() for r in range(2) for c in range(2)
-        )
+    assert set(k for k, m in grade0.items() if not m.is_zero()) == {((0, 0, 0), 0, 1)}
+    # t grade: -2 t h xi^2 (xi^2 - lam)^{-2}, with xi^2 kept factored
+    assert set(r0.terms) == {((0, 0, 0), 0, 1), ((0, 0, 0), 1, 2)}
+    mat = r0.terms[((0, 0, 0), 1, 2)]
+    expect = Mat2.diag(h.scale(ExactScalar.t_power(1, -2, t_cap=1)))
+    assert all(
+        (mat.e[r][c] - expect.e[r][c]).is_zero() for r in range(2) for c in range(2)
+    )
+
+
+def test_resolvent_render_shows_xi2_factor():
+    _, sd2 = dirac_symbol(OperatorFamily.conformal(3, t_cap=2))
+    text = ht.resolvent_symbols(sd2, 0)[0].render()
+    assert text.startswith("(xi^2-lam)^{-1} . ")
+    assert "  +  (xi^2)*(xi^2-lam)^{-2} . " in text
+    assert "  +  (xi^2)^2*(xi^2-lam)^{-3} . " in text
 
 
 def test_resolvent_homogeneity_audit():
     for fam in (OperatorFamily.coupled(3), OperatorFamily.conformal(3, t_cap=2)):
         _, sd2 = dirac_symbol(fam)
         for k, layer in enumerate(ht.resolvent_symbols(sd2, 3)):
-            for (beta, m) in layer.terms:
-                assert sum(beta) - 2 * m == -2 - k
+            for (beta, s, m) in layer.terms:
+                assert sum(beta) + 2 * s - 2 * m == -2 - k
+
+
+def reference_resolvent_symbols(sd2, count):
+    """The recursion with r_0 expanded into monomials: each (xi^2)^j of the
+    Neumann series becomes its xi2_monomials sum, so every key has s = 0.
+    No derivative caches and no skipped pairings."""
+    dim = sd2.dim
+    _two, u = sy._central_leading(sd2)
+    nu = u - AlgebraElement.unit()
+    r0 = ht.ResolventComponent(dim, 0)
+    power, j = AlgebraElement.unit(), 0
+    while not power.is_zero():
+        for mono, coeff in sy.xi2_monomials(dim, j):
+            r0.add_term(mono, 0, j + 1, Mat2.diag(power).scale_rational((-1) ** j * coeff))
+        power, j = power * nu, j + 1
+    layers = [r0]
+    for k in range(1, count + 1):
+        cross = ht.ResolventComponent(dim, k - 2)
+        for d, ad in sd2.components.items():
+            for j, rj in enumerate(layers):
+                order = d + k - 2 - j
+                if order < 0:
+                    continue
+                for alpha in sy.multi_indices(dim, order):
+                    left, right = ad, rj
+                    for i, a in enumerate(alpha):
+                        for _ in range(a):
+                            left, right = left.xi_derivative(i), right.delta(i + 1)
+                    term = right.mul_poly_component(left)
+                    cross = cross.add(term.scale_rational(Fraction(1, sy._alpha_factorial(alpha))))
+        layers.append(r0.mul(cross).neg())
+    return layers
+
+
+def expand_xi2(layer):
+    out = ht.ResolventComponent(layer.dim, layer.k)
+    for (beta, s, m), mat in layer.terms.items():
+        for mono, coeff in sy.xi2_monomials(layer.dim, s):
+            beta2 = tuple(b + c for b, c in zip(beta, mono))
+            out.add_term(beta2, 0, m, mat.scale_rational(coeff))
+    return out
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [OperatorFamily.coupled(3), OperatorFamily.conformal(3, t_cap=2)],
+    ids=["coupled", "conformal_t2"],
+)
+def test_factored_layers_match_monomial_reference(fam):
+    _, sd2 = dirac_symbol(fam)
+    layers = ht.resolvent_symbols(sd2, 3)
+    reference = reference_resolvent_symbols(sd2, 3)
+    for layer, ref in zip(layers, reference, strict=True):
+        assert layer.k == ref.k
+        assert expand_xi2(layer).add(ref.neg()).is_empty()
+    if fam.kind == "conformal_dirac":
+        # one term per Neumann power against 1 + 3 + 6 monomials
+        assert len(layers[0].terms) == 3 and len(reference[0].terms) == 10
+        assert any(s for (_beta, s, _m) in layers[2].terms)
+
+
+def test_negative_layer_count_is_domain_error():
+    _, sd2 = dirac_symbol(OperatorFamily.free(2))
+    for fn in (ht.resolvent_symbols, ht.heat_coefficients):
+        with pytest.raises(DomainError, match="must be >= 0, got -5"):
+            fn(sd2, -5)
+    assert len(ht.resolvent_symbols(sd2, 0)) == 1
 
 
 def test_resolvent_rejects_nonpolynomial():
@@ -88,9 +162,9 @@ def contour_quadrature(m, xi2=1.7, radius=0.9):
 @pytest.mark.parametrize("m,factor", [(1, 1.0), (2, 1.0), (3, 0.5), (4, Fraction(1, 6))])
 def test_contour_integral_matches_quadrature(m, factor):
     rc = ht.ResolventComponent(DIM, 2 * m - 2)
-    rc.add_term((0, 0, 0), m, unit_mat())
+    rc.add_term((0, 0, 0), 0, m, unit_mat())
     out = ht.lambda_contour_integral(rc)
-    mat = out.terms[(0, 0, 0)]
+    mat = out.terms[((0, 0, 0), 0)]
     coeff = mat.e[0][0].unit_coefficient().rational_part()[0]
     assert coeff == Fraction(factor)
     xi2 = 1.7
@@ -101,6 +175,25 @@ def test_gaussian_moment_values():
     assert ht.gaussian_moment((0, 0, 0)) == ExactScalar.pi_half(3)
     assert ht.gaussian_moment((1, 0, 0)).is_zero()
     assert ht.gaussian_moment((2, 0)) == ExactScalar.pi_half(2, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gaussian_xi2_moment_matches_monomial_expansion(n):
+    for total in range(5):
+        for beta in sy.multi_indices(n, total):
+            for s in range(4):
+                expect = ExactScalar.zero()
+                for mono, coeff in sy.xi2_monomials(n, s):
+                    shifted = tuple(b + c for b, c in zip(beta, mono))
+                    expect = expect + ht.gaussian_moment(shifted).scale(coeff)
+                assert ht.gaussian_xi2_moment(beta, s) == expect, (beta, s)
+
+
+def test_gaussian_xi2_moment_values():
+    # int_{R^3} xi^2 exp(-xi^2) = (3/2) pi^{3/2}; int_{R^2} xi_1^2 (xi^2)^2 exp(-xi^2) = 3 pi
+    assert ht.gaussian_xi2_moment((0, 0, 0), 1) == ExactScalar.pi_half(3, Fraction(3, 2))
+    assert ht.gaussian_xi2_moment((2, 0), 2) == ExactScalar.pi_half(2, 3)
+    assert ht.gaussian_xi2_moment((1, 0), 3).is_zero()
 
 
 def test_free_heat_coefficients():
