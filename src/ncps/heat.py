@@ -6,7 +6,10 @@ and counts with homogeneity degree two, so the recursion for the inverse of
 degree ``-2 - k``.  A layer term is ``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}``
 times a matrix, keyed ``(beta, s, m)``: the powers of ``xi^2`` that the
 Neumann series of the leading part brings in stay factored through every
-product and are never expanded into monomials.  All analytic steps are exact:
+product and are never expanded into monomials.  Layers are term maps of
+:mod:`ncps.symbols`, and each recursion step is the Moyal kernel there,
+pairing the symbol's Taylor coefficients with delta derivatives of the
+earlier layers.  All analytic steps are exact:
 
 * the contour integral against ``exp(-lambda)`` reduces to the residue at
   ``lambda = xi^2``, replacing ``(xi^2 - lambda)^{-m}`` by
@@ -39,11 +42,10 @@ from .symbols import (
     Mat2,
     OperatorFamily,
     Symbol,
+    TermMap,
     _central_leading,
-    _DerivCache,
-    _alpha_factorial,
+    _Moyal,
     dirac_symbol,
-    multi_indices,
 )
 from .algebra import gen
 
@@ -51,96 +53,45 @@ from .algebra import gen
 ResKey = tuple[tuple[int, ...], int, int]  # (beta, xi^2 power s >= 0, resolvent power m >= 1)
 
 
-class ResolventComponent:
+class ResolventComponent(TermMap):
     """Layer ``r_k``: term map (beta, s, m) -> matrix, with factors
     ``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}`` and joint degree
     ``|beta| + 2s - 2m = -2 - k``.  The ``(xi^2)^s`` factor stays factored:
     products add ``s``, and :func:`momentum_integral` integrates it in closed
     form as a Gamma ratio."""
 
-    __slots__ = ("dim", "k", "terms")
+    __slots__ = ()
 
     def __init__(self, dim: int, k: int, terms: Optional[dict[ResKey, Mat2]] = None):
-        self.dim = dim
-        self.k = k
-        self.terms: dict[ResKey, Mat2] = {}
-        if terms:
-            for (beta, s, m), mat in terms.items():
-                self.add_term(beta, s, m, mat)
+        super().__init__(dim, -2 - k, terms)
 
-    def add_term(self, beta: tuple[int, ...], s: int, m: int, mat: Mat2) -> None:
-        if mat.is_zero():
-            return
+    @property
+    def k(self) -> int:
+        return -2 - self.degree
+
+    def _audit(self, key: ResKey) -> None:
+        beta, s, m = key
         if m < 1 or s < 0:
             raise DomainError("resolvent power must be >= 1 and xi^2 power >= 0")
-        if sum(beta) + 2 * s - 2 * m != -2 - self.k:
+        if sum(beta) + 2 * s - 2 * m != self.degree:
             raise DomainError(
                 f"term xi^{beta} (xi^2)^{s} (xi^2-lam)^{{-{m}}} breaks the "
                 f"homogeneity audit for layer {self.k}"
             )
-        key = (beta, s, m)
-        if key in self.terms:
-            v = self.terms[key].add(mat)
-            if v.is_zero():
-                del self.terms[key]
-            else:
-                self.terms[key] = v
-        else:
-            self.terms[key] = mat
 
-    def is_empty(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "ResolventComponent") -> "ResolventComponent":
-        out = ResolventComponent(self.dim, self.k, dict(self.terms))
-        for (beta, s, m), mat in other.terms.items():
-            out.add_term(beta, s, m, mat)
-        return out
-
-    def neg(self) -> "ResolventComponent":
-        out = ResolventComponent(self.dim, self.k)
-        for key, mat in self.terms.items():
-            out.terms[key] = mat.neg()
-        return out
-
-    def scale_rational(self, q) -> "ResolventComponent":
-        out = ResolventComponent(self.dim, self.k)
-        for key, mat in self.terms.items():
-            v = mat.scale_rational(q)
-            if not v.is_zero():
-                out.terms[key] = v
-        return out
-
-    def mul(self, other: "ResolventComponent") -> "ResolventComponent":
-        # joint degrees add: (-2-k1) + (-2-k2) = -2 - (k1+k2+2)
-        out = ResolventComponent(self.dim, self.k + other.k + 2)
-        for (b1, s1, m1), mat1 in self.terms.items():
-            for (b2, s2, m2), mat2 in other.terms.items():
-                beta = tuple(x + y for x, y in zip(b1, b2))
-                out.add_term(beta, s1 + s2, m1 + m2, mat1.mul(mat2))
-        return out
+    @staticmethod
+    def _join(k1: tuple, k2: ResKey) -> ResKey:
+        if len(k1) == 2:  # a polynomial symbol term xi^beta, key (beta, 0)
+            k1 = (k1[0], 0, 0)
+        return TermMap._join(k1, k2)
 
     def mul_poly_component(self, c: Component) -> "ResolventComponent":
         """Left-multiply by a polynomial homogeneous component."""
-        out = ResolventComponent(self.dim, self.k - c.degree)
-        for (b1, m1), mat1 in c.terms.items():
-            if m1 != 0:
-                raise DomainError("resolvent recursion needs polynomial input symbols")
-            for (b2, s2, m2), mat2 in self.terms.items():
-                beta = tuple(x + y for x, y in zip(b1, b2))
-                out.add_term(beta, s2, m2, mat1.mul(mat2))
+        if not c.is_polynomial():
+            raise DomainError("resolvent recursion needs polynomial input symbols")
+        out = self._like(self.degree + c.degree)
+        out.add_product(c, self)
         return out
-
-    def delta(self, mu: int) -> "ResolventComponent":
-        out = ResolventComponent(self.dim, self.k)
-        for (beta, s, m), mat in self.terms.items():
-            v = mat.map(lambda e: e.delta(mu))
-            if not v.is_zero():
-                out.add_term(beta, s, m, v)
-        return out
-
-    def has_generators(self) -> bool:
-        return any(not mat.is_scalar() for mat in self.terms.values())
 
     def render(self) -> str:
         if not self.terms:
@@ -199,43 +150,14 @@ def resolvent_symbols(sd2: Symbol, count: int) -> list[ResolventComponent]:
     r0 = _resolvent_leading(sd2)
     minus_r0 = r0.neg()  # r_k = -r_0 . cross: negate the short factor
     layers = [r0]
-    del_cache: dict[tuple, ResolventComponent] = {}
-
-    def delta_pow(tag: tuple, rc: ResolventComponent, alpha: tuple[int, ...]) -> ResolventComponent:
-        if sum(alpha) == 0:
-            return rc
-        key = (tag, alpha)
-        hit = del_cache.get(key)
-        if hit is not None:
-            return hit
-        i = next(idx for idx, a in enumerate(alpha) if a > 0)
-        prev = list(alpha)
-        prev[i] -= 1
-        out = delta_pow(tag, rc, tuple(prev)).delta(i + 1)
-        del_cache[key] = out
-        return out
-
-    sym_cache = _DerivCache(dim)
+    moyal = _Moyal()
     for k in range(1, count + 1):
         cross = ResolventComponent(dim, k - 2)
         for d, ad in sd2.components.items():
             for j, rj in enumerate(layers):
                 order = d + k - 2 - j  # joint degree of the pairing must be -k
-                if order < 0 or rj.is_empty():
-                    continue
-                if order > 0 and not rj.has_generators():
-                    continue  # delta derivatives kill constant-coefficient layers
-                for alpha in multi_indices(dim, order):
-                    left = sym_cache.xi_pow(("a", d), ad, alpha)
-                    if left.is_empty():
-                        continue
-                    right = delta_pow(("r", j), rj, alpha)
-                    if right.is_empty():
-                        continue
-                    if order:  # scale the small symbol factor, not the product
-                        left = left.scale_rational(Fraction(1, _alpha_factorial(alpha)))
-                    for (beta, s, m), mat in right.mul_poly_component(left).terms.items():
-                        cross.add_term(beta, s, m, mat)
+                if order >= 0:
+                    moyal.add(ad, rj, order, cross)
         layers.append(minus_r0.mul(cross))
     return layers
 
@@ -243,28 +165,14 @@ def resolvent_symbols(sd2: Symbol, count: int) -> list[ResolventComponent]:
 # -- contour integral and Gaussian moments ------------------------------------------
 
 
-class GaussianIntegrand:
+class GaussianIntegrand(TermMap):
     """Momentum-space integrand ``sum M_{beta,s} xi^beta (xi^2)^s exp(-xi^2)``,
-    keyed ``(beta, s)``."""
+    keyed ``(beta, s)``; it has no single degree."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ()
 
     def __init__(self, dim: int):
-        self.dim = dim
-        self.terms: dict[tuple[tuple[int, ...], int], Mat2] = {}
-
-    def add_term(self, beta: tuple[int, ...], s: int, mat: Mat2) -> None:
-        if mat.is_zero():
-            return
-        key = (beta, s)
-        if key in self.terms:
-            v = self.terms[key].add(mat)
-            if v.is_zero():
-                del self.terms[key]
-            else:
-                self.terms[key] = v
-        else:
-            self.terms[key] = mat
+        super().__init__(dim, None)
 
 
 def lambda_contour_integral(rc: ResolventComponent) -> GaussianIntegrand:
@@ -272,11 +180,15 @@ def lambda_contour_integral(rc: ResolventComponent) -> GaussianIntegrand:
 
     Each factor ``(xi^2 - lambda)^{-m}`` reduces to the residue at
     ``lambda = xi^2``, giving ``exp(-xi^2) / (m-1)!``; the orientation is
-    pinned so the flat case comes out positive.
+    pinned so the flat case comes out positive.  A term odd in some ``xi_i``
+    has Gaussian moment zero, so it is dropped before it is scaled.
     """
     out = GaussianIntegrand(rc.dim)
     for (beta, s, m), mat in rc.terms.items():
-        out.add_term(beta, s, mat.scale_rational(Fraction(1, math.factorial(m - 1))))
+        if any(b % 2 for b in beta):
+            continue
+        w = Fraction(1, math.factorial(m - 1))
+        out.add_term(beta, s, mat if w == 1 else mat.scale_rational(w))
     return out
 
 

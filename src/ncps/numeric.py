@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import clifford
 from .algebra import AlgebraElement, TauClass
 from .scalars import DomainError
 
@@ -127,17 +129,13 @@ def mode_box(L: int, dim: int) -> list[tuple[int, ...]]:
     return [(a, b, c) for a in rng for b in rng for c in rng]
 
 
-_PAULI_NUM = {
-    1: np.array([[0, 1], [1, 0]], dtype=complex),
-    2: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    3: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
+@lru_cache(maxsize=None)
 def gamma_num(dim: int, mu: int) -> np.ndarray:
-    if not 1 <= mu <= dim:
-        raise DomainError("gamma index out of range")
-    return _PAULI_NUM[mu]
+    """Read-only complex array of :func:`ncps.clifford.gamma`."""
+    g = clifford.gamma(dim, mu)
+    out = np.array([[v.to_complex() for v in row] for row in g.entries])
+    out.flags.writeable = False
+    return out
 
 
 def multiplication_matrix(
@@ -255,13 +253,8 @@ def build_operator(f: NumericFamily, L: int, t: float = 0.0) -> TruncatedOperato
     if f.support_radius() > L:
         raise DomainError("mode support exceeds the truncation box")
     mat = _spinor_sum(_dirac_blocks(f, L, t))
-    adj = mat.conj().T
-    # the defect by row blocks holds no full-size difference next to mat and adj
-    defect = max(
-        (float(np.max(np.abs(mat[i : i + 64] - adj[i : i + 64]))) for i in range(0, len(mat), 64)),
-        default=0.0,
-    )
-    mat += adj  # symmetrize in place: _spinor_sum returns a fresh array
+    defect = _hermiticity_defect(mat)
+    mat += mat.conj().T  # symmetrize in place: _spinor_sum returns a fresh array
     mat /= 2.0
     return TruncatedOperator(
         cutoff=L,
@@ -272,12 +265,22 @@ def build_operator(f: NumericFamily, L: int, t: float = 0.0) -> TruncatedOperato
     )
 
 
+def _hermiticity_defect(mat: np.ndarray) -> float:
+    """``max |mat - mat^*|`` entrywise, taken by row blocks so that no
+    full-size difference or adjoint is formed."""
+    return max(
+        (
+            float(np.max(np.abs(mat[i : i + 64] - mat[:, i : i + 64].conj().T)))
+            for i in range(0, len(mat), 64)
+        ),
+        default=0.0,
+    )
+
+
 def hermitian_eigenvalues(T: TruncatedOperator | np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense Hermitian matrix, ascending."""
     mat = T.matrix if isinstance(T, TruncatedOperator) else np.asarray(T)
-    if mat.size and np.max(np.abs(mat - mat.conj().T)) > 1e-10 * max(
-        1.0, float(np.max(np.abs(mat)))
-    ):
+    if mat.size and _hermiticity_defect(mat) > 1e-10 * max(1.0, float(np.max(np.abs(mat)))):
         raise DomainError("matrix is not Hermitian")
     return np.linalg.eigvalsh(mat)
 

@@ -18,7 +18,10 @@ The composition law is the graded star product
 
     a * b  =  sum_alpha (1/alpha!) (d/dxi)^alpha a . delta^alpha b
 
-truncated below a floor.  Inversion and square roots are solved degree by
+truncated below a floor.  It is written once, in :class:`_Moyal`, which the
+star product, inversion, the square root and the resolvent layers of
+:mod:`ncps.heat` all call.  Components and resolvent layers share one term
+map, :class:`TermMap`.  Inversion and square roots are solved degree by
 degree; the leading components that occur here are central scalar functions
 times ``1 + (nilpotent)`` and are handled by finite Neumann / binomial series,
 with the square root solving the two-sided equation ``b X + X b = R``
@@ -181,18 +184,133 @@ def xi2_monomials(dim: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 TermKey = tuple[tuple[int, ...], int]  # (beta, m)
 
 
-class Component:
-    """Homogeneous component of fixed degree: term map (beta, m) -> matrix."""
+class TermMap:
+    """Finite map key -> :class:`Mat2` of a fixed joint degree.  A key starts
+    with a monomial multi-index ``beta``, followed by integer powers of
+    central factors in xi (and, in :mod:`ncps.heat`, the resolvent
+    parameter).  Entries merge on insert and zero entries are dropped.
+
+    Subclasses fix what the powers mean: :meth:`_audit` checks a new key
+    against the degree, :meth:`_join` gives the key of a product of two
+    terms, and ``render`` prints them."""
 
     __slots__ = ("dim", "degree", "terms")
 
-    def __init__(self, dim: int, degree: int, terms: Optional[dict[TermKey, Mat2]] = None):
+    def __init__(self, dim: int, degree: Optional[int], terms: Optional[dict] = None):
         self.dim = dim
         self.degree = degree
-        self.terms: dict[TermKey, Mat2] = {}
+        self.terms: dict = {}
         if terms:
             for key, mat in terms.items():
-                self.add_term(key[0], key[1], mat)
+                self._merge(key, mat)
+
+    def _like(self, degree: Optional[int]):
+        """Empty map of the same kind at ``degree``."""
+        out = object.__new__(type(self))
+        out.dim, out.degree, out.terms = self.dim, degree, {}
+        return out
+
+    def _audit(self, key: tuple) -> None:
+        pass
+
+    @staticmethod
+    def _join(k1: tuple, k2: tuple) -> tuple:
+        """Key of the product of two terms: every entry adds."""
+        beta = tuple(x + y for x, y in zip(k1[0], k2[0]))
+        return (beta,) + tuple(x + y for x, y in zip(k1[1:], k2[1:]))
+
+    def add_term(self, *entry) -> None:
+        """``add_term(*key, mat)``: merge ``mat`` into the term at ``key``."""
+        self._merge(entry[:-1], entry[-1])
+
+    def _merge(self, key: tuple, mat: Mat2) -> None:
+        if mat.is_zero():
+            return
+        old = self.terms.get(key)
+        if old is None:
+            self._audit(key)
+            self.terms[key] = mat
+            return
+        s = old.add(mat)
+        if s.is_zero():
+            del self.terms[key]
+        else:
+            self.terms[key] = s
+
+    def is_empty(self) -> bool:
+        return not self.terms
+
+    # -- linear structure ---------------------------------------------------
+
+    def add(self, other: "TermMap"):
+        if other.degree != self.degree:
+            raise DomainError("cannot add components of different degrees")
+        out = self._like(self.degree)
+        out.terms = dict(self.terms)
+        for key, mat in other.terms.items():
+            out._merge(key, mat)
+        return out
+
+    def sub(self, other: "TermMap"):
+        return self.add(other.neg())
+
+    def _mapped(self, fn: Callable[[Mat2], Mat2]):
+        """Apply ``fn`` to every matrix, keeping the keys."""
+        out = self._like(self.degree)
+        for key, mat in self.terms.items():
+            v = fn(mat)
+            if not v.is_zero():
+                out.terms[key] = v
+        return out
+
+    def neg(self):
+        return self._mapped(Mat2.neg)
+
+    def scale(self, s: ExactScalar):
+        return self._mapped(lambda mat: mat.scale(s))
+
+    def scale_rational(self, q: RationalLike):
+        return self._mapped(lambda mat: mat.scale_rational(q))
+
+    def map_coeffs(self, fn: Callable[[AlgebraElement], AlgebraElement]):
+        return self._mapped(lambda mat: mat.map(fn))
+
+    def lmul_elem(self, c: AlgebraElement):
+        return self._mapped(lambda mat: mat.lmul(c))
+
+    def rmul_elem(self, c: AlgebraElement):
+        return self._mapped(lambda mat: mat.rmul(c))
+
+    def delta(self, mu: int):
+        """Entrywise formal derivation on the matrix coefficients (1-based)."""
+        return self.map_coeffs(lambda v: v.delta(mu))
+
+    def t_grade(self, j: int):
+        return self.map_coeffs(lambda v: v.t_grade(j))
+
+    def has_generators(self) -> bool:
+        return any(not mat.is_scalar() for mat in self.terms.values())
+
+    # -- multiplicative structure ----------------------------------------------
+
+    def mul(self, other: "TermMap"):
+        """Pointwise product; matrix factors keep left/right order."""
+        out = self._like(self.degree + other.degree)
+        out.add_product(self, other)
+        return out
+
+    def add_product(self, left: "TermMap", right: "TermMap") -> None:
+        """Merge the pointwise product ``left . right`` into this map."""
+        join = self._join
+        for k1, mat1 in left.terms.items():
+            for k2, mat2 in right.terms.items():
+                self._merge(join(k1, k2), mat1.mul(mat2))
+
+
+class Component(TermMap):
+    """Homogeneous component of fixed degree: term map (beta, m) -> matrix."""
+
+    __slots__ = ()
 
     @classmethod
     def unit(cls, dim: int) -> "Component":
@@ -200,9 +318,8 @@ class Component:
         c.add_term((0,) * dim, 0, Mat2.diag(AlgebraElement.unit()))
         return c
 
-    def add_term(self, beta: tuple[int, ...], m: int, mat: Mat2) -> None:
-        if mat.is_zero():
-            return
+    def _audit(self, key: TermKey) -> None:
+        beta, m = key
         if m < 0:
             raise DomainError("denominator half-power must be >= 0")
         if sum(beta) - m != self.degree:
@@ -210,84 +327,6 @@ class Component:
                 f"term xi^{beta} (xi^2)^{{-{m}/2}} has degree {sum(beta) - m}, "
                 f"component expects {self.degree}"
             )
-        key = (beta, m)
-        if key in self.terms:
-            s = self.terms[key].add(mat)
-            if s.is_zero():
-                del self.terms[key]
-            else:
-                self.terms[key] = s
-        else:
-            self.terms[key] = mat
-
-    def is_empty(self) -> bool:
-        return not self.terms
-
-    # -- linear structure ---------------------------------------------------
-
-    def add(self, other: "Component") -> "Component":
-        if other.degree != self.degree:
-            raise DomainError("cannot add components of different degrees")
-        out = Component(self.dim, self.degree, dict(self.terms))
-        for (beta, m), mat in other.terms.items():
-            out.add_term(beta, m, mat)
-        return out
-
-    def neg(self) -> "Component":
-        out = Component(self.dim, self.degree)
-        for (beta, m), mat in self.terms.items():
-            out.terms[(beta, m)] = mat.neg()
-        return out
-
-    def sub(self, other: "Component") -> "Component":
-        return self.add(other.neg())
-
-    def scale(self, s: ExactScalar) -> "Component":
-        out = Component(self.dim, self.degree)
-        for key, mat in self.terms.items():
-            v = mat.scale(s)
-            if not v.is_zero():
-                out.terms[key] = v
-        return out
-
-    def scale_rational(self, q: RationalLike) -> "Component":
-        out = Component(self.dim, self.degree)
-        for key, mat in self.terms.items():
-            v = mat.scale_rational(q)
-            if not v.is_zero():
-                out.terms[key] = v
-        return out
-
-    def lmul_elem(self, c: AlgebraElement) -> "Component":
-        out = Component(self.dim, self.degree)
-        for (beta, m), mat in self.terms.items():
-            out.add_term(beta, m, mat.lmul(c))
-        return out
-
-    def rmul_elem(self, c: AlgebraElement) -> "Component":
-        out = Component(self.dim, self.degree)
-        for (beta, m), mat in self.terms.items():
-            out.add_term(beta, m, mat.rmul(c))
-        return out
-
-    def map_coeffs(self, fn: Callable[[AlgebraElement], AlgebraElement]) -> "Component":
-        out = Component(self.dim, self.degree)
-        for (beta, m), mat in self.terms.items():
-            v = mat.map(fn)
-            if not v.is_zero():
-                out.add_term(beta, m, v)
-        return out
-
-    # -- multiplicative structure ----------------------------------------------
-
-    def mul(self, other: "Component") -> "Component":
-        """Pointwise product; matrix factors keep left/right order."""
-        out = Component(self.dim, self.degree + other.degree)
-        for (b1, m1), mat1 in self.terms.items():
-            for (b2, m2), mat2 in other.terms.items():
-                beta = tuple(x + y for x, y in zip(b1, b2))
-                out.add_term(beta, m1 + m2, mat1.mul(mat2))
-        return out
 
     def mul_xi2(self, half: int) -> "Component":
         """Multiply by ``(xi^2)^{half/2}``, keeping m >= 0 by expanding
@@ -298,7 +337,7 @@ class Component:
         for (beta, m), mat in self.terms.items():
             m_new = m - half
             if m_new >= 0:
-                out.add_term(beta, m_new, mat)
+                out._merge((beta, m_new), mat)
                 continue
             pos = -m_new  # leftover positive half-power
             if pos % 2 == 0:
@@ -307,40 +346,28 @@ class Component:
                 k, m_final = (pos + 1) // 2, 1
             for mono, coeff in xi2_monomials(self.dim, k):
                 b = tuple(x + y for x, y in zip(beta, mono))
-                out.add_term(b, m_final, mat.scale_rational(coeff))
+                out._merge((b, m_final), mat.scale_rational(coeff))
         return out
 
-    def xi_derivative(self, i: int) -> "Component":
-        """d/dxi_i, lowering the degree by one (0-based direction)."""
+    def xi_derivative(self, i: int, q: RationalLike = 1) -> "Component":
+        """``q d/dxi_i``, lowering the degree by one (0-based direction)."""
         out = Component(self.dim, self.degree - 1)
         for (beta, m), mat in self.terms.items():
             if beta[i] > 0:
                 b = list(beta)
                 b[i] -= 1
-                out.add_term(tuple(b), m, mat.scale_rational(beta[i]))
+                out._merge((tuple(b), m), mat.scale_rational(beta[i] * q))
             if m > 0:
                 b = list(beta)
                 b[i] += 1
-                out.add_term(tuple(b), m + 2, mat.scale_rational(-m))
+                out._merge((tuple(b), m + 2), mat.scale_rational(-m * q))
         return out
-
-    def delta(self, mu: int) -> "Component":
-        """Entrywise formal derivation on the matrix coefficients (1-based)."""
-        return self.map_coeffs(lambda v: v.delta(mu))
-
-    def has_generators(self) -> bool:
-        return any(not mat.is_scalar() for mat in self.terms.values())
 
     def max_xi_degree(self) -> int:
         return max((sum(beta) for (beta, _m) in self.terms), default=-1)
 
     def is_polynomial(self) -> bool:
         return all(m == 0 for (_beta, m) in self.terms)
-
-    # -- grading in t ----------------------------------------------------------
-
-    def t_grade(self, j: int) -> "Component":
-        return self.map_coeffs(lambda v: v.t_grade(j))
 
     # -- canonical form ----------------------------------------------------------
 
@@ -351,7 +378,7 @@ class Component:
         out = Component(self.dim, self.degree)
         for (beta, m), mat in self.terms.items():
             for b, mm, c in _normal_form(beta, m):
-                out.add_term(b, mm, mat if c == 1 else mat.scale_rational(c))
+                out._merge((b, mm), mat if c == 1 else mat.scale_rational(c))
         return out
 
     def is_zero(self) -> bool:
@@ -524,43 +551,52 @@ def _require_known(a: Symbol, d: int, what: str) -> None:
 # -- star product ---------------------------------------------------------------
 
 
-class _DerivCache:
-    """Memoized iterated xi-derivatives and delta-derivatives of components."""
+class _Moyal:
+    """The composition law, written once for every caller: the order-r part
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.xi: dict[tuple, Component] = {}
-        self.dl: dict[tuple, Component] = {}
+        sum_{|alpha| = r} (1/alpha!) (d/dxi)^alpha a . delta^alpha b
 
-    def xi_pow(self, key: tuple, comp: Component, alpha: tuple[int, ...]) -> Component:
-        if sum(alpha) == 0:
-            return comp
-        k = (key, alpha)
-        hit = self.xi.get(k)
-        if hit is not None:
-            return hit
-        i = next(idx for idx, a in enumerate(alpha) if a > 0)
-        prev = list(alpha)
-        prev[i] -= 1
-        base = self.xi_pow(key, comp, tuple(prev))
-        out = base.xi_derivative(i).reduced()
-        self.xi[k] = out
-        return out
+    of a product of two term maps.  One instance lives for one call and
+    memoizes two derivative ladders, keyed by the factor itself and alpha:
+    Taylor coefficients ``(d/dxi)^alpha a / alpha!`` of left factors, so
+    ``1/alpha!`` is applied once per (factor, alpha) and no product is
+    scaled, and ``delta^alpha b`` of right factors.  Each rung is one step
+    up from the rung below it in the first direction that alpha uses."""
 
-    def delta_pow(self, key: tuple, comp: Component, alpha: tuple[int, ...]) -> Component:
-        if sum(alpha) == 0:
-            return comp
-        k = (key, alpha)
-        hit = self.dl.get(k)
-        if hit is not None:
-            return hit
-        i = next(idx for idx, a in enumerate(alpha) if a > 0)
-        prev = list(alpha)
-        prev[i] -= 1
-        base = self.delta_pow(key, comp, tuple(prev))
-        out = base.delta(i + 1).reduced()
-        self.dl[k] = out
-        return out
+    def __init__(self):
+        self.memo: dict[tuple, TermMap] = {}
+
+    def add(self, a: Component, b: TermMap, r: int, out: TermMap) -> None:
+        """Merge the order-``r`` part of ``a * b`` into ``out``."""
+        if r and not b.has_generators():
+            return  # delta kills a factor with constant coefficients
+        for alpha in multi_indices(a.dim, r):
+            left = self._rung(_taylor_step, a, alpha)
+            if left.is_empty():
+                continue
+            right = self._rung(_delta_step, b, alpha)
+            if not right.is_empty():
+                out.add_product(left, right)
+
+    def _rung(self, step, c: TermMap, alpha: tuple[int, ...]) -> TermMap:
+        if not any(alpha):
+            return c
+        key = (step, c, alpha)
+        hit = self.memo.get(key)
+        if hit is None:
+            i = next(j for j, n in enumerate(alpha) if n)
+            below = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+            hit = self.memo[key] = step(self._rung(step, c, below), i, alpha[i])
+        return hit
+
+
+def _taylor_step(c: Component, i: int, n: int) -> Component:
+    # d/dxi_i of the Taylor coefficient below, over the new alpha_i = n
+    return c.xi_derivative(i, Fraction(1, n)).reduced()
+
+
+def _delta_step(c: TermMap, i: int, _n: int) -> TermMap:
+    return c.delta(i + 1)
 
 
 def star_product(a: Symbol, b: Symbol, floor: Optional[int] = None) -> Symbol:
@@ -587,7 +623,7 @@ def star_product(a: Symbol, b: Symbol, floor: Optional[int] = None) -> Symbol:
         _require_known(a, floor - b.order, "star product")
         _require_known(b, floor - a.order, "star product")
 
-    cache = _DerivCache(a.dim)
+    moyal = _Moyal()
     out: dict[int, Component] = {}
     for da, ca in a.components.items():
         rmax_a = ca.max_xi_degree() if ca.is_polynomial() else None
@@ -598,26 +634,9 @@ def star_product(a: Symbol, b: Symbol, floor: Optional[int] = None) -> Symbol:
                 rmax = da + db - floor
                 if rmax_a is not None:
                     rmax = min(rmax, rmax_a)
-            if rmax is None or rmax < 0:
-                continue
-            if not cb.has_generators():
-                rmax = 0
-            for r in range(rmax + 1):
-                for alpha in multi_indices(a.dim, r):
-                    left = cache.xi_pow(("a", da), ca, alpha)
-                    if left.is_empty():
-                        continue
-                    right = cache.delta_pow(("b", db), cb, alpha)
-                    if right.is_empty():
-                        continue
-                    term = left.mul(right)
-                    if r:
-                        term = term.scale_rational(Fraction(1, _alpha_factorial(alpha)))
-                    d = da - r + db
-                    if d in out:
-                        out[d] = out[d].add(term)
-                    else:
-                        out[d] = term
+            for r in range((-1 if rmax is None else rmax) + 1):
+                d = da - r + db
+                moyal.add(ca, cb, r, out.setdefault(d, Component(a.dim, d)))
     return Symbol.make(a.dim, out.values(), floor)
 
 
@@ -669,33 +688,17 @@ def invert_symbol(a: Symbol, floor: int) -> Symbol:
     lead = lead.mul_xi2(-r).reduced()
 
     b: dict[int, Component] = {-r: lead}
-    cache = _DerivCache(a.dim)
+    moyal = _Moyal()
     for k in range(1, kmax + 1):
-        target = -r - k
-        cross: Optional[Component] = None
+        cross = Component(a.dim, -k)
         for d, ad in a.components.items():
             for e, be in b.items():
                 order = d + e + k
-                if order < 0:
-                    continue
-                for alpha in multi_indices(a.dim, order):
-                    left = cache.xi_pow(("a", d), ad, alpha)
-                    if left.is_empty():
-                        continue
-                    right = cache.delta_pow(("b", e), be, alpha)
-                    if right.is_empty():
-                        continue
-                    term = left.mul(right)
-                    if order:
-                        term = term.scale_rational(
-                            Fraction(1, _alpha_factorial(alpha))
-                        )
-                    cross = term if cross is None else cross.add(term)
-        if cross is None:
-            continue
+                if order >= 0:
+                    moyal.add(ad, be, order, cross)
         comp = lead.mul(cross).neg().reduced()
         if not comp.is_empty():
-            b[target] = comp
+            b[-r - k] = comp
     return Symbol(a.dim, b, floor).reduced()
 
 
@@ -751,41 +754,20 @@ def sqrt_symbol(a: Symbol, floor: int) -> Symbol:
     lead = lead.mul_xi2(r).reduced()
 
     b: dict[int, Component] = {r: lead}
-    cache = _DerivCache(a.dim)
+    moyal = _Moyal()
     for k in range(1, kmax + 1):
-        target = r - k
-        cross: Optional[Component] = None
-        for d, bd in list(b.items()):
-            for e, be in list(b.items()):
+        # the unknown degree r - k is not in b yet, so every pair is known
+        cross = Component(a.dim, 2 * r - k)
+        for d, bd in b.items():
+            for e, be in b.items():
                 order = d + e - (2 * r - k)
-                if order < 0:
-                    continue
-                if order == 0:
-                    continue  # pointwise pairs at this degree involve the unknown
-                for alpha in multi_indices(a.dim, order):
-                    left = cache.xi_pow(("b", d), bd, alpha)
-                    if left.is_empty():
-                        continue
-                    right = cache.delta_pow(("b", e), be, alpha)
-                    if right.is_empty():
-                        continue
-                    term = left.mul(right).scale_rational(
-                        Fraction(1, _alpha_factorial(alpha))
-                    )
-                    cross = term if cross is None else cross.add(term)
-        # alpha = 0 products of two already-known components
-        for d, bd in list(b.items()):
-            e = 2 * r - k - d
-            if e in b and d != r and e != r:
-                term = bd.mul(b[e])
-                cross = term if cross is None else cross.add(term)
-        rhs = a.component(2 * r - k)
-        if cross is not None:
-            rhs = rhs.sub(cross)
-        rhs = rhs.mul_xi2(-r).reduced()  # divide by the central scalar (xi^2)^{r/2}
+                if order >= 0:
+                    moyal.add(bd, be, order, cross)
+        # divide by the central scalar (xi^2)^{r/2}
+        rhs = a.component(2 * r - k).sub(cross).mul_xi2(-r).reduced()
         comp = _solve_symmetric(v, rhs).reduced()
         if not comp.is_empty():
-            b[target] = comp
+            b[r - k] = comp
     return Symbol(a.dim, b, floor).reduced()
 
 

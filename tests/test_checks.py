@@ -126,3 +126,10 @@ def test_json_roundtrip():
     payload = json.loads(report.to_json())
     assert payload["check"] == "eta-invariance"
     assert payload["status"] == "pass"
+
+
+@pytest.mark.parametrize("dim, u", [(4, (1, 0, 0, 0)), (1, (1,))])
+def test_flow_index_unmodeled_dimension_is_error_report(dim, u):
+    report = run_check("flow-index", {"dim": dim, "u": u, "grid": 11, "cutoff": 2})
+    assert report.status == "error"
+    assert report.witness == "gamma algebra is modeled in dimensions 2 and 3"

@@ -219,3 +219,12 @@ def test_installed_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "pass"
+
+
+@pytest.mark.parametrize("dim, u", [("4", "1,0,0,0"), ("1", "1")])
+def test_verify_flow_unmodeled_dimension_exits_2(capsys, dim, u):
+    code, out = run(capsys, "verify", "flow-index", "--dim", dim, "--u", u)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert "dimensions 2 and 3" in payload["witness"]

@@ -430,3 +430,33 @@ def test_golden_conformal_heat_renders():
         for c in coeffs
     }
     assert digests == GOLDEN_CONFORMAL_BETAS
+
+
+# sha256 of the symbol renders, pinned before the resolvent recursion and the
+# star product shared one Moyal kernel
+GOLDEN_CONFORMAL_INVERSE_POWERS = {
+    "mellin_inverse_power": "3b1ca1fd608a9dcd1ad5a18b9465ba14bdfb0e1fcd4f0ffb38ee27f46ead3a16",
+    "resolvent_at_zero": "9aae9dde5bc86a66d953f8edad0435a5c5604c93fb86a400c80d592f54d514a5",
+}
+
+
+def test_golden_conformal_inverse_power_renders():
+    import hashlib
+
+    _, sd2 = dirac_symbol(OperatorFamily.conformal(3, t_cap=2))
+    digests = {
+        name: hashlib.sha256(getattr(ht, name)(sd2, -4).render().encode()).hexdigest()
+        for name in GOLDEN_CONFORMAL_INVERSE_POWERS
+    }
+    assert digests == GOLDEN_CONFORMAL_INVERSE_POWERS
+
+
+def test_contour_integral_drops_odd_moments():
+    # every term of r_1 and r_3 is odd in some xi_i, so its moment is zero
+    _, sd2 = dirac_symbol(OperatorFamily.conformal(3, t_cap=2))
+    layers = ht.resolvent_symbols(sd2, 3)
+    for k in (1, 3):
+        assert not layers[k].is_empty()
+        assert ht.lambda_contour_integral(layers[k]).is_empty()
+    even = ht.lambda_contour_integral(layers[2])
+    assert even.terms and all(b % 2 == 0 for beta, _s in even.terms for b in beta)

@@ -345,3 +345,31 @@ def test_build_operator_symmetrization_is_bit_identical(kind):
     assert top.hermiticity_defect == float(np.max(np.abs(raw - raw.conj().T)))
     if kind == "conformal_dirac":
         assert top.hermiticity_defect > 0.0  # rounding leaves e D e off Hermitian
+
+
+def test_gamma_num_is_the_exact_pauli_table():
+    from ncps import clifford
+
+    for dim in (2, 3):
+        for mu in range(1, dim + 1):
+            exact = clifford.gamma(dim, mu).entries
+            num = nm.gamma_num(dim, mu)
+            assert not num.flags.writeable
+            assert all(num[i, j] == exact[i][j].to_complex() for i in range(2) for j in range(2))
+    for dim, mu in ((1, 1), (4, 4), (3, 4)):
+        with pytest.raises(DomainError):
+            nm.gamma_num(dim, mu)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_blockwise_hermiticity_defect_equals_full_max(n):
+    rng = np.random.default_rng(n)
+    mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assert nm._hermiticity_defect(mat) == float(np.max(np.abs(mat - mat.conj().T)))
+    herm = (mat + mat.conj().T) / 2
+    assert nm._hermiticity_defect(herm) == 0.0
+    bad = herm.copy()
+    bad[n - 1, 0] += 1e-6j * max(1.0, float(np.max(np.abs(herm))))
+    with pytest.raises(DomainError, match="not Hermitian"):
+        nm.hermitian_eigenvalues(bad)
+    assert len(nm.hermitian_eigenvalues(herm)) == n

@@ -1,5 +1,6 @@
 """Symbol calculus: zero tests, star product, families, inversion, square root."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -620,3 +621,51 @@ def test_golden_coupled_sign_render():
     assert _sha256(sgn.render()) == (
         "a79d23b4d478620613b342e030239e59e962a9b97dfa369d0398dad5d8cb8b9b"
     )
+
+
+def test_golden_conformal_sign_render():
+    """Byte-identical render of the conformal sign symbol at floor -3, pinned
+    before the star product, inversion and square root shared one Moyal
+    kernel."""
+    sgn = sy.sign_symbol(OperatorFamily.conformal(3, t_cap=2), -3)
+    assert _sha256(sgn.render()) == (
+        "c4ee031cfb57e5f1fdb78b086e4427717a5be397817eb239067e480abda2b240"
+    )
+
+
+def reference_star_product(a, b, floor):
+    """The Moyal sum with no derivative caches and no skipped pairings: every
+    d_xi^alpha and delta^alpha is walked one step at a time from the factor,
+    and every product is divided by alpha! afterwards."""
+    out = []
+    for da, ca in a.components.items():
+        for db, cb in b.components.items():
+            for r in range(da + db - floor + 1):
+                for alpha in sy.multi_indices(a.dim, r):
+                    left, right = ca, cb
+                    for i, n in enumerate(alpha):
+                        for _ in range(n):
+                            left, right = left.xi_derivative(i), right.delta(i + 1)
+                    fact = 1
+                    for n in alpha:
+                        fact *= math.factorial(n)
+                    out.append(left.mul(right).scale_rational(Fraction(1, fact)))
+    return Symbol.make(a.dim, out, floor)
+
+
+def test_star_product_matches_cache_free_reference():
+    rng = random.Random(211)
+    floor = -3
+    for _ in range(25):
+        a = random_symbol(rng)
+        b = random_symbol(rng)  # non-polynomial components at degrees 0 and -1
+        got = star_product(a, b, floor)
+        assert got.render() == reference_star_product(a, b, floor).render()
+    # a right factor with generators that is no finite polynomial in xi
+    fam = OperatorFamily.coupled(DIM)
+    sd, sd2 = dirac_symbol(fam)
+    inv = invert_symbol(sqrt_symbol(sd2, -2), -4)
+    assert any(not c.is_polynomial() and c.has_generators() for c in inv.components.values())
+    for left in (sd, random_symbol(rng)):
+        got = star_product(left, inv, floor)
+        assert got.render() == reference_star_product(left, inv, floor).render()
