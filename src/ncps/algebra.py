@@ -16,7 +16,10 @@ level; concrete evaluation lives in :mod:`ncps.numeric`.
 
 Products truncate in the nilpotent grade ``t`` before any coefficient is
 multiplied: a word pair whose coefficients' lowest t grades sum past the
-smaller of their caps is skipped, since its product would vanish.
+smaller of their caps is skipped, since its product would vanish.  Every
+finite series in a nilpotent perturbation (the Neumann inverse and binomial
+square root of a perturbed unit, and the leading resolvent layer of
+:mod:`ncps.heat`) sums the powers of :func:`nilpotent_powers`.
 """
 
 from __future__ import annotations
@@ -533,22 +536,25 @@ def _split_unit(a: AlgebraElement) -> tuple[Fraction, AlgebraElement]:
     return c_re, nil
 
 
+def nilpotent_powers(x: AlgebraElement) -> list[AlgebraElement]:
+    """``[1, x, x^2, ...]`` up to the last nonzero power of a nilpotent ``x``;
+    every finite series in a nilpotent perturbation sums these."""
+    out = [AlgebraElement.unit()]
+    while not (power := out[-1] * x).is_zero():
+        if len(out) > 64:
+            raise DomainError("perturbation is not nilpotent")
+        out.append(power)
+    return out
+
+
 def invert_perturbed_unit(a: AlgebraElement) -> AlgebraElement:
     """Inverse of ``c*1 + nil`` by a finite Neumann series in the nilpotent part."""
     c, nil = _split_unit(a)
     if c == 0:
         raise DomainError("unit part vanishes; element is not invertible")
-    x = nil.scale_rational(Fraction(1, 1) / c)
-    out = AlgebraElement.unit()
-    power = AlgebraElement.unit()
-    k = 0
-    while True:
-        power = power * x
-        if power.is_zero():
-            break
-        k += 1
-        if k > 64:
-            raise DomainError("perturbation is not nilpotent")
+    powers = nilpotent_powers(nil.scale_rational(Fraction(1, 1) / c))
+    out = powers[0]
+    for k, power in enumerate(powers[1:], start=1):
         out = out + power.scale_rational(Fraction(-1) ** k)
     return out.scale_rational(Fraction(1, 1) / c)
 
@@ -558,17 +564,10 @@ def sqrt_perturbed_unit(a: AlgebraElement) -> AlgebraElement:
     c, nil = _split_unit(a)
     if c != 1:
         raise DomainError("square root requires unit part exactly 1")
-    out = AlgebraElement.unit()
-    power = AlgebraElement.unit()
+    powers = nilpotent_powers(nil)
+    out = powers[0]
     coeff = Fraction(1)
-    k = 0
-    while True:
-        power = power * nil
-        if power.is_zero():
-            break
-        k += 1
-        if k > 64:
-            raise DomainError("perturbation is not nilpotent")
+    for k, power in enumerate(powers[1:], start=1):
         coeff *= Fraction(3 - 2 * k, 2 * k)  # binom(1/2, k) recurrence
         out = out + power.scale_rational(coeff)
     return out

@@ -63,21 +63,6 @@ class CheckReport:
         return self.status == "pass"
 
 
-def _grade_levels(density: fn.ResidueDensity, t_order: int) -> dict[str, str]:
-    out = {}
-    for j in range(t_order + 1):
-        mat = density.value.map(lambda v, j=j: v.t_grade(j))
-        if mat.is_zero():
-            out[f"t^{j}"] = "density"
-        elif density.traced.t_grade(j).is_zero():
-            out[f"t^{j}"] = "trace"
-        elif density.tau_value.t_grade(j).is_zero():
-            out[f"t^{j}"] = "tau"
-        else:
-            out[f"t^{j}"] = "none"
-    return out
-
-
 # -- individual checks ---------------------------------------------------------------
 
 
@@ -102,7 +87,7 @@ def _check_eta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
     sgn = sy.sign_symbol(fam, floor=floor)
     density = fn.wres(sgn, 3)
     level = density.vanishing_level()
-    grades = _grade_levels(density, t_order)
+    grades = {f"t^{j}": density.t_grade(j).vanishing_level() for j in range(t_order + 1)}
     ok = all(v != "none" for v in grades.values())
     witness = None if ok else density.tau_value.render()
     details = {

@@ -84,19 +84,19 @@ class GammaMatrix:
 
 
 def identity(dim: int) -> GammaMatrix:
-    _check_dim(dim)
+    check_dim(dim)
     one, zero = ExactScalar.one(), ExactScalar.zero()
     return GammaMatrix(dim, ((one, zero), (zero, one)))
 
 
-def _check_dim(dim: int) -> None:
+def check_dim(dim: int) -> None:
     if dim not in (2, 3):
         raise DomainError("gamma algebra is modeled in dimensions 2 and 3")
 
 
 def gamma(dim: int, mu: int) -> GammaMatrix:
     """The ``mu``-th generator in the fixed Pauli representation."""
-    _check_dim(dim)
+    check_dim(dim)
     if not 1 <= mu <= dim:
         raise DomainError(f"gamma index {mu} out of range for dimension {dim}")
     raw = _PAULI[mu]

@@ -93,6 +93,14 @@ class ResidueDensity:
             return "tau"
         return "none"
 
+    def t_grade(self, j: int) -> "ResidueDensity":
+        """The grade-``j`` slice of the density and of its trace data."""
+        return ResidueDensity(
+            self.value.map(lambda v: v.t_grade(j)),
+            self.traced.t_grade(j),
+            self.tau_value.t_grade(j),
+        )
+
     def is_zero(self) -> bool:
         return self.vanishing_level() != "none"
 
@@ -177,24 +185,18 @@ def _component_of_element(dim: int, a: AlgebraElement) -> Component:
     return comp
 
 
-def induced_cs_density(
-    f: OperatorFamily,
-    variation_names: Optional[tuple[str, ...]] = None,
-    gauge_cap: Optional[int] = None,
-) -> TauClass:
+def induced_cs_density(f: OperatorFamily, gauge_cap: Optional[int] = None) -> TauClass:
     """Gauge variation density of the eta value for a coupled family.
 
     Returns ``Wres(gamma^mu dA_mu |D|^{-1})`` as an explicit trace class,
-    linear in the fresh variation generators.  ``gauge_cap`` runs the whole
-    pipeline with words of gauge degree above the cap dropped after every
-    stage, which must not change the low-degree outcome; it serves as an
-    independent cross-check path.
+    linear in the fresh variation generators ``dA1 .. dA<dim>``.
+    ``gauge_cap`` runs the whole pipeline with words of gauge degree above
+    the cap dropped after every stage, which must not change the low-degree
+    outcome; it serves as an independent cross-check path.
     """
     if f.kind != "coupled_dirac":
         raise DomainError("the induced gauge density is defined for coupled families")
     dim = f.dim
-    if variation_names is None:
-        variation_names = tuple(f"dA{m}" for m in range(1, dim + 1))
 
     def trim(sym: Symbol) -> Symbol:
         if gauge_cap is None:
@@ -205,7 +207,7 @@ def induced_cs_density(
     absd = sqrt_symbol(trim(sd2), -dim + 1)
     inv = invert_symbol(trim(absd), -dim - 1)
     inv = trim(inv)
-    coeffs = [AlgebraElement.generator(gen(name, dim)) for name in variation_names]
+    coeffs = [AlgebraElement.generator(gen(f"dA{m}", dim)) for m in range(1, dim + 1)]
     direction = Symbol.make(dim, [_slash_component(dim, coeffs)])
     prod = star_product(direction, inv, -dim)
     return wres(trim(prod), dim).tau_value

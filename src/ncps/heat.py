@@ -7,9 +7,9 @@ degree ``-2 - k``.  A layer term is ``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}``
 times a matrix, keyed ``(beta, s, m)``: the powers of ``xi^2`` that the
 Neumann series of the leading part brings in stay factored through every
 product and are never expanded into monomials.  Layers are term maps of
-:mod:`ncps.symbols`, and each recursion step is the Moyal kernel there,
-pairing the symbol's Taylor coefficients with delta derivatives of the
-earlier layers.  All analytic steps are exact:
+:mod:`ncps.symbols`, computed by the inversion kernel there (the one that
+inverts symbols) from the leading layer ``r_0``.  All analytic steps are
+exact:
 
 * the contour integral against ``exp(-lambda)`` reduces to the residue at
   ``lambda = xi^2``, replacing ``(xi^2 - lambda)^{-m}`` by
@@ -24,7 +24,10 @@ earlier layers.  All analytic steps are exact:
 
 This provides a derivation of the inverse-absolute-value expansion that is
 independent of the square-root/inversion route in :mod:`ncps.symbols`; the two
-must agree component by component.
+must agree component by component.  The inverse at ``lambda = 0`` is the symbol
+inverse itself, so the residue / heat-coefficient identity takes its residue
+side from symbol inversion and its heat side from the contour integral of the
+layers, not both from one set of layers.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
-from .algebra import AlgebraElement, TauClass, tau_class
-from .scalars import DomainError, ExactScalar, RationalLike, gamma_half_pair
+from .algebra import AlgebraElement, TauClass, gen, nilpotent_powers, tau_class
+from .scalars import DomainError, ExactScalar, gamma_half_pair
 from .symbols import (
     Component,
     EllipticityShapeError,
@@ -44,10 +47,10 @@ from .symbols import (
     Symbol,
     TermMap,
     _central_leading,
-    _Moyal,
+    _inverse_layers,
     dirac_symbol,
+    invert_symbol,
 )
-from .algebra import gen
 
 
 ResKey = tuple[tuple[int, ...], int, int]  # (beta, xi^2 power s >= 0, resolvent power m >= 1)
@@ -62,8 +65,8 @@ class ResolventComponent(TermMap):
 
     __slots__ = ()
 
-    def __init__(self, dim: int, k: int, terms: Optional[dict[ResKey, Mat2]] = None):
-        super().__init__(dim, -2 - k, terms)
+    def __init__(self, dim: int, k: int):
+        super().__init__(dim, -2 - k)
 
     @property
     def k(self) -> int:
@@ -119,47 +122,30 @@ def _resolvent_leading(sd2: Symbol) -> ResolventComponent:
     two, u = _central_leading(sd2)
     if two != 2:
         raise EllipticityShapeError("resolvent recursion expects an order-2 symbol")
-    dim = sd2.dim
     unit = AlgebraElement.unit()
-    c0 = u.t_grade(0)
-    if not (c0 - unit).is_zero():
+    if not (u.t_grade(0) - unit).is_zero():
         raise EllipticityShapeError("leading symbol must be xi^2 (1 + nilpotent)")
-    nu = u - unit
-    r0 = ResolventComponent(dim, 0)
-    power = unit
-    j = 0
-    while not power.is_zero():
-        if j > 64:
-            raise EllipticityShapeError("leading perturbation is not nilpotent")
-        r0.add_term((0,) * dim, j, j + 1, Mat2.diag(-power if j % 2 else power))
-        power = power * nu
-        j += 1
+    try:
+        powers = nilpotent_powers(u - unit)
+    except DomainError as exc:
+        raise EllipticityShapeError(f"leading {exc}") from exc
+    r0 = ResolventComponent(sd2.dim, 0)
+    for j, power in enumerate(powers):
+        r0.add_term((0,) * sd2.dim, j, j + 1, Mat2.diag(-power if j % 2 else power))
     return r0
 
 
 def resolvent_symbols(sd2: Symbol, count: int) -> list[ResolventComponent]:
-    """Layers ``r_0 .. r_count`` of the resolvent of an order-2 polynomial symbol."""
+    """Layers ``r_0 .. r_count`` of the resolvent of an order-2 polynomial
+    symbol: the inverse-layer recursion of :mod:`ncps.symbols` from ``r_0``."""
     if count < 0:
         raise DomainError(f"the number of resolvent layers must be >= 0, got {count}")
-    dim = sd2.dim
     if sd2.floor is not None:
         raise DomainError("resolvent recursion expects an exact differential symbol")
     for c in sd2.components.values():
         if not c.is_polynomial():
             raise DomainError("resolvent recursion expects polynomial components")
-    r0 = _resolvent_leading(sd2)
-    minus_r0 = r0.neg()  # r_k = -r_0 . cross: negate the short factor
-    layers = [r0]
-    moyal = _Moyal()
-    for k in range(1, count + 1):
-        cross = ResolventComponent(dim, k - 2)
-        for d, ad in sd2.components.items():
-            for j, rj in enumerate(layers):
-                order = d + k - 2 - j  # joint degree of the pairing must be -k
-                if order >= 0:
-                    moyal.add(ad, rj, order, cross)
-        layers.append(minus_r0.mul(cross))
-    return layers
+    return _inverse_layers(sd2, _resolvent_leading(sd2), count)
 
 
 # -- contour integral and Gaussian moments ------------------------------------------
@@ -266,42 +252,33 @@ def _mellin_half_factor(m: int) -> Fraction:
     return c / math.factorial(m - 1)
 
 
-def _inverse_power(
-    sd2: Symbol, floor: int, order: int, weight: Callable[[int], RationalLike]
-) -> Symbol:
-    """Order ``-order`` expansion read off the resolvent layers: layer ``r_j``
-    gives the degree ``-order - j`` component, and its term
-    ``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}`` becomes ``weight(m)`` times
-    ``xi^beta (xi^2)^{-(2m - 2s - 2 + order)/2}``; no ``(xi^2)^s`` is
-    expanded, and :meth:`Symbol.make` reduces the result to normal form."""
-    count = -floor - order
-    if count < 0:
-        raise DomainError(f"floor must be at most -{order} for an order -{order} expansion")
-    comps = []
-    for j, rc in enumerate(resolvent_symbols(sd2, count)):
-        comp = Component(sd2.dim, -order - j)
-        for (beta, s, m), mat in rc.terms.items():
-            w = weight(m)
-            comp.add_term(beta, 2 * (m - s) - 2 + order, mat if w == 1 else mat.scale_rational(w))
-        comps.append(comp)
-    return Symbol.make(sd2.dim, comps, floor)
-
-
 def mellin_inverse_power(sd2: Symbol, floor: int) -> Symbol:
     """Expansion of the inverse square root of an order-2 family.
 
     Uses ``A^{-1/2} = (1/pi) int_0^inf lam^{-1/2} (A + lam)^{-1} dlam``
-    termwise on the resolvent layers: each ``(xi^2 + lam)^{-m}`` integrates to
-    a rational multiple of ``(xi^2)^{1/2 - m}``.  Independent of the
-    square-root/inversion route, against which it is tested.
+    termwise on the resolvent layers: layer ``r_j`` gives the degree
+    ``-1 - j`` component, and its term ``xi^beta (xi^2)^s (xi^2 + lam)^{-m}``
+    integrates to a rational multiple of ``xi^beta (xi^2)^{s + 1/2 - m}``; no
+    ``(xi^2)^s`` is expanded, and :meth:`Symbol.make` reduces the result to
+    normal form.  Independent of the square-root/inversion route, against
+    which it is tested.
     """
-    return _inverse_power(sd2, floor, 1, _mellin_half_factor)
+    if floor > -1:
+        raise DomainError("floor must be at most -1 for an order -1 expansion")
+    comps = []
+    for j, rc in enumerate(resolvent_symbols(sd2, -floor - 1)):
+        comp = Component(sd2.dim, -1 - j)
+        for (beta, s, m), mat in rc.terms.items():
+            w = _mellin_half_factor(m)
+            comp.add_term(beta, 2 * (m - s) - 1, mat if w == 1 else mat.scale_rational(w))
+        comps.append(comp)
+    return Symbol.make(sd2.dim, comps, floor)
 
 
 def resolvent_at_zero(sd2: Symbol, floor: int) -> Symbol:
-    """Expansion of the inverse of an order-2 family: the resolvent at
-    ``lambda = 0``, so ``(xi^2 - lambda)^{-m}`` becomes ``(xi^2)^{-m}``."""
-    return _inverse_power(sd2, floor, 2, lambda m: 1)
+    """Expansion of the inverse of an order-2 family, the resolvent at
+    ``lambda = 0``: the symbol inverse itself."""
+    return invert_symbol(sd2, floor)
 
 
 # -- localized densities ----------------------------------------------------------
@@ -346,7 +323,9 @@ def res_heat_crosscheck(k: int, f: OperatorFamily) -> ResHeatPair:
     if k < 1 or n - 2 * k < 0:
         raise DomainError("need k >= 1 and n - 2k >= 0 for the order-2 crosscheck")
     _sd, sd2 = dirac_symbol(f)
-    inv = resolvent_at_zero(sd2, floor=-n)
+    # the two sides come from independent routes: symbol inversion on the
+    # left, the resolvent layers and their contour integral on the right
+    inv = invert_symbol(sd2, floor=-n)
     lhs_mat = sphere_integral_component(inv.component(-n), n)
     lhs = lhs_mat.trace()
     beta = heat_coefficients(sd2, n - 2 * k)[n - 2 * k]

@@ -26,6 +26,7 @@ symbolic densities and finite-dimensional spectral data.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -123,10 +124,8 @@ class ConcreteElement:
 
 
 def mode_box(L: int, dim: int) -> list[tuple[int, ...]]:
-    rng = range(-L, L + 1)
-    if dim == 2:
-        return [(a, b) for a in rng for b in rng]
-    return [(a, b, c) for a in rng for b in rng for c in rng]
+    """Lattice vectors with ``|k|_inf <= L``, in lexicographic order."""
+    return list(itertools.product(range(-L, L + 1), repeat=dim))
 
 
 @lru_cache(maxsize=None)
@@ -250,6 +249,7 @@ def _dirac_blocks(f: NumericFamily, L: int, t: float) -> list[np.ndarray]:
 
 def build_operator(f: NumericFamily, L: int, t: float = 0.0) -> TruncatedOperator:
     """Assemble the truncated family member at parameter ``t``."""
+    clifford.check_dim(f.dim)
     if f.support_radius() > L:
         raise DomainError("mode support exceeds the truncation box")
     mat = _spinor_sum(_dirac_blocks(f, L, t))
@@ -266,21 +266,25 @@ def build_operator(f: NumericFamily, L: int, t: float = 0.0) -> TruncatedOperato
 
 
 def _hermiticity_defect(mat: np.ndarray) -> float:
-    """``max |mat - mat^*|`` entrywise, taken by row blocks so that no
-    full-size difference or adjoint is formed."""
-    return max(
-        (
-            float(np.max(np.abs(mat[i : i + 64] - mat[:, i : i + 64].conj().T)))
-            for i in range(0, len(mat), 64)
-        ),
-        default=0.0,
-    )
+    return _defect_and_scale(mat)[0]
+
+
+def _defect_and_scale(mat: np.ndarray) -> tuple[float, float]:
+    """``max |mat - mat^*|`` and ``max |mat|`` entrywise, taken by row blocks
+    so that no full-size difference, adjoint or modulus is formed."""
+    defect = scale = 0.0
+    for i in range(0, len(mat), 64):
+        rows = mat[i : i + 64]
+        defect = max(defect, float(np.max(np.abs(rows - mat[:, i : i + 64].conj().T))))
+        scale = max(scale, float(np.max(np.abs(rows))))
+    return defect, scale
 
 
 def hermitian_eigenvalues(T: TruncatedOperator | np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense Hermitian matrix, ascending."""
     mat = T.matrix if isinstance(T, TruncatedOperator) else np.asarray(T)
-    if mat.size and _hermiticity_defect(mat) > 1e-10 * max(1.0, float(np.max(np.abs(mat)))):
+    defect, scale = _defect_and_scale(mat)
+    if defect > 1e-10 * max(1.0, scale):
         raise DomainError("matrix is not Hermitian")
     return np.linalg.eigvalsh(mat)
 

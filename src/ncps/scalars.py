@@ -161,10 +161,6 @@ class ExactScalar:
         return cls.rational(1, 0, t_cap)
 
     @classmethod
-    def i(cls, t_cap: Optional[int] = None) -> "ExactScalar":
-        return cls.rational(0, 1, t_cap)
-
-    @classmethod
     def pi_half(cls, p: int, coeff: RationalLike = 1, t_cap: Optional[int] = None) -> "ExactScalar":
         """``coeff * pi^{p/2}``."""
         return cls({(p, 0): (coeff, 0)}, t_cap)
@@ -332,10 +328,6 @@ class ExactScalar:
 
     def __repr__(self) -> str:
         return f"ExactScalar({self.render()})"
-
-
-ZERO = ExactScalar.zero()
-ONE = ExactScalar.one()
 
 
 def gamma_half_pair(two_x: int) -> tuple[Fraction, int]:

@@ -21,11 +21,13 @@ The composition law is the graded star product
 truncated below a floor.  It is written once, in :class:`_Moyal`, which the
 star product, inversion, the square root and the resolvent layers of
 :mod:`ncps.heat` all call.  Components and resolvent layers share one term
-map, :class:`TermMap`.  Inversion and square roots are solved degree by
-degree; the leading components that occur here are central scalar functions
-times ``1 + (nilpotent)`` and are handled by finite Neumann / binomial series,
-with the square root solving the two-sided equation ``b X + X b = R``
-order by order in the nilpotent grade.
+map, :class:`TermMap`.  Inversion is written once as well, in
+:func:`_inverse_layers`: symbol inversion and the resolvent layers are the
+same recursion from different leading layers.  Inversion and square roots are
+solved degree by degree; the leading components that occur here are central
+scalar functions times ``1 + (nilpotent)`` and are handled by finite Neumann /
+binomial series, with the square root solving the two-sided equation
+``b X + X b = R`` order by order in the nilpotent grade.
 """
 
 from __future__ import annotations
@@ -196,13 +198,10 @@ class TermMap:
 
     __slots__ = ("dim", "degree", "terms")
 
-    def __init__(self, dim: int, degree: Optional[int], terms: Optional[dict] = None):
+    def __init__(self, dim: int, degree: Optional[int]):
         self.dim = dim
         self.degree = degree
         self.terms: dict = {}
-        if terms:
-            for key, mat in terms.items():
-                self._merge(key, mat)
 
     def _like(self, degree: Optional[int]):
         """Empty map of the same kind at ``degree``."""
@@ -239,6 +238,10 @@ class TermMap:
 
     def is_empty(self) -> bool:
         return not self.terms
+
+    def reduced(self):
+        """Canonical representative; the keys of a plain term map already are."""
+        return self
 
     # -- linear structure ---------------------------------------------------
 
@@ -685,21 +688,29 @@ def invert_symbol(a: Symbol, floor: int) -> Symbol:
 
     lead = Component(a.dim, 0)
     lead.add_term((0,) * a.dim, 0, Mat2.diag(uinv))
-    lead = lead.mul_xi2(-r).reduced()
+    return Symbol.make(a.dim, _inverse_layers(a, lead.mul_xi2(-r).reduced(), kmax), floor)
 
-    b: dict[int, Component] = {-r: lead}
+
+def _inverse_layers(a: Symbol, lead: TermMap, count: int) -> list:
+    """Layers ``b_0 = lead, .., b_count`` of the right inverse of ``a``, where
+    ``lead`` inverts the top component of ``a``.  Layer ``k`` has degree
+    ``deg lead - k`` and is ``-lead . cross``, with ``cross`` the degree
+    ``-k`` part of ``a * (b_0 + .. + b_{k-1})``: the Moyal pairs of ``a_d``
+    and a known layer ``b_j`` at order ``d + deg b_j + k``.  Both
+    :func:`invert_symbol` and the resolvent layers of :mod:`ncps.heat` are
+    this recursion; the layer type comes from ``lead``."""
+    minus_lead = lead.neg()  # negate the short factor once
+    layers = [lead]
     moyal = _Moyal()
-    for k in range(1, kmax + 1):
-        cross = Component(a.dim, -k)
+    for k in range(1, count + 1):
+        cross = lead._like(-k)
         for d, ad in a.components.items():
-            for e, be in b.items():
-                order = d + e + k
+            for bj in layers:
+                order = d + bj.degree + k
                 if order >= 0:
-                    moyal.add(ad, be, order, cross)
-        comp = lead.mul(cross).neg().reduced()
-        if not comp.is_empty():
-            b[-r - k] = comp
-    return Symbol(a.dim, b, floor).reduced()
+                    moyal.add(ad, bj, order, cross)
+        layers.append(minus_lead.mul(cross).reduced())
+    return layers
 
 
 def _solve_symmetric(v: AlgebraElement, rhs: Component) -> Component:
@@ -906,11 +917,15 @@ def dirac_symbol(f: OperatorFamily) -> tuple[Symbol, Symbol]:
     return sd, sd2
 
 
+def _inverse_abs(sd2: Symbol, floor: int) -> Symbol:
+    """``|D|^{-1}`` down to ``floor``: the square root of ``sd2`` down to
+    ``floor + 2``, then its inverse."""
+    return invert_symbol(sqrt_symbol(sd2, floor + 2), floor)
+
+
 def inverse_abs_symbol(f: OperatorFamily, floor: int) -> Symbol:
     """Expansion of the inverse absolute value, via square root then inversion."""
-    _sd, sd2 = dirac_symbol(f)
-    absd = sqrt_symbol(sd2, floor + 2)
-    return invert_symbol(absd, floor)
+    return _inverse_abs(dirac_symbol(f)[1], floor)
 
 
 def sign_symbol(f: OperatorFamily, floor: Optional[int] = None) -> Symbol:
@@ -921,6 +936,4 @@ def sign_symbol(f: OperatorFamily, floor: Optional[int] = None) -> Symbol:
     if floor is None:
         floor = -f.dim
     sd, sd2 = dirac_symbol(f)
-    absd = sqrt_symbol(sd2, floor + 1)
-    inv = invert_symbol(absd, floor - 1)
-    return star_product(sd, inv, floor)
+    return star_product(sd, _inverse_abs(sd2, floor - 1), floor)

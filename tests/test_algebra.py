@@ -16,6 +16,7 @@ from ncps.algebra import (
     gen,
     invert_perturbed_unit,
     multiply,
+    nilpotent_powers,
     sqrt_perturbed_unit,
     tau_class,
 )
@@ -264,3 +265,14 @@ def test_product_skips_every_pair_over_the_cap(monkeypatch):
     monkeypatch.setattr(ExactScalar, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
     assert (a * b).is_zero()
     assert calls == []
+
+
+def test_nilpotent_powers():
+    x = elem(H).scale(ExactScalar.t_power(1, t_cap=2))
+    powers = nilpotent_powers(x)
+    assert len(powers) == 3
+    assert powers[0] == AlgebraElement.unit()
+    assert (powers[2] - x * x).is_zero()
+    assert nilpotent_powers(AlgebraElement.zero()) == [AlgebraElement.unit()]
+    with pytest.raises(DomainError, match="not nilpotent"):
+        nilpotent_powers(elem(A1))  # A1 carries no t grade

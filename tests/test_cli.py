@@ -228,3 +228,14 @@ def test_verify_flow_unmodeled_dimension_exits_2(capsys, dim, u):
     payload = json.loads(out)
     assert payload["status"] == "error"
     assert "dimensions 2 and 3" in payload["witness"]
+
+
+@pytest.mark.parametrize("dim", [4, 1])
+def test_num_spectrum_unmodeled_dimension_exits_2(tmp_path, capsys, dim):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"kind": "free_dirac", "dim": dim}))
+    code = main(["num", "spectrum", "--family", str(fam), "--cutoff", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "gamma algebra is modeled in dimensions 2 and 3" in captured.err

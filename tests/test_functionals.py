@@ -255,3 +255,18 @@ def test_functionals_are_linear_over_scalars():
         for i in range(2)
         for j in range(2)
     )
+
+
+def test_residue_density_t_grade_slices_every_level():
+    # grade 1 of a density that vanishes only in tau: h d1(h) - d1(h) h
+    h = AlgebraElement.generator(gen("h", DIM))
+    t1 = ExactScalar.t_power(1, t_cap=2)
+    comm = (h * h.delta(1) - h.delta(1) * h).scale(t1)
+    value = Mat2(((comm, AlgebraElement.zero()), (AlgebraElement.zero(), comm)))
+    density = fn.ResidueDensity.from_matrix(value.add(Mat2.diag(AlgebraElement.unit())))
+    assert density.t_grade(0).vanishing_level() == "none"
+    assert density.t_grade(1).vanishing_level() == "tau"
+    assert density.t_grade(2).vanishing_level() == "density"
+    grade1 = density.t_grade(1)
+    assert grade1.value == value and grade1.traced == comm.scale_rational(2)
+

@@ -391,6 +391,48 @@ def test_third_order_conformal_stress():
         assert coeffs[3].traced.t_grade(j).is_zero()
 
 
+def reference_resolvent_at_zero(sd2, floor):
+    """The inverse read off the resolvent layers at lambda = 0: layer r_j
+    gives the degree -2 - j component, and (xi^2 - lam)^{-m} becomes
+    (xi^2)^{-m}, next to the (xi^2)^s the layer keeps factored."""
+    comps = []
+    for j, rc in enumerate(ht.resolvent_symbols(sd2, -floor - 2)):
+        comp = Component(sd2.dim, -2 - j)
+        for (beta, s, m), mat in rc.terms.items():
+            comp.add_term(beta, 2 * (m - s), mat)
+        comps.append(comp)
+    return sy.Symbol.make(sd2.dim, comps, floor)
+
+
+@pytest.mark.parametrize(
+    "fam,floor",
+    [
+        (OperatorFamily.coupled(3), -4),
+        (OperatorFamily.conformal(3, t_cap=2), -4),
+        (OperatorFamily.free(2), -2),
+        (OperatorFamily.conformal(2, t_cap=2), -2),
+    ],
+    ids=["coupled", "conformal_t2", "free2", "conformal2_t2"],
+)
+def test_resolvent_at_zero_is_the_inverse(fam, floor):
+    _, sd2 = dirac_symbol(fam)
+    inv = sy.invert_symbol(sd2, floor)
+    assert reference_resolvent_at_zero(sd2, floor).render() == inv.render()
+    assert ht.resolvent_at_zero(sd2, floor).render() == inv.render()
+
+
+def test_resolvent_rejects_non_nilpotent_leading_perturbation():
+    # sd2 = xi^2 (1 + t h) I with an uncapped t: the Neumann series never ends
+    h = AlgebraElement.generator(gen("h", DIM))
+    perturbed = Mat2.diag(AlgebraElement.unit() + h.scale(ExactScalar.t_power(1)))
+    lead = Component(DIM, 2)
+    for i in range(DIM):
+        lead.add_term(tuple(2 if j == i else 0 for j in range(DIM)), 0, perturbed)
+    sd2 = sy.Symbol.make(DIM, [lead])
+    with pytest.raises(sy.EllipticityShapeError, match="not nilpotent"):
+        ht.resolvent_symbols(sd2, 0)
+
+
 def test_laurent_normalization_against_lattice():
     """The 1/q-normalized residue pairing must equal the leading lattice heat
     coefficient: both compute the residue of the zeta-type trace of the

@@ -373,3 +373,22 @@ def test_blockwise_hermiticity_defect_equals_full_max(n):
     with pytest.raises(DomainError, match="not Hermitian"):
         nm.hermitian_eigenvalues(bad)
     assert len(nm.hermitian_eigenvalues(herm)) == n
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_blockwise_scale_equals_full_max(n):
+    rng = np.random.default_rng(100 + n)
+    mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    defect, scale = nm._defect_and_scale(mat)
+    assert scale == float(np.max(np.abs(mat)))
+    assert defect == nm._hermiticity_defect(mat)
+    # a non-Hermitian array is refused whatever its size
+    with pytest.raises(DomainError, match="not Hermitian"):
+        nm.hermitian_eigenvalues(mat)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_mode_box_covers_every_dimension(dim):
+    box = nm.mode_box(1, dim)
+    assert len(box) == 3**dim == len(set(box))
+    assert box == sorted(box) and all(len(k) == dim for k in box)
