@@ -14,9 +14,15 @@ interior modes.
 Every family member is assembled blockwise as ``sum_mu B_mu (x) gamma_mu``
 from ``N x N`` mode blocks, so no ``2N x 2N`` product is formed: the
 conformal member ``(e (x) 1) D (e (x) 1)`` with ``e = exp(t h / 2)`` has
-blocks ``e diag(k_mu) e``, three ``N x N`` matrix products.  A localized heat
-trace ``Tr(a exp(-s D^2))`` weighs eigenvector ``v_j`` by ``v_j^* a v_j``,
-read off one BLAS product ``a V`` and a row-wise dot.
+blocks ``e diag(k_mu) e``, three ``N x N`` matrix products; at ``t = 0``
+they are ``diag(k_mu)``, with no exponential.  A localized heat trace
+``Tr(a exp(-s D^2))`` of an operator whose diagonal spinor blocks are both
+exactly zero (every 2-d member, as gamma_1 and gamma_2 are off-diagonal) is
+read off one ``N x N`` SVD of its off-diagonal block ``X = U S V^*``: the
+weights ``u_j^* a_00 u_j + v_j^* a_11 v_j`` come from BLAS products with the
+diagonal spinor blocks of ``a``.  Any other operator is diagonalized whole,
+and eigenvector ``v_j`` is weighed by ``v_j^* a v_j``, read off one BLAS
+product ``a V`` and a row-wise dot.
 
 Also hosts the numeric evaluator for formal trace classes: words in derived
 generators are mapped to twisted convolutions of concrete Fourier data and the
@@ -235,6 +241,8 @@ def _dirac_blocks(f: NumericFamily, L: int, t: float) -> list[np.ndarray]:
     if f.kind == "conformal_dirac":
         if f.weyl is None or not f.weyl.is_selfadjoint():
             raise DomainError("conformal family needs a self-adjoint Weyl element")
+        if t == 0.0:
+            return [np.diag(k) for k in ks]
         e = expm_hermitian((t / 2.0) * multiplication_matrix(f.weyl, L, f.theta))
         # (e (x) 1) D (e (x) 1) = sum_mu (e diag(k_mu) e) (x) gamma_mu
         return [(e * k) @ e for k in ks]
@@ -283,6 +291,8 @@ def _defect_and_scale(mat: np.ndarray) -> tuple[float, float]:
 def hermitian_eigenvalues(T: TruncatedOperator | np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense Hermitian matrix, ascending."""
     mat = T.matrix if isinstance(T, TruncatedOperator) else np.asarray(T)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DomainError("matrix must be square")
     defect, scale = _defect_and_scale(mat)
     if defect > 1e-10 * max(1.0, scale):
         raise DomainError("matrix is not Hermitian")
@@ -300,14 +310,18 @@ def eigen_residual(mat: np.ndarray) -> float:
 # -- heat traces ---------------------------------------------------------------------
 
 
+def _check_heat_parameter(t: float) -> None:
+    if not t > 0:
+        raise DomainError("heat parameter must be positive")
+
+
 def heat_trace_lattice(t: float, L: int, dim: int, weight: complex = 1.0) -> float:
     """Localized free heat trace ``weight * sum_{|k|<=L} 2 exp(-t |k|^2)``.
 
     The weight is the zero mode of the localizer, which is all the diagonal
     of a multiplication operator contributes for the flat family.
     """
-    if t <= 0:
-        raise DomainError("heat parameter must be positive")
+    _check_heat_parameter(t)
     js = np.arange(-L, L + 1)
     theta1 = np.exp(-t * js**2).sum()
     return float(2.0 * (weight.real if isinstance(weight, complex) else weight) * theta1**dim)
@@ -316,19 +330,38 @@ def heat_trace_lattice(t: float, L: int, dim: int, weight: complex = 1.0) -> flo
 def heat_trace_operator(
     T: TruncatedOperator, t: float, localizer: Optional[np.ndarray] = None
 ) -> float:
-    """``Tr(a exp(-t D^2))`` for a truncated operator, by eigendecomposition.
+    """``Tr(a exp(-t D^2))`` for a truncated operator, ``t > 0``.
 
-    The localizer ``a`` is a dense matrix of the operator's size; its weight
-    on eigenvector ``v_j`` is ``v_j^* a v_j``, read off one matrix product.
+    When both diagonal spinor blocks of ``D`` are exactly zero (every 2-d
+    member: gamma_1 and gamma_2 are off-diagonal), ``D = [[0, X], [X^*, 0]]``
+    in the spinor slot and ``D^2 = diag(X X^*, X^* X)``.  One SVD
+    ``X = U S V^*`` then gives the trace as
+    ``sum_j exp(-t s_j^2) (u_j^* a_00 u_j + v_j^* a_11 v_j)``, where ``a_00``
+    and ``a_11`` are the diagonal spinor blocks of the localizer ``a``; its
+    off-diagonal blocks drop out of the trace.  Any other operator is
+    diagonalized whole, and eigenvector ``v_j`` is weighed by ``v_j^* a v_j``.
+    Either way the weights are read off BLAS products and a row-wise dot.
     """
-    if localizer is None:
-        return float(np.exp(-t * np.linalg.eigvalsh(T.matrix) ** 2).sum())
-    loc = np.asarray(localizer)
-    if loc.shape != T.matrix.shape:
-        raise DomainError(
-            f"localizer shape {loc.shape} does not match operator shape {T.matrix.shape}"
-        )
-    vals, vecs = np.linalg.eigh(T.matrix)
+    _check_heat_parameter(t)
+    mat = T.matrix
+    loc = None
+    if localizer is not None:
+        loc = np.asarray(localizer)
+        if loc.shape != mat.shape:
+            raise DomainError(
+                f"localizer shape {loc.shape} does not match operator shape {mat.shape}"
+            )
+    if not mat[0::2, 0::2].any() and not mat[1::2, 1::2].any():
+        x = mat[0::2, 1::2]
+        if loc is None:
+            return float(2.0 * np.exp(-t * np.linalg.svd(x, compute_uv=False) ** 2).sum())
+        u, sv, vh = np.linalg.svd(x)
+        w = np.einsum("ij,ij->j", u.conj(), loc[0::2, 0::2] @ u).real
+        w += np.einsum("jk,jk->j", vh @ loc[1::2, 1::2], vh.conj()).real
+        return float((w * np.exp(-t * sv**2)).sum())
+    if loc is None:
+        return float(np.exp(-t * np.linalg.eigvalsh(mat) ** 2).sum())
+    vals, vecs = np.linalg.eigh(mat)
     w = np.einsum("ij,ij->j", vecs.conj(), loc @ vecs).real
     return float((w * np.exp(-t * vals**2)).sum())
 

@@ -257,6 +257,117 @@ def test_heat_trace_rejects_wrong_localizer_shape():
         nm.heat_trace_operator(top, 0.3, np.eye(48))
 
 
+def _dense_heat_trace(mat, s, loc):
+    vals, vecs = np.linalg.eigh(mat)
+    return np.trace(loc @ (vecs * np.exp(-s * vals**2)) @ vecs.conj().T).real
+
+
+def _chiral_family(kind):
+    return nm.NumericFamily(
+        kind, 2, theta=THETAS[2],
+        weyl=_weyl(2) if kind == "conformal_dirac" else None,
+        gauge=[_weyl(2), nm.ConcreteElement.cosine(2, (0, 1), 0.3)]
+        if kind == "coupled_dirac" else None,
+        flow_k=(1, 0) if kind == "unitary_flow" else (),
+    )
+
+
+def _chiral_localizer(which, L):
+    if which == "multiplication":
+        return np.kron(nm.multiplication_matrix(_weyl(2), L, THETAS[2]), np.eye(2))
+    n = 2 * len(nm.mode_box(L, 2))
+    raw = np.random.default_rng(7).normal(size=(n, n, 2)).view(complex)[..., 0]
+    return (raw + raw.conj().T) / 2  # dense, nonzero off-diagonal spinor blocks
+
+
+@pytest.mark.parametrize("localizer", ["multiplication", "dense"])
+@pytest.mark.parametrize(
+    "kind, t",
+    [
+        ("conformal_dirac", -0.6),
+        ("conformal_dirac", 0.0),
+        ("conformal_dirac", 0.6),
+        ("coupled_dirac", 0.0),
+        ("unitary_flow", 1.0),  # k = (-1, 0) is a zero mode
+    ],
+)
+def test_chiral_heat_trace_matches_dense_trace(kind, t, localizer, monkeypatch):
+    L, s = 3, 0.3
+    top = nm.build_operator(_chiral_family(kind), L, t=t)
+    assert not top.matrix[0::2, 0::2].any() and not top.matrix[1::2, 1::2].any()
+    loc = _chiral_localizer(localizer, L)
+    if localizer == "dense":
+        assert np.abs(loc[0::2, 1::2]).min() > 0.0
+    dense = _dense_heat_trace(top.matrix, s, loc)
+    vals = np.linalg.eigvalsh(top.matrix)
+    if kind == "unitary_flow":
+        assert np.sum(vals == 0.0) == 2
+    bare = np.exp(-s * vals**2).sum()
+
+    def no_eigensolve(*_args, **_kwargs):
+        raise AssertionError("the chiral route diagonalizes nothing")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    assert abs(nm.heat_trace_operator(top, s, loc) - dense) < 1e-12 * abs(dense)
+    assert abs(nm.heat_trace_operator(top, s) - bare) < 1e-12 * bare
+
+
+@pytest.mark.parametrize("entry", [2, 3])  # in the first, then the second diagonal spinor block
+@pytest.mark.parametrize("localizer", ["multiplication", "dense"])
+def test_heat_trace_with_diagonal_spinor_entry_takes_eigh_path(localizer, entry, monkeypatch):
+    L, s = 3, 0.3
+    top = nm.build_operator(_chiral_family("conformal_dirac"), L, t=0.6)
+    loc = _chiral_localizer(localizer, L)
+    chiral = nm.heat_trace_operator(top, s, loc)
+    top.matrix[entry, entry] += 0.5
+    dense = _dense_heat_trace(top.matrix, s, loc)
+    assert abs(dense - chiral) > 1e-6 * abs(dense)
+
+    def no_svd(*_args, **_kwargs):
+        raise AssertionError("a nonzero diagonal spinor block must not take the SVD route")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert abs(nm.heat_trace_operator(top, s, loc) - dense) < 1e-12 * abs(dense)
+
+
+@pytest.mark.parametrize("t", [-5.0, 0.0, float("nan")])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_heat_trace_rejects_nonpositive_heat_parameter(dim, t):
+    top = nm.build_operator(nm.NumericFamily("free_dirac", dim), L=2)
+    for loc in (None, np.eye(top.size)):
+        with pytest.raises(DomainError, match="heat parameter must be positive"):
+            nm.heat_trace_operator(top, t, loc)
+    with pytest.raises(DomainError, match="heat parameter must be positive"):
+        nm.heat_trace_lattice(t, 2, dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_conformal_member_at_zero_is_the_free_operator(dim, monkeypatch):
+    L = 2
+    fam = nm.NumericFamily("conformal_dirac", dim, theta=THETAS[dim], weyl=_weyl(dim))
+
+    def no_exponential(_m):
+        raise AssertionError("exp(0 h / 2) is the identity")
+
+    monkeypatch.setattr(nm, "expm_hermitian", no_exponential)
+    top = nm.build_operator(fam, L, t=0.0)
+    free = nm.build_operator(nm.NumericFamily("free_dirac", dim), L)
+    assert np.array_equal(top.matrix, free.matrix)
+    assert np.array_equal(top.matrix, nm.free_dirac_matrix(L, dim))
+    assert top.hermiticity_defect == 0.0
+    bad = nm.NumericFamily("conformal_dirac", dim, theta=THETAS[dim],
+                           weyl=nm.ConcreteElement(dim, {(1,) + (0,) * (dim - 1): 1.0}))
+    with pytest.raises(DomainError, match="self-adjoint Weyl element"):
+        nm.build_operator(bad, L, t=0.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2), (0, 3)])
+def test_hermitian_eigenvalues_rejects_non_square(shape):
+    with pytest.raises(DomainError, match="matrix must be square"):
+        nm.hermitian_eigenvalues(np.zeros(shape))
+
+
 def test_gauge_conjugation_deviation():
     dev = nm.gauge_conjugation_deviation((1, 0, 0), L=4, dim=3, theta=THETA3)
     assert dev < 1e-9
