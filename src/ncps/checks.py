@@ -66,8 +66,20 @@ class CheckReport:
 # -- individual checks ---------------------------------------------------------------
 
 
-def _check_eta_coupled(cfg: dict) -> tuple[str, str, Optional[str], dict]:
+def _residue_floor(cfg: dict) -> int:
+    """The configured floor of a sign symbol on the 3-torus.  Its residue
+    reads the degree -3 component, so a higher floor is rejected here, with
+    the value as given, before any internal floor is derived from it."""
     floor = int(cfg.get("floor", -3))
+    if floor > -3:
+        raise DomainError(
+            f"floor must be <= -3 (the residue reads the degree -3 component), got {floor}"
+        )
+    return floor
+
+
+def _check_eta_coupled(cfg: dict) -> tuple[str, str, Optional[str], dict]:
+    floor = _residue_floor(cfg)
     fam = sy.OperatorFamily.coupled(3)
     # an insufficient floor is reported as an error, never silently deepened
     sgn = sy.sign_symbol(fam, floor=floor)
@@ -80,7 +92,7 @@ def _check_eta_coupled(cfg: dict) -> tuple[str, str, Optional[str], dict]:
 
 def _check_eta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
     t_order = int(cfg.get("t_order", 2))
-    floor = int(cfg.get("floor", -3))
+    floor = _residue_floor(cfg)
     fam = sy.OperatorFamily.conformal(3, t_cap=t_order)
     _sd, sd2 = sy.dirac_symbol(fam)
     absd = sy.sqrt_symbol(sd2, 0)

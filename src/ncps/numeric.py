@@ -299,19 +299,11 @@ def hermitian_eigenvalues(T: TruncatedOperator | np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mat)
 
 
-def eigen_residual(mat: np.ndarray) -> float:
-    """Largest relative residual ||Tv - lam v|| / ||T|| over all pairs."""
-    vals, vecs = np.linalg.eigh(mat)
-    res = mat @ vecs - vecs * vals
-    norm = max(float(np.linalg.norm(mat, 2)), 1e-300)
-    return float(np.max(np.linalg.norm(res, axis=0))) / norm
-
-
 # -- heat traces ---------------------------------------------------------------------
 
 
-def _check_heat_parameter(t: float) -> None:
-    if not t > 0:
+def _check_heat_parameter(t: float | np.ndarray) -> None:
+    if not np.all(np.asarray(t) > 0):
         raise DomainError("heat parameter must be positive")
 
 
@@ -328,9 +320,12 @@ def heat_trace_lattice(t: float, L: int, dim: int, weight: complex = 1.0) -> flo
 
 
 def heat_trace_operator(
-    T: TruncatedOperator, t: float, localizer: Optional[np.ndarray] = None
-) -> float:
+    T: TruncatedOperator, t: float | np.ndarray, localizer: Optional[np.ndarray] = None
+) -> float | np.ndarray:
     """``Tr(a exp(-t D^2))`` for a truncated operator, ``t > 0``.
+
+    ``t`` is one heat parameter, which gives a float, or a 1-d array of them,
+    which gives an array of traces from the same single decomposition.
 
     When both diagonal spinor blocks of ``D`` are exactly zero (every 2-d
     member: gamma_1 and gamma_2 are off-diagonal), ``D = [[0, X], [X^*, 0]]``
@@ -342,7 +337,10 @@ def heat_trace_operator(
     diagonalized whole, and eigenvector ``v_j`` is weighed by ``v_j^* a v_j``.
     Either way the weights are read off BLAS products and a row-wise dot.
     """
-    _check_heat_parameter(t)
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise DomainError(f"heat parameters must be a number or a 1-d array, got shape {ts.shape}")
+    _check_heat_parameter(ts)
     mat = T.matrix
     loc = None
     if localizer is not None:
@@ -354,16 +352,20 @@ def heat_trace_operator(
     if not mat[0::2, 0::2].any() and not mat[1::2, 1::2].any():
         x = mat[0::2, 1::2]
         if loc is None:
-            return float(2.0 * np.exp(-t * np.linalg.svd(x, compute_uv=False) ** 2).sum())
-        u, sv, vh = np.linalg.svd(x)
-        w = np.einsum("ij,ij->j", u.conj(), loc[0::2, 0::2] @ u).real
-        w += np.einsum("jk,jk->j", vh @ loc[1::2, 1::2], vh.conj()).real
-        return float((w * np.exp(-t * sv**2)).sum())
-    if loc is None:
-        return float(np.exp(-t * np.linalg.eigvalsh(mat) ** 2).sum())
-    vals, vecs = np.linalg.eigh(mat)
-    w = np.einsum("ij,ij->j", vecs.conj(), loc @ vecs).real
-    return float((w * np.exp(-t * vals**2)).sum())
+            w, sq = 2.0, np.linalg.svd(x, compute_uv=False) ** 2
+        else:
+            u, sv, vh = np.linalg.svd(x)
+            w = np.einsum("ij,ij->j", u.conj(), loc[0::2, 0::2] @ u).real
+            w += np.einsum("jk,jk->j", vh @ loc[1::2, 1::2], vh.conj()).real
+            sq = sv**2
+    elif loc is None:
+        w, sq = 1.0, np.linalg.eigvalsh(mat) ** 2
+    else:
+        vals, vecs = np.linalg.eigh(mat)
+        w = np.einsum("ij,ij->j", vecs.conj(), loc @ vecs).real
+        sq = vals**2
+    traces = (w * np.exp(-np.multiply.outer(ts, sq))).sum(axis=-1)
+    return float(traces) if ts.ndim == 0 else traces
 
 
 # -- spectral flow -------------------------------------------------------------------

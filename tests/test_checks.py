@@ -94,6 +94,17 @@ def test_family_error_becomes_error_report():
     json.loads(report.to_json())
 
 
+@pytest.mark.parametrize("name", ["eta-coupled", "eta-conformal"])
+@pytest.mark.parametrize("floor", [-2, 0, 5])
+def test_floor_above_residue_degree_names_given_value(name, floor):
+    report = run_check(name, {"floor": floor})
+    assert report.status == "error"
+    assert report.witness == (
+        f"floor must be <= -3 (the residue reads the degree -3 component), got {floor}"
+    )
+    assert report.params["floor"] == floor
+
+
 def test_flow_index_dimension_mismatch_is_error_report():
     report = run_check("flow-index", {"dim": 2})
     assert report.status == "error"

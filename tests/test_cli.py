@@ -47,6 +47,16 @@ def test_verify_negative_cutoff_is_clean_error(capsys):
     assert "broadcast" not in out
 
 
+@pytest.mark.parametrize("name", ["eta-coupled", "eta-conformal"])
+def test_verify_floor_above_residue_degree_exits_2(capsys, name):
+    code, out = run(capsys, "verify", name, "--floor", "5")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["witness"].endswith("got 5")
+    assert "floor 6" not in payload["witness"]
+
+
 def test_verify_unread_flags_are_error(capsys):
     code, out = run(capsys, "verify", "eta-coupled", "--dim", "2", "--cutoff", "99")
     assert code == 2

@@ -328,10 +328,7 @@ def test_anomaly_against_lattice_finite_difference():
     numfam = nm.NumericFamily("conformal_dirac", dim, theta=theta, weyl=h)
 
     def traces(t, svals):
-        top = nm.build_operator(numfam, L, t=t)
-        vals, vecs = np.linalg.eigh(top.matrix)
-        w = np.einsum("ij,ij->j", vecs.conj(), loc @ vecs).real
-        return np.array([float((w * np.exp(-s * vals**2)).sum()) for s in svals])
+        return nm.heat_trace_operator(nm.build_operator(numfam, L, t=t), svals, loc)
 
     svals = np.linspace(0.15, 0.45, 13)
     g = (traces(eps, svals) - traces(-eps, svals)) / (2 * eps) - d_a0_sym / svals

@@ -169,7 +169,10 @@ def test_random_hermitian_residual_and_trace():
     mat = (raw + raw.conj().T) / 2
     vals = nm.hermitian_eigenvalues(mat)
     assert abs(vals.sum() - np.trace(mat).real) < 1e-9 * np.abs(np.trace(mat)).max()
-    assert nm.eigen_residual(mat) < 1e-9
+    # every eigenpair solves T v = lam v to 1e-9 relative to ||T||
+    _, vecs = np.linalg.eigh(mat)
+    res = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
+    assert float(np.max(res)) < 1e-9 * float(np.linalg.norm(mat, 2))
 
 
 def test_non_hermitian_rejected():
@@ -340,6 +343,35 @@ def test_heat_trace_rejects_nonpositive_heat_parameter(dim, t):
             nm.heat_trace_operator(top, t, loc)
     with pytest.raises(DomainError, match="heat parameter must be positive"):
         nm.heat_trace_lattice(t, 2, dim)
+
+
+@pytest.mark.parametrize("with_loc", [False, True])
+@pytest.mark.parametrize("dim", [2, 3])  # the SVD route, then the eigh route
+def test_heat_trace_of_many_parameters_takes_one_decomposition(dim, with_loc, monkeypatch):
+    L = 2
+    fam = nm.NumericFamily("conformal_dirac", dim, theta=THETAS[dim], weyl=_weyl(dim))
+    top = nm.build_operator(fam, L, t=0.6)
+    loc = np.kron(nm.multiplication_matrix(_weyl(dim), L, THETAS[dim]), np.eye(2)) if with_loc else None
+    svals = np.linspace(0.15, 0.45, 13)
+    each = [nm.heat_trace_operator(top, s, loc) for s in svals]
+    assert all(type(v) is float for v in each)
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
+        )
+    many = nm.heat_trace_operator(top, svals, loc)
+    assert len(calls) == 1
+    assert isinstance(many, np.ndarray) and many.shape == svals.shape
+    assert np.allclose(many, each, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("t", [np.array([0.2, 0.0]), np.array([0.2, float("nan")]), np.ones((2, 2))])
+def test_heat_trace_rejects_bad_parameter_arrays(t):
+    top = nm.build_operator(nm.NumericFamily("free_dirac", 2), L=2)
+    with pytest.raises(DomainError, match="heat parameter"):
+        nm.heat_trace_operator(top, t)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -669,3 +669,122 @@ def test_star_product_matches_cache_free_reference():
     for left in (sd, random_symbol(rng)):
         got = star_product(left, inv, floor)
         assert got.render() == reference_star_product(left, inv, floor).render()
+
+
+# -- Pauli storage against the entrywise reference ------------------------------------
+
+
+def entry_mul(a, b):
+    """The entrywise 2x2 product, operand order kept: the reference for
+    :meth:`Mat2.mul`, which works on Pauli components."""
+    return tuple(
+        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)) for i in range(2)
+    )
+
+
+def entry_add(a, b):
+    return tuple(tuple(a[i][j] + b[i][j] for j in range(2)) for i in range(2))
+
+
+def entry_render(a):
+    return "[" + ", ".join("[" + ", ".join(v.render() for v in row) + "]" for row in a) + "]"
+
+
+PAULI_LETTERS = (gen("h", 3), gen("A1", 3), Generator("h", (1, 0, 0)))
+
+
+@st.composite
+def entry_rows(draw, cap):
+    """Entry rows over non-commuting words.  A coefficient is an uncapped
+    t-free Gaussian rational or carries t grades up to the example's cap, so
+    one matrix mixes the caps None and ``cap``.  Ties between entries make
+    Pauli components vanish: s = p kills a3, r = q kills a2, q = r = 0 kills
+    a1 and a2."""
+
+    def entry():
+        out = AlgebraElement.zero()
+        for _ in range(draw(st.integers(0, 3))):
+            word = tuple(draw(st.lists(st.sampled_from(PAULI_LETTERS), max_size=2)))
+            re = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+            im = draw(st.integers(-2, 2))
+            if draw(st.booleans()):
+                coeff = ExactScalar.rational(re, im)
+            else:
+                grade = draw(st.integers(0, 2 if cap is None else cap))
+                coeff = ExactScalar({(0, grade): (re, im)}, t_cap=cap)
+            out = out + AlgebraElement({word: coeff})
+        return out
+
+    p, q, r, s = entry(), entry(), entry(), entry()
+    tie = draw(st.sampled_from(("none", "s=p", "r=q", "offdiag=0")))
+    if tie == "s=p":
+        s = p
+    elif tie == "r=q":
+        r = q
+    elif tie == "offdiag=0":
+        q = r = AlgebraElement.zero()
+    return ((p, q), (r, s))
+
+
+@st.composite
+def entry_row_pairs(draw):
+    cap = draw(st.sampled_from((None, 1, 2)))
+    return draw(entry_rows(cap)), draw(entry_rows(cap))
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry_row_pairs())
+def test_pauli_mat2_matches_entrywise_reference(pair):
+    ra, rb = pair
+    a, b = Mat2(ra), Mat2(rb)
+    assert a.e == ra and b.e == rb
+    prod = entry_mul(ra, rb)
+    assert a.mul(b).e == prod
+    assert a.mul(b).render() == entry_render(prod)
+    assert b.mul(a).e == entry_mul(rb, ra)
+    total = entry_add(ra, rb)
+    assert a.add(b).e == total
+    assert a.add(b).render() == entry_render(total)
+    assert a.trace() == ra[0][0] + ra[1][1]
+    assert a.mul(b).trace() == prod[0][0] + prod[1][1]
+    assert a.is_scalar() == all(v.is_scalar() for row in ra for v in row)
+    assert a.mul(b).is_zero() == all(v.is_zero() for row in prod for v in row)
+
+
+def test_pauli_mat2_round_trip_and_components():
+    h = AlgebraElement.generator(gen("h", 3))
+    i_h = h.scale(ExactScalar.rational(0, 1))
+    z = AlgebraElement.zero()
+    rows = ((h, h * h - i_h), (h + i_h, z))
+    assert Mat2(rows).e == rows
+    # sigma_2 = [[0, -i], [i, 0]] is the basis vector a2 = 1
+    assert Mat2(((z, -AlgebraElement.rational(0, 1)), (AlgebraElement.rational(0, 1), z))).a == (
+        z, z, AlgebraElement.unit(), z
+    )
+    for mu in range(1, 4):
+        assert sy._gamma_mat(3, mu).a[mu] == AlgebraElement.unit()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_central_leading_rejects_sigma_part(k):
+    h = AlgebraElement.generator(gen("h", DIM))
+    one = AlgebraElement.unit()
+    z = AlgebraElement.zero()
+    ih = h.scale(ExactScalar.rational(0, 1))
+    rows = {
+        1: ((one, h), (h, one)),
+        2: ((one, -ih), (ih, one)),
+        3: ((one + h, z), (z, one - h)),
+    }[k]
+    mat = Mat2(rows)
+    assert [not v.is_zero() for v in mat.a] == [True] + [j == k for j in (1, 2, 3)]
+    lead = Component(DIM, 2)
+    for i in range(DIM):
+        lead.add_term(tuple(2 if j == i else 0 for j in range(DIM)), 0, mat)
+    with pytest.raises(EllipticityShapeError, match="not a scalar multiple of I"):
+        sy._central_leading(Symbol.make(DIM, [lead]))
+    # the same lead without its sigma part is accepted, with u = a0
+    scalar = Component(DIM, 2)
+    for i in range(DIM):
+        scalar.add_term(tuple(2 if j == i else 0 for j in range(DIM)), 0, Mat2.diag(mat.a[0]))
+    assert sy._central_leading(Symbol.make(DIM, [scalar])) == (2, mat.a[0])
