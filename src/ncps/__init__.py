@@ -8,28 +8,23 @@ numerical half truncates families to Fourier boxes and measures spectra, heat
 traces and spectral flow.
 """
 
-from .scalars import ExactScalar, half_gamma, truncate_t
+from .scalars import ExactScalar, half_gamma
 from .algebra import (
     AlgebraElement,
     Generator,
     TauClass,
-    adjoint,
-    delta_derive,
     exp_expand,
     gen,
-    multiply,
     tau_class,
 )
-from .clifford import GammaMatrix, clifford_word, gamma, matrix_trace
+from .clifford import Mat2, clifford_word, gamma, matrix_trace
 from .symbols import (
     Component,
-    Mat2,
     OperatorFamily,
     Symbol,
     dirac_symbol,
     inverse_abs_symbol,
     invert_symbol,
-    normalize_zero_test,
     sign_symbol,
     sqrt_symbol,
     star_product,

@@ -324,21 +324,6 @@ class AlgebraElement:
         return f"AlgebraElement({self.render()})"
 
 
-# -- module-level operation names ---------------------------------------------
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
-def adjoint(a: AlgebraElement) -> AlgebraElement:
-    return a.adjoint()
-
-
-def delta_derive(mu: int, a: AlgebraElement) -> AlgebraElement:
-    return a.delta(mu)
-
-
 @dataclass(frozen=True, eq=False)
 class TauClass:
     """Trace class of an element.

@@ -23,6 +23,7 @@ from . import heat as ht
 from . import numeric as nm
 from . import symbols as sy
 from .algebra import AlgebraElement, exp_expand, gen
+from .clifford import gamma
 from .scalars import DomainError
 
 CONVENTIONS = {
@@ -122,7 +123,7 @@ def _one_sided_sigma0_comparison(absd: sy.Symbol, t_order: int) -> dict[str, boo
     comp = sy.Component(dim, 0)
     for lam in range(1, dim + 1):
         for mu in range(1, dim + 1):
-            gmat = sy._gamma_mat(dim, lam).mul(sy._gamma_mat(dim, mu))
+            gmat = gamma(dim, lam).mul(gamma(dim, mu))
             c1 = e_3half * e_half.delta(mu) * e_minus
             beta = tuple(1 if i == lam - 1 else 0 for i in range(dim))
             comp.add_term(beta, 1, gmat.map(lambda v, c=c1: c * v).scale_rational(Fraction(1, 2)))
@@ -138,18 +139,15 @@ def _one_sided_sigma0_comparison(absd: sy.Symbol, t_order: int) -> dict[str, boo
 def _check_eta_invariance(cfg: dict) -> tuple[str, str, Optional[str], dict]:
     free = sy.OperatorFamily.free(3)
     conf = sy.OperatorFamily.conformal(3, t_cap=1)
-    direction = fn.conformal_variation_direction(conf)
     # direct path: -Wres(dD |D|^{-1}) with dD = (hD + Dh)/2 at t = 0
-    inv = sy.inverse_abs_symbol(free, floor=-4)
-    prod = sy.star_product(direction, inv, -3)
-    direct = fn.wres(prod, 3)
+    direct = fn.variation_residue(free, fn.conformal_variation_direction(conf))
     # cyclic reduction path: -Wres(h D|D|^{-1})
     h = AlgebraElement.generator(gen("h", 3))
     hsym = sy.Symbol.make(3, [fn._component_of_element(3, h)])
     reduced = fn.wres(sy.star_product(hsym, sy.sign_symbol(free, -3), -3), 3)
     lvl_a, lvl_b = direct.vanishing_level(), reduced.vanishing_level()
     ok = lvl_a != "none" and lvl_b != "none"
-    witness = None if ok else (-direct.tau_value).render()
+    witness = None if ok else direct.tau_value.render()
     details = {"direct_path": lvl_a, "cyclic_path": lvl_b}
     ranking = ("density", "trace", "tau", "none")
     level = max(lvl_a, lvl_b, key=ranking.index)  # report the weaker of the two

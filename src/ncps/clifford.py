@@ -1,92 +1,144 @@
-"""Exact 2x2 matrix model of the gamma algebra in dimensions 2 and 3.
+"""2x2 matrices over the free algebra, and the gamma algebra on them.
 
-The three generators are the Pauli spin matrices; dimension 2 uses the first
-two.  Products and traces are computed with exact complex-rational entries, so
-the anticommutation relation and the trace identities (vanishing single-gamma
-trace, Levi-Civita three-gamma trace) hold as matrix identities rather than
-rewrite rules.
+:class:`Mat2` is the one 2x2 type of the package: the symbol calculus of
+:mod:`ncps.symbols` (which held it before) stores every matrix coefficient in
+it, and the gamma algebra here is built on the same type.  The generators in
+dimensions 2 and 3 are the Pauli matrices, ``gamma_mu = sigma_mu``: the Pauli
+component ``a_mu`` is 1 and the others vanish.  Products and traces are exact,
+so the anticommutation relation and the trace identities (vanishing
+single-gamma trace, Levi-Civita three-gamma trace) hold as matrix identities
+rather than rewrite rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .scalars import DomainError, ExactScalar
-
-N = 2  # spinor dimension in torus dimensions 2 and 3
-
-_Z = Fraction(0)
-_ONE = Fraction(1)
-
-# entries as (re, im) pairs
-_PAULI = {
-    1: (((_Z, _Z), (_ONE, _Z)), ((_ONE, _Z), (_Z, _Z))),
-    2: (((_Z, _Z), (_Z, -_ONE)), ((_Z, _ONE), (_Z, _Z))),
-    3: (((_ONE, _Z), (_Z, _Z)), ((_Z, _Z), (-_ONE, _Z))),
-}
+from .algebra import AlgebraElement
+from .scalars import DomainError, ExactScalar, RationalLike
 
 
-@dataclass(frozen=True)
-class GammaMatrix:
-    """Exact 2x2 complex-rational matrix tagged with the word that produced it."""
+# -- 2x2 matrices over the free algebra ------------------------------------------
 
-    dim: int
-    entries: tuple[tuple[ExactScalar, ...], ...]
-    word: tuple[int, ...] = field(default=(), compare=False)
 
-    def mul(self, other: "GammaMatrix") -> "GammaMatrix":
-        if self.dim != other.dim:
-            raise DomainError("gamma matrices from different dimensions")
-        e = tuple(
-            tuple(
-                sum(
-                    (self.entries[i][k] * other.entries[k][j] for k in range(N)),
-                    ExactScalar.zero(),
-                )
-                for j in range(N)
-            )
-            for i in range(N)
+def _times_i(x: AlgebraElement) -> AlgebraElement:
+    """``i x``: each coefficient triple ``(re, im, den)`` becomes the triple
+    ``(-im, re, den)``, canonical again, so no scalar is multiplied."""
+    return AlgebraElement._raw({
+        w: ExactScalar._raw({k: (-im, re, den) for k, (re, im, den) in s._terms.items()}, s.t_cap)
+        for w, s in x._terms.items()
+    })
+
+
+class Mat2:
+    """2x2 matrix over the free algebra in the Pauli basis: components
+    ``a = (a0, a1, a2, a3)`` of ``a0 1 + sum_k a_k sigma_k``.  ``Mat2(rows)``
+    converts entry rows ``((p, q), (r, s))`` once: ``a0, a3 = (p +- s)/2``,
+    ``a1 = (q + r)/2``, ``a2 = i (q - r)/2``.  :attr:`e` is the entry view
+    ``[[a0 + a3, a1 - i a2], [a1 + i a2, a0 - a3]]`` that ``render`` prints.
+    Sums meet at the smaller t cap, so entries round-trip exactly when their
+    t-graded coefficients share one cap, as those of every family do; rows
+    that would lose a grade in the conversion raise :class:`DomainError`.
+    The product keeps operand order, since entries do not commute:
+
+        c0  = a0 b0 + sum_k a_k b_k
+        c_k = a0 b_k + a_k b0 + i (a_i b_j - a_j b_i),   (i, j, k) cyclic
+
+    Each component sits in two entries, so this is half the word-pair work of
+    the entrywise product.  The trace is ``2 a0``.  The rest acts on each
+    component: scalars and algebra elements commute with sigma_k, and every
+    :meth:`map` (``delta``, ``t_grade``, ``filter_base_degree``, left
+    multiplication) is complex-linear, so it commutes with the change of basis."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, rows: tuple[tuple[AlgebraElement, AlgebraElement], ...]):
+        (p, q), (r, s) = rows
+        pauli = (p + s, q + r, _times_i(q - r), p - s)
+        self.a = tuple(v.scale_rational(Fraction(1, 2)) for v in pauli)
+        if self.e != ((p, q), (r, s)):
+            raise DomainError("Mat2 entries mix t caps; the Pauli components drop grades")
+
+    @classmethod
+    def _of(cls, *a: AlgebraElement) -> "Mat2":
+        """Trusted constructor from the four Pauli components."""
+        out = object.__new__(cls)
+        out.a = a
+        return out
+
+    @classmethod
+    def zero(cls) -> "Mat2":
+        return cls.diag(AlgebraElement.zero())
+
+    @classmethod
+    def diag(cls, a: AlgebraElement) -> "Mat2":
+        z = AlgebraElement.zero()
+        return cls._of(a, z, z, z)
+
+    @property
+    def e(self) -> tuple[tuple[AlgebraElement, AlgebraElement], ...]:
+        a0, a1, a2, a3 = self.a
+        ia2 = _times_i(a2)
+        return ((a0 + a3, a1 - ia2), (a1 + ia2, a0 - a3))
+
+    def add(self, other: "Mat2") -> "Mat2":
+        return Mat2._of(*(x + y for x, y in zip(self.a, other.a)))
+
+    def neg(self) -> "Mat2":
+        return Mat2._of(*(-v for v in self.a))
+
+    def mul(self, other: "Mat2") -> "Mat2":
+        a0, a1, a2, a3 = self.a
+        b0, b1, b2, b3 = other.a
+        return Mat2._of(
+            a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3,
+            a0 * b1 + a1 * b0 + _times_i(a2 * b3 - a3 * b2),
+            a0 * b2 + a2 * b0 + _times_i(a3 * b1 - a1 * b3),
+            a0 * b3 + a3 * b0 + _times_i(a1 * b2 - a2 * b1),
         )
-        return GammaMatrix(self.dim, e, self.word + other.word)
 
-    def trace(self) -> ExactScalar:
-        return self.entries[0][0] + self.entries[1][1]
+    def lmul(self, c: AlgebraElement) -> "Mat2":
+        return Mat2._of(*(c * v for v in self.a))
 
-    def scale(self, s: ExactScalar) -> "GammaMatrix":
-        return GammaMatrix(
-            self.dim,
-            tuple(tuple(v * s for v in row) for row in self.entries),
-            self.word,
-        )
+    def rmul(self, c: AlgebraElement) -> "Mat2":
+        return Mat2._of(*(v * c for v in self.a))
 
-    def add(self, other: "GammaMatrix") -> "GammaMatrix":
-        return GammaMatrix(
-            self.dim,
-            tuple(
-                tuple(self.entries[i][j] + other.entries[i][j] for j in range(N))
-                for i in range(N)
-            ),
-            (),
-        )
+    def scale(self, s: ExactScalar) -> "Mat2":
+        return Mat2._of(*(v.scale(s) for v in self.a))
+
+    def scale_rational(self, q: RationalLike) -> "Mat2":
+        return Mat2._of(*(v.scale_rational(q) for v in self.a))
+
+    def map(self, fn: Callable[[AlgebraElement], AlgebraElement]) -> "Mat2":
+        """``fn`` on each component; ``fn`` must be complex-linear."""
+        return Mat2._of(*(fn(v) for v in self.a))
+
+    def trace(self) -> AlgebraElement:
+        return self.a[0].scale_rational(2)
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for row in self.entries for v in row)
+        return all(v.is_zero() for v in self.a)
 
-    def __repr__(self) -> str:
-        if self.word:
-            return "G[" + ",".join(map(str, self.word)) + "]"
+    def is_scalar(self) -> bool:
+        """All entries are scalar multiples of the algebra unit."""
+        return all(v.is_scalar() for v in self.a)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        return self.a == other.a
+
+    def render(self) -> str:
         rows = ", ".join(
-            "[" + ", ".join(v.render() for v in row) + "]" for row in self.entries
+            "[" + ", ".join(v.render() for v in row) + "]" for row in self.e
         )
         return f"[{rows}]"
 
+    __repr__ = render
 
-def identity(dim: int) -> GammaMatrix:
-    check_dim(dim)
-    one, zero = ExactScalar.one(), ExactScalar.zero()
-    return GammaMatrix(dim, ((one, zero), (zero, one)))
+
+# -- the gamma algebra ------------------------------------------------------------
 
 
 def check_dim(dim: int) -> None:
@@ -94,27 +146,26 @@ def check_dim(dim: int) -> None:
         raise DomainError("gamma algebra is modeled in dimensions 2 and 3")
 
 
-def gamma(dim: int, mu: int) -> GammaMatrix:
-    """The ``mu``-th generator in the fixed Pauli representation."""
+def gamma(dim: int, mu: int) -> Mat2:
+    """The ``mu``-th generator, ``sigma_mu``: Pauli component ``a_mu = 1``."""
     check_dim(dim)
     if not 1 <= mu <= dim:
         raise DomainError(f"gamma index {mu} out of range for dimension {dim}")
-    raw = _PAULI[mu]
-    e = tuple(
-        tuple(ExactScalar.rational(re, im) for (re, im) in row) for row in raw
-    )
-    return GammaMatrix(dim, e, (mu,))
+    a = [AlgebraElement.zero()] * 4
+    a[mu] = AlgebraElement.unit()
+    return Mat2._of(*a)
 
 
-def clifford_word(dim: int, indices: Sequence[int]) -> GammaMatrix:
+def clifford_word(dim: int, indices: Sequence[int]) -> Mat2:
     """Exact product of generators; the empty word is the identity."""
-    out = identity(dim)
+    check_dim(dim)
+    out = Mat2.diag(AlgebraElement.unit())
     for mu in indices:
         out = out.mul(gamma(dim, mu))
     return out
 
 
-def matrix_trace(g: GammaMatrix) -> ExactScalar:
+def matrix_trace(g: Mat2) -> AlgebraElement:
     return g.trace()
 
 

@@ -150,18 +150,20 @@ def laurent_residue(a: Symbol, q: int, n: int) -> TauClass:
     return tau_class(density.traced.scale_rational(Fraction(1, q)))
 
 
-def variation_residue(f: OperatorFamily, direction: Symbol, floor: Optional[int] = None) -> TauClass:
+def variation_residue(
+    f: OperatorFamily, direction: Symbol, floor: Optional[int] = None
+) -> ResidueDensity:
     """First variation of the eta value at zero along ``direction``.
 
-    Returns ``-Wres(direction * |D_f|^{-1})`` as a trace class.  The direction
-    is the symbol of the derivative of the family, of order at most one.
+    Returns the residue density of ``-Wres(direction * |D_f|^{-1})``, with its
+    three vanishing levels.  The direction is the symbol of the derivative of
+    the family, of order at most one.
     """
     n = f.dim
     if direction.components and direction.order > 1:
         raise DomainError("variation direction must have order <= 1")
     inv = inverse_abs_symbol(f, floor=-n - 1 if floor is None else floor)
-    prod = star_product(direction, inv, -n)
-    return tau_class(-wres(prod, n).traced)
+    return wres(star_product(direction.neg(), inv, -n), n)
 
 
 def conformal_variation_direction(f: OperatorFamily) -> Symbol:

@@ -275,12 +275,6 @@ def mellin_inverse_power(sd2: Symbol, floor: int) -> Symbol:
     return Symbol.make(sd2.dim, comps, floor)
 
 
-def resolvent_at_zero(sd2: Symbol, floor: int) -> Symbol:
-    """Expansion of the inverse of an order-2 family, the resolvent at
-    ``lambda = 0``: the symbol inverse itself."""
-    return invert_symbol(sd2, floor)
-
-
 # -- localized densities ----------------------------------------------------------
 
 

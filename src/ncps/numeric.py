@@ -138,7 +138,7 @@ def mode_box(L: int, dim: int) -> list[tuple[int, ...]]:
 def gamma_num(dim: int, mu: int) -> np.ndarray:
     """Read-only complex array of :func:`ncps.clifford.gamma`."""
     g = clifford.gamma(dim, mu)
-    out = np.array([[v.to_complex() for v in row] for row in g.entries])
+    out = np.array([[v.unit_coefficient().to_complex() for v in row] for row in g.e])
     out.flags.writeable = False
     return out
 

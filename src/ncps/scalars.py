@@ -268,6 +268,7 @@ class ExactScalar:
         )
 
     def truncate_t(self, m: int) -> "ExactScalar":
+        """Drop all grades above ``m``; the cap becomes ``min(t_cap, m)``."""
         if m < 0:
             raise DomainError("truncation order must be >= 0")
         cap = m if self.t_cap is None else min(self.t_cap, m)
@@ -356,8 +357,3 @@ def half_gamma(x: RationalLike) -> ExactScalar:
         raise DomainError(f"half_gamma is defined for positive half-integers, got {x}")
     coeff, p = gamma_half_pair(int(2 * x))
     return ExactScalar.pi_half(p, coeff)
-
-
-def truncate_t(s: ExactScalar, m: int) -> ExactScalar:
-    """Drop all grades above ``m`` and pin the cap there."""
-    return s.truncate_t(m)

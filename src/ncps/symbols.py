@@ -6,12 +6,12 @@ sum of terms
     C * xi^beta * (xi^2)^{-m/2}
 
 with ``C`` a 2x2 matrix over the free algebra, ``beta`` a monomial multi-index
-and ``m >= 0``.  ``C`` is a :class:`Mat2`, held in the Pauli basis
-``a0 1 + sum_k a_k sigma_k`` with the product ``c0 = a0 b0 + sum_k a_k b_k``,
-``c_k = a0 b_k + a_k b0 + i (a_i b_j - a_j b_i)`` for ``(i, j, k)`` cyclic; its
-entries are a view for rendering, and coefficient maps, all complex-linear,
-act on each component.  The degree of a term is ``|beta| - m``.  Components
-carry an exact zero test: each term is rewritten on its own by
+and ``m >= 0``.  ``C`` is a :class:`ncps.clifford.Mat2`, held in the Pauli
+basis ``a0 1 + sum_k a_k sigma_k``; the type moved from here to
+:mod:`ncps.clifford`, where the gamma generators of :func:`dirac_symbol` are
+built on it, and is re-exported here.  Coefficient maps, all complex-linear,
+act on each Pauli component.  The degree of a term is ``|beta| - m``.
+Components carry an exact zero test: each term is rewritten on its own by
 ``xi_1^2 = xi^2 - sum_{i>=2} xi_i^2`` until every term with ``m >= 2`` has
 ``beta_1 < 2``.  That form is unique, since ``xi^2`` is monic in ``xi_1^2``:
 over a common denominator it is the expansion of the numerator in powers of
@@ -49,6 +49,7 @@ from .algebra import (
     invert_perturbed_unit,
     sqrt_perturbed_unit,
 )
+from .clifford import Mat2, gamma
 from .scalars import DomainError, ExactScalar, RationalLike
 
 
@@ -62,122 +63,6 @@ class InsufficientFloorError(ValueError):
 
 class FamilyError(ValueError):
     """Malformed operator-family description."""
-
-
-# -- 2x2 matrices over the free algebra ------------------------------------------
-
-
-def _times_i(x: AlgebraElement) -> AlgebraElement:
-    """``i x``: each coefficient triple ``(re, im, den)`` becomes the triple
-    ``(-im, re, den)``, canonical again, so no scalar is multiplied."""
-    return AlgebraElement._raw({
-        w: ExactScalar._raw({k: (-im, re, den) for k, (re, im, den) in s._terms.items()}, s.t_cap)
-        for w, s in x._terms.items()
-    })
-
-
-class Mat2:
-    """2x2 matrix over the free algebra in the Pauli basis: components
-    ``a = (a0, a1, a2, a3)`` of ``a0 1 + sum_k a_k sigma_k``.  ``Mat2(rows)``
-    converts entry rows ``((p, q), (r, s))`` once: ``a0, a3 = (p +- s)/2``,
-    ``a1 = (q + r)/2``, ``a2 = i (q - r)/2``.  :attr:`e` is the entry view
-    ``[[a0 + a3, a1 - i a2], [a1 + i a2, a0 - a3]]`` that ``render`` prints.
-    Sums meet at the smaller t cap, so entries round-trip exactly when their
-    t-graded coefficients share one cap, as those of every family do.
-    The product keeps operand order, since entries do not commute:
-
-        c0  = a0 b0 + sum_k a_k b_k
-        c_k = a0 b_k + a_k b0 + i (a_i b_j - a_j b_i),   (i, j, k) cyclic
-
-    Each component sits in two entries, so this is half the word-pair work of
-    the entrywise product.  The trace is ``2 a0``.  The rest acts on each
-    component: scalars and algebra elements commute with sigma_k, and every
-    :meth:`map` (``delta``, ``t_grade``, ``filter_base_degree``, left
-    multiplication) is complex-linear, so it commutes with the change of basis."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, rows: tuple[tuple[AlgebraElement, AlgebraElement], ...]):
-        (p, q), (r, s) = rows
-        pauli = (p + s, q + r, _times_i(q - r), p - s)
-        self.a = tuple(v.scale_rational(Fraction(1, 2)) for v in pauli)
-
-    @classmethod
-    def _of(cls, *a: AlgebraElement) -> "Mat2":
-        """Trusted constructor from the four Pauli components."""
-        out = object.__new__(cls)
-        out.a = a
-        return out
-
-    @classmethod
-    def zero(cls) -> "Mat2":
-        return cls.diag(AlgebraElement.zero())
-
-    @classmethod
-    def diag(cls, a: AlgebraElement) -> "Mat2":
-        z = AlgebraElement.zero()
-        return cls._of(a, z, z, z)
-
-    @property
-    def e(self) -> tuple[tuple[AlgebraElement, AlgebraElement], ...]:
-        a0, a1, a2, a3 = self.a
-        ia2 = _times_i(a2)
-        return ((a0 + a3, a1 - ia2), (a1 + ia2, a0 - a3))
-
-    def add(self, other: "Mat2") -> "Mat2":
-        return Mat2._of(*(x + y for x, y in zip(self.a, other.a)))
-
-    def neg(self) -> "Mat2":
-        return Mat2._of(*(-v for v in self.a))
-
-    def mul(self, other: "Mat2") -> "Mat2":
-        a0, a1, a2, a3 = self.a
-        b0, b1, b2, b3 = other.a
-        return Mat2._of(
-            a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3,
-            a0 * b1 + a1 * b0 + _times_i(a2 * b3 - a3 * b2),
-            a0 * b2 + a2 * b0 + _times_i(a3 * b1 - a1 * b3),
-            a0 * b3 + a3 * b0 + _times_i(a1 * b2 - a2 * b1),
-        )
-
-    def lmul(self, c: AlgebraElement) -> "Mat2":
-        return Mat2._of(*(c * v for v in self.a))
-
-    def rmul(self, c: AlgebraElement) -> "Mat2":
-        return Mat2._of(*(v * c for v in self.a))
-
-    def scale(self, s: ExactScalar) -> "Mat2":
-        return Mat2._of(*(v.scale(s) for v in self.a))
-
-    def scale_rational(self, q: RationalLike) -> "Mat2":
-        return Mat2._of(*(v.scale_rational(q) for v in self.a))
-
-    def map(self, fn: Callable[[AlgebraElement], AlgebraElement]) -> "Mat2":
-        """``fn`` on each component; ``fn`` must be complex-linear."""
-        return Mat2._of(*(fn(v) for v in self.a))
-
-    def trace(self) -> AlgebraElement:
-        return self.a[0].scale_rational(2)
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.a)
-
-    def is_scalar(self) -> bool:
-        """All entries are scalar multiples of the algebra unit."""
-        return all(v.is_scalar() for v in self.a)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return self.a == other.a
-
-    def render(self) -> str:
-        rows = ", ".join(
-            "[" + ", ".join(v.render() for v in row) + "]" for row in self.e
-        )
-        return f"[{rows}]"
-
-    __repr__ = render
 
 
 # -- multi-index helpers ----------------------------------------------------------
@@ -457,11 +342,6 @@ def _normal_form(beta: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...], 
         for key_b, key_m, c in _normal_form(b, mm):
             acc[(key_b, key_m)] = acc.get((key_b, key_m), 0) + sign * c
     return tuple((b, mm, c) for (b, mm), c in acc.items() if c)
-
-
-def normalize_zero_test(c: Component) -> bool:
-    """True iff the component represents the zero function away from xi = 0."""
-    return c.reduced().is_empty()
 
 
 # -- symbols ---------------------------------------------------------------------
@@ -900,18 +780,11 @@ class OperatorFamily:
         return out
 
 
-def _gamma_mat(dim: int, mu: int) -> Mat2:
-    """``gamma^mu = sigma_mu``, as in :mod:`ncps.clifford`."""
-    a = [AlgebraElement.zero()] * 4
-    a[mu] = AlgebraElement.unit()
-    return Mat2._of(*a)
-
-
 def _slash_component(dim: int, coeffs: list[AlgebraElement]) -> Component:
     """Degree-0 component ``sum_mu coeffs[mu] (x) gamma^mu``."""
     comp = Component(dim, 0)
     for mu, c in enumerate(coeffs, start=1):
-        comp.add_term((0,) * dim, 0, _gamma_mat(dim, mu).map(lambda v, c=c: c * v))
+        comp.add_term((0,) * dim, 0, gamma(dim, mu).map(lambda v, c=c: c * v))
     return comp
 
 
@@ -919,7 +792,7 @@ def _xi_slash(dim: int) -> Component:
     comp = Component(dim, 1)
     for mu in range(1, dim + 1):
         beta = tuple(1 if i == mu - 1 else 0 for i in range(dim))
-        comp.add_term(beta, 0, _gamma_mat(dim, mu))
+        comp.add_term(beta, 0, gamma(dim, mu))
     return comp
 
 

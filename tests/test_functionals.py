@@ -169,6 +169,21 @@ def test_variation_residue_zero_direction():
     ).is_zero()
 
 
+def test_variation_residue_is_minus_the_residue_of_the_product():
+    # the gauge direction gamma^mu dA_mu of a coupled family, where the
+    # variation is the induced Chern-Simons density with the opposite sign
+    fam = OperatorFamily.coupled(3)
+    coeffs = [AlgebraElement.generator(gen(f"dA{m}", DIM)) for m in range(1, DIM + 1)]
+    direction = Symbol.make(DIM, [sy._slash_component(DIM, coeffs)])
+    got = fn.variation_residue(fam, direction)
+    inv = sy.inverse_abs_symbol(fam, floor=-4)
+    plain = fn.wres(star_product(direction, inv, -3), 3)
+    assert got.value == plain.value.neg()
+    assert got.traced == -plain.traced
+    assert got.vanishing_level() == "none"
+    assert (got.tau_value + fn.induced_cs_density(fam)).is_zero()
+
+
 def test_residue_trace_property_random():
     import sys
     from pathlib import Path

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncps.scalars import DomainError, ExactScalar, half_gamma, truncate_t
+from ncps.scalars import DomainError, ExactScalar, half_gamma
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=12
@@ -64,9 +64,9 @@ def test_truncate_examples():
         + ExactScalar.t_power(1)
         + ExactScalar.t_power(2)
     )
-    assert truncate_t(s, 1) == ExactScalar.one() + ExactScalar.t_power(1)
-    assert truncate_t(ExactScalar.pi_half(2) * ExactScalar.t_power(3), 2).is_zero()
-    assert truncate_t(ExactScalar.rational(Fraction(3, 4)), 0) == ExactScalar.rational(
+    assert s.truncate_t(1) == ExactScalar.one() + ExactScalar.t_power(1)
+    assert (ExactScalar.pi_half(2) * ExactScalar.t_power(3)).truncate_t(2).is_zero()
+    assert ExactScalar.rational(Fraction(3, 4)).truncate_t(0) == ExactScalar.rational(
         Fraction(3, 4)
     )
 
@@ -83,8 +83,8 @@ def test_ring_axioms(a, b, c):
 @given(scalars(), scalars(), st.integers(0, 3))
 @settings(max_examples=150)
 def test_truncation_consistency(a, b, m):
-    full = truncate_t(a * b, m)
-    stepped = truncate_t(truncate_t(a, m) * truncate_t(b, m), m)
+    full = (a * b).truncate_t(m)
+    stepped = (a.truncate_t(m) * b.truncate_t(m)).truncate_t(m)
     assert full == stepped
 
 

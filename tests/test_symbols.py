@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ncps import symbols as sy
 from ncps.algebra import AlgebraElement, Generator, exp_expand, gen
-from ncps.scalars import ExactScalar
+from ncps.scalars import DomainError, ExactScalar
 from ncps.symbols import (
     Component,
     EllipticityShapeError,
@@ -20,7 +20,6 @@ from ncps.symbols import (
     Symbol,
     dirac_symbol,
     invert_symbol,
-    normalize_zero_test,
     sign_symbol,
     sqrt_symbol,
     star_product,
@@ -55,13 +54,13 @@ def test_zero_test_xi2_identity():
         beta = tuple(2 if j == i else 0 for j in range(DIM))
         c.add_term(beta, 3, unit_mat())
     c.add_term((0, 0, 0), 1, unit_mat(-1))
-    assert normalize_zero_test(c)
+    assert c.reduced().is_empty()
 
 
 def test_zero_test_odd_function():
     c = Component(DIM, 0)
     c.add_term((1, 0, 0), 1, unit_mat())
-    assert not normalize_zero_test(c)
+    assert not c.reduced().is_empty()
 
 
 def test_zero_test_no_free_commutation():
@@ -69,7 +68,7 @@ def test_zero_test_no_free_commutation():
     d1h = h.delta(1)
     c = Component(DIM, 1)
     c.add_term((1, 0, 0), 0, elem_mat(h * d1h - d1h * h))
-    assert not normalize_zero_test(c)
+    assert not c.reduced().is_empty()
 
 
 def test_reduction_is_canonical():
@@ -233,7 +232,7 @@ def test_star_coupled_square_parts():
     expect0 = Component(DIM, 0)
     for mu in range(1, DIM + 1):
         for lam in range(1, DIM + 1):
-            gmat = sy._gamma_mat(DIM, mu).mul(sy._gamma_mat(DIM, lam))
+            gmat = sy.gamma(DIM, mu).mul(sy.gamma(DIM, lam))
             c = A[lam - 1].delta(mu) + A[mu - 1] * A[lam - 1]
             expect0.add_term((0,) * DIM, 0, gmat.map(lambda v, c=c: c * v))
     assert sd2.component(0).equals(expect0)
@@ -282,13 +281,13 @@ def test_conformal_symbol_first_order():
     expect1 = Component(DIM, 1)
     for mu in range(1, DIM + 1):
         beta = tuple(1 if i == mu - 1 else 0 for i in range(DIM))
-        expect1.add_term(beta, 0, sy._gamma_mat(DIM, mu).map(lambda v, c=one_plus_th: c * v))
+        expect1.add_term(beta, 0, sy.gamma(DIM, mu).map(lambda v, c=one_plus_th: c * v))
     assert sd.component(1).equals(expect1)
     expect0 = Component(DIM, 0)
     half = ExactScalar.t_power(1, Fraction(1, 2), t_cap=1)
     for mu in range(1, DIM + 1):
         dmu = AlgebraElement.generator(h).delta(mu).scale(half)
-        expect0.add_term((0,) * DIM, 0, sy._gamma_mat(DIM, mu).map(lambda v, c=dmu: c * v))
+        expect0.add_term((0,) * DIM, 0, sy.gamma(DIM, mu).map(lambda v, c=dmu: c * v))
     assert sd.component(0).equals(expect0)
 
 
@@ -302,9 +301,9 @@ def test_conformal_symbol_matches_expansion_oracle():
     deg0 = Component(DIM, 0)
     for mu in range(1, DIM + 1):
         beta = tuple(1 if i == mu - 1 else 0 for i in range(DIM))
-        deg1.add_term(beta, 0, sy._gamma_mat(DIM, mu).map(lambda v, c=eth: c * v))
+        deg1.add_term(beta, 0, sy.gamma(DIM, mu).map(lambda v, c=eth: c * v))
         c0 = ehalf * ehalf.delta(mu)
-        deg0.add_term((0,) * DIM, 0, sy._gamma_mat(DIM, mu).map(lambda v, c=c0: c * v))
+        deg0.add_term((0,) * DIM, 0, sy.gamma(DIM, mu).map(lambda v, c=c0: c * v))
     assert sd.equals(Symbol.make(DIM, [deg1, deg0]))
 
 
@@ -313,7 +312,7 @@ def test_unitary_flow_symbol():
     sd, _ = dirac_symbol(fam)
     free, _ = dirac_symbol(OperatorFamily.free(DIM))
     shift = Component(DIM, 0)
-    shift.add_term((0,) * DIM, 0, sy._gamma_mat(DIM, 1).scale_rational(Fraction(1, 2)))
+    shift.add_term((0,) * DIM, 0, sy.gamma(DIM, 1).scale_rational(Fraction(1, 2)))
     assert sd.equals(free.add(Symbol.make(DIM, [shift])))
 
 
@@ -476,7 +475,7 @@ def _const_slash(t, k):
         if k[mu - 1]:
             comp.add_term(
                 (0,) * DIM, 0,
-                sy._gamma_mat(DIM, mu).scale_rational(Fraction(t) * k[mu - 1]),
+                sy.gamma(DIM, mu).scale_rational(Fraction(t) * k[mu - 1]),
             )
     return comp
 
@@ -762,7 +761,23 @@ def test_pauli_mat2_round_trip_and_components():
         z, z, AlgebraElement.unit(), z
     )
     for mu in range(1, 4):
-        assert sy._gamma_mat(3, mu).a[mu] == AlgebraElement.unit()
+        assert sy.gamma(3, mu).a[mu] == AlgebraElement.unit()
+
+
+def test_mat2_rows_with_mixed_t_caps_are_rejected():
+    # p = t^2 uncapped and s = t at cap 1: the sums p +- s meet at cap 1 and
+    # drop the t^2, so the Pauli components cannot give the entries back
+    z = AlgebraElement.zero()
+    p = AlgebraElement.scalar(ExactScalar.t_power(2))
+    s = AlgebraElement.scalar(ExactScalar.t_power(1, t_cap=1))
+    with pytest.raises(DomainError, match="mix t caps"):
+        Mat2(((p, z), (z, s)))
+    with pytest.raises(DomainError, match="mix t caps"):
+        Mat2(((z, p), (s, z)))
+    # one cap, or an uncapped t-free entry beside a capped one, round-trips
+    one = AlgebraElement.unit()
+    assert Mat2(((p, z), (z, p * p))).e == ((p, z), (z, p * p))
+    assert Mat2(((one, s), (z, s))).e == ((one, s), (z, s))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
