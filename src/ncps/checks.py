@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import functionals as fn
 from . import heat as ht
 from . import numeric as nm
@@ -79,6 +77,20 @@ def _residue_floor(cfg: dict) -> int:
     return floor
 
 
+MAX_T_ORDER = 6
+
+
+def _t_order(cfg: dict, default: int) -> int:
+    """The configured deformation grade, bounded before any symbol is built."""
+    t_order = int(cfg.get("t_order", default))
+    if t_order > MAX_T_ORDER:
+        raise DomainError(
+            f"t_order must be <= {MAX_T_ORDER} (the cost grows about fivefold "
+            f"per grade), got {t_order}"
+        )
+    return t_order
+
+
 def _check_eta_coupled(cfg: dict) -> tuple[str, str, Optional[str], dict]:
     floor = _residue_floor(cfg)
     fam = sy.OperatorFamily.coupled(3)
@@ -92,7 +104,7 @@ def _check_eta_coupled(cfg: dict) -> tuple[str, str, Optional[str], dict]:
 
 
 def _check_eta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    t_order = int(cfg.get("t_order", 2))
+    t_order = _t_order(cfg, 2)
     floor = _residue_floor(cfg)
     fam = sy.OperatorFamily.conformal(3, t_cap=t_order)
     _sd, sd2 = sy.dirac_symbol(fam)
@@ -155,7 +167,7 @@ def _check_eta_invariance(cfg: dict) -> tuple[str, str, Optional[str], dict]:
 
 
 def _check_zeta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    t_order = int(cfg.get("t_order", 2))
+    t_order = _t_order(cfg, 2)
     details = {}
     witness = None
     ok = True
@@ -177,7 +189,7 @@ def _check_zeta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
 
 
 def _check_res_heat(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    t_order = int(cfg.get("t_order", 1))
+    t_order = _t_order(cfg, 1)
     details = {}
     ok = True
     witness = None
@@ -239,14 +251,7 @@ def _check_flow_index(cfg: dict) -> tuple[str, str, Optional[str], dict]:
     grid_n = int(cfg.get("grid", 101))
     cutoff = int(cfg.get("cutoff", 6))
     dim = int(cfg.get("dim", 3))
-    # cutoff 0 keeps only the zero mode, whose one crossing reads as flow -1
-    if cutoff < 1:
-        raise DomainError(f"cutoff must be >= 1 (mode box |k|_inf <= cutoff), got {cutoff}")
-    if grid_n < 2:
-        raise DomainError(f"grid must be >= 2 points on [0, 1], got {grid_n}")
-    if len(u) != dim:
-        raise DomainError(f"lattice vector u has {len(u)} entries but dim is {dim}")
-    grid = np.linspace(0.0, 1.0, grid_n)
+    grid = nm.flow_grid(grid_n)
     spectra = nm.unitary_flow_spectra(u, grid, cutoff, dim)
     flow = nm.spectral_flow(spectra, kernel_shift=float(cfg.get("kernel_shift", 1e-9)))
     ok = flow == 0

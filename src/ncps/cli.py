@@ -16,8 +16,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import functionals as fn
 from . import heat as ht
 from . import numeric as nm
@@ -190,7 +188,7 @@ def _cmd_num_flow(args: argparse.Namespace) -> int:
     theta = None
     if args.theta:
         theta = nm.theta_matrix(json.loads(Path(args.theta).read_text(encoding="utf-8")))
-    grid = np.linspace(0.0, 1.0, args.grid)
+    grid = nm.flow_grid(args.grid)
     spectra = nm.unitary_flow_spectra(u, grid, args.cutoff, args.dim)
     flow = nm.spectral_flow(spectra, kernel_shift=args.kernel_shift)
     payload = {
@@ -308,8 +306,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.fn(args)
     except (DomainError, sy.FamilyError, sy.InsufficientFloorError,
-            sy.EllipticityShapeError, FileNotFoundError, KeyError,
-            json.JSONDecodeError, ValueError) as exc:
+            sy.EllipticityShapeError, nm.GridTooCoarseError, nm.ZeroEigenvalueError,
+            FileNotFoundError, KeyError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,10 @@ read off one ``N x N`` SVD of its off-diagonal block ``X = U S V^*``: the
 weights ``u_j^* a_00 u_j + v_j^* a_11 v_j`` come from BLAS products with the
 diagonal spinor blocks of ``a``.  Any other operator is diagonalized whole,
 and eigenvector ``v_j`` is weighed by ``v_j^* a v_j``, read off one BLAS
-product ``a V`` and a row-wise dot.
+product ``a V`` and a row-wise dot.  The commutator-shift family is diagonal
+over modes, and its spectra along a flow grid are read off each Hermitian 2x2
+mode block ``[[a, b], [conj(b), d]]`` in closed form,
+``(a + d) / 2 +- hypot((a - d) / 2, |b|)``, one grid point at a time.
 
 Also hosts the numeric evaluator for formal trace classes: words in derived
 generators are mapped to twisted convolutions of concrete Fourier data and the
@@ -381,8 +384,10 @@ def spectral_flow(
     the shift of zero are counted as positive (the kernel-projection
     convention for families that touch zero at the ends); with a zero shift an
     exact zero anywhere raises, and a step whose operator movement could hide
-    a double crossing raises.
+    a double crossing raises.  A negative or NaN shift is rejected.
     """
+    if not kernel_shift >= 0.0:
+        raise DomainError(f"kernel shift must be >= 0, got {kernel_shift}")
     if len(spectra) < 2:
         raise DomainError("need at least two grid points")
     arrs = [np.sort(np.asarray(s, dtype=float)) for s in spectra]
@@ -428,26 +433,44 @@ def _zero_window(vals: np.ndarray) -> float:
     return float(pos.min() - neg.max())
 
 
+def flow_grid(n: int) -> np.ndarray:
+    """``n >= 2`` equally spaced parameters on the unit interval."""
+    if n < 2:
+        raise DomainError(f"grid must be >= 2 points on [0, 1], got {n}")
+    return np.linspace(0.0, 1.0, n)
+
+
 def unitary_flow_spectra(
     k: Sequence[int],
     grid: Sequence[float],
     L: int,
     dim: int,
 ) -> list[np.ndarray]:
-    """Spectra of the commutator-shift family along the grid.
+    """Sorted spectra of the commutator-shift family along the grid.
 
-    The family is block-diagonal over modes (the shift is a constant matrix),
-    so each grid point diagonalizes as a stack of 2x2 blocks.
+    The shift is a constant matrix, so the member at ``t`` is block-diagonal
+    over modes: mode ``n`` carries the Hermitian 2x2 block
+    ``sum_mu (n_mu + t k_mu) gamma_mu = [[a, b], [conj(b), d]]``, whose
+    eigenvalues are ``(a + d) / 2 +- hypot((a - d) / 2, |b|)``.  ``a``, ``b``
+    and ``d`` are read off :func:`gamma_num`, and the grid is taken one point
+    at a time, so no eigensolver runs and no array spans the grid.
     """
+    # cutoff 0 keeps only the zero mode, whose one crossing reads as flow -1
+    if L < 1:
+        raise DomainError(f"cutoff must be >= 1 (mode box |k|_inf <= cutoff), got {L}")
+    if len(k) != dim:
+        raise DomainError(f"lattice vector u has {len(k)} entries but dim is {dim}")
     box = np.asarray(mode_box(L, dim), dtype=float)
     kvec = np.asarray(k, dtype=float)
     gammas = np.stack([gamma_num(dim, mu) for mu in range(1, dim + 1)])
+    ga, gb, gd = gammas[:, 0, 0].real, gammas[:, 0, 1], gammas[:, 1, 1].real
     out = []
     for t in grid:
         shifted = box + t * kvec  # (N, dim)
-        blocks = np.einsum("nd,dij->nij", shifted, gammas)
-        vals = np.linalg.eigvalsh(blocks)
-        out.append(np.sort(vals.ravel()))
+        a, b, d = shifted @ ga, shifted @ gb, shifted @ gd
+        mid = (a + d) / 2.0
+        rad = np.hypot((a - d) / 2.0, np.abs(b))
+        out.append(np.sort(np.concatenate([mid - rad, mid + rad])))
     return out
 
 

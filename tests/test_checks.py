@@ -1,9 +1,11 @@
 """Named verifications: registry semantics, determinism, report invariants."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from ncps import symbols as sy
 from ncps.checks import CHECKS, run_check
 
 
@@ -144,3 +146,38 @@ def test_flow_index_unmodeled_dimension_is_error_report(dim, u):
     report = run_check("flow-index", {"dim": dim, "u": u, "grid": 11, "cutoff": 2})
     assert report.status == "error"
     assert report.witness == "gamma algebra is modeled in dimensions 2 and 3"
+
+
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+
+
+def test_default_reports_match_the_benchmark_pins():
+    pins = json.loads(PINS.read_text(encoding="utf-8"))
+    for name in CHECKS:
+        report = json.loads(run_check(name).to_json())
+        report.pop("elapsed_ms")
+        assert report == pins[f"checks.{name}"], name
+
+
+@pytest.mark.parametrize(
+    "name, t_order",
+    [("eta-conformal", 7), ("eta-conformal", 99), ("zeta-conformal", 7), ("res-heat", 7)],
+)
+def test_t_order_above_the_limit_is_error_report(name, t_order, monkeypatch):
+    def no_symbols(*_a, **_k):
+        raise AssertionError("the bound is checked before any symbol is built")
+
+    monkeypatch.setattr(sy.OperatorFamily, "conformal", no_symbols)
+    report = run_check(name, {"t_order": t_order})
+    assert report.status == "error"
+    assert report.witness == (
+        f"t_order must be <= 6 (the cost grows about fivefold per grade), got {t_order}"
+    )
+    assert report.params["t_order"] == t_order
+
+
+def test_t_order_limit_admits_six():
+    # the limit itself stays allowed; res-heat is the cheap check that reads it
+    report = run_check("res-heat", {"t_order": 6})
+    assert report.passed
+    assert report.params["t_order"] == 6

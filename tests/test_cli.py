@@ -161,6 +161,28 @@ def test_num_flow_command(capsys):
     assert json.loads(out)["flow"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--cutoff", "0"], "cutoff must be >= 1 (mode box |k|_inf <= cutoff), got 0"),
+        (["--cutoff", "-1"], "cutoff must be >= 1 (mode box |k|_inf <= cutoff), got -1"),
+        (["--u", "1,0"], "lattice vector u has 2 entries but dim is 3"),
+        (["--grid", "1"], "grid must be >= 2 points on [0, 1], got 1"),
+        (["--kernel-shift", "-1"], "kernel shift must be >= 0, got -1.0"),
+        (["--kernel-shift", "nan"], "kernel shift must be >= 0, got nan"),
+        (["--kernel-shift", "0", "--grid", "11", "--cutoff", "2"], "exact zero eigenvalue at grid point 0"),
+        (["--u", "5,0,0", "--grid", "3", "--cutoff", "1"], "step 1: movement 2.5 exceeds half the zero window"),
+    ],
+)
+def test_num_flow_bad_input_exits_2_with_message(capsys, argv, message):
+    code = main(["num", "flow", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert "broadcast" not in captured.err
+
+
 def test_num_heat_command(capsys):
     code, out = run(capsys, "num", "heat", "--t", "0.05", "--cutoff", "40", "--dim", "3")
     assert code == 0

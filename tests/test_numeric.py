@@ -431,6 +431,76 @@ def test_spectral_flow_coarse_grid_rejection():
         nm.spectral_flow(bad)
 
 
+def _stacked_eigvalsh_spectra(k, grid, L, dim):
+    """The eigensolver route: LAPACK on the stack of 2x2 mode blocks."""
+    box = np.asarray(nm.mode_box(L, dim), dtype=float)
+    gammas = np.stack([nm.gamma_num(dim, mu) for mu in range(1, dim + 1)])
+    out = []
+    for t in grid:
+        blocks = np.einsum("nd,dij->nij", box + t * np.asarray(k, dtype=float), gammas)
+        out.append(np.sort(np.linalg.eigvalsh(blocks).ravel()))
+    return out
+
+
+@pytest.mark.parametrize("dim, k", [(2, (0, -2)), (2, (-1, 1)), (3, (-1, 0, 2)), (3, (1, -2, 0))])
+def test_unitary_flow_spectra_are_the_closed_form_block_spectra(dim, k, monkeypatch):
+    L, grid = 2, [0.0, 0.37, 1.0]
+    assembled = [
+        np.sort(nm.hermitian_eigenvalues(
+            nm.build_operator(nm.NumericFamily("unitary_flow", dim, flow_k=k), L, t)))
+        for t in grid
+    ]
+    stacked = _stacked_eigvalsh_spectra(k, grid, L, dim)
+
+    def no_eigensolver(*_a, **_k):
+        raise AssertionError("the unitary flow spectra need no eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+    got = nm.unitary_flow_spectra(k, grid, L, dim)
+    for vals, ref, ref2 in zip(got, assembled, stacked):
+        assert vals.shape == ref.shape == (2 * (2 * L + 1) ** dim,)
+        assert np.all(np.diff(vals) >= 0.0)
+        assert np.max(np.abs(vals - ref)) < 1e-12
+        assert np.max(np.abs(vals - ref2)) < 1e-12
+    # at t = 1 the mode n = -k is an exact zero mode, which strict counting must see
+    assert np.count_nonzero(got[-1] == 0.0) == 2
+    with pytest.raises(nm.ZeroEigenvalueError, match="grid point 1"):
+        nm.spectral_flow(got[1:])
+
+
+@pytest.mark.parametrize(
+    "k, L, dim, message",
+    [
+        ((1, 0, 0), 0, 3, "cutoff must be >= 1 (mode box |k|_inf <= cutoff), got 0"),
+        ((1, 0, 0), -1, 3, "cutoff must be >= 1 (mode box |k|_inf <= cutoff), got -1"),
+        ((1, 0), 2, 3, "lattice vector u has 2 entries but dim is 3"),
+        ((1, 0, 0), 2, 2, "lattice vector u has 3 entries but dim is 2"),
+        ((1, 0, 0, 0), 2, 4, "gamma algebra is modeled in dimensions 2 and 3"),
+    ],
+)
+def test_unitary_flow_spectra_input_checks(k, L, dim, message):
+    with pytest.raises(DomainError) as err:
+        nm.unitary_flow_spectra(k, [0.0, 1.0], L, dim)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_flow_grid_needs_two_points(n):
+    with pytest.raises(DomainError) as err:
+        nm.flow_grid(n)
+    assert str(err.value) == f"grid must be >= 2 points on [0, 1], got {n}"
+
+
+@pytest.mark.parametrize("shift", [-1e-9, -1.0, float("nan")])
+def test_spectral_flow_rejects_negative_or_nan_kernel_shift(shift):
+    spectra = [np.array([-1.0, 1.0]), np.array([-1.0, 1.0])]
+    with pytest.raises(DomainError) as err:
+        nm.spectral_flow(spectra, kernel_shift=shift)
+    assert str(err.value) == f"kernel shift must be >= 0, got {shift}"
+    assert nm.spectral_flow(spectra, kernel_shift=0.0) == 0
+
+
 def test_spectral_flow_conformal_family():
     h = nm.ConcreteElement.cosine(3, (1, 0, 0), amplitude=0.3)
     fam = nm.NumericFamily("conformal_dirac", 3, theta=THETA3, weyl=h)
