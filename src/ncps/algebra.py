@@ -16,7 +16,10 @@ level; concrete evaluation lives in :mod:`ncps.numeric`.
 
 Products truncate in the nilpotent grade ``t`` before any coefficient is
 multiplied: a word pair whose coefficients' lowest t grades sum past the
-smaller of their caps is skipped, since its product would vanish.  Every
+smaller of their caps is skipped, since its product would vanish; the right
+rows ascend in lowest grade, so the first pair past the left cap ends the
+row.  That one loop, :func:`_mul_rows_into`, merges every product in place,
+under a phase 1 or +-i for the Pauli products of :mod:`ncps.clifford`.  Every
 finite series in a nilpotent perturbation (the Neumann inverse and binomial
 square root of a perturbed unit, and the leading resolvent layer of
 :mod:`ncps.heat`) sums the powers of :func:`nilpotent_powers`.
@@ -27,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .scalars import _NO_CAP, DomainError, ExactScalar, RationalLike
@@ -54,6 +59,15 @@ class Generator(NamedTuple):
 def gen(base: str, dim: int, selfadj: bool = True) -> Generator:
     """A fresh underived generator living on the ``dim``-torus."""
     return Generator(base, (0,) * dim, False, selfadj)
+
+
+@lru_cache(maxsize=None)
+def _derived(g: Generator, mu: int, step: int) -> Generator:
+    """``g`` with its derivative order in direction ``mu`` (1-based) moved by
+    ``step``; the distinct letters are few, so each is built once."""
+    d = list(g.deriv)
+    d[mu - 1] += step
+    return g._replace(deriv=tuple(d))
 
 
 Word = tuple[Generator, ...]
@@ -94,7 +108,8 @@ def _render_word(w: Word) -> str:
 
 
 def _grade_rows(a: "AlgebraElement") -> list[tuple[int, int, Word, ExactScalar]]:
-    """One ``(lowest t grade, cap, word, coefficient)`` row per term of ``a``.
+    """One ``(lowest t grade, cap, word, coefficient)`` row per term of ``a``,
+    in ascending lowest grade.
 
     An uncapped coefficient gets grade 0 and cap ``_NO_CAP``, which no grade
     sum reaches, so its pairs are never skipped.
@@ -110,7 +125,45 @@ def _grade_rows(a: "AlgebraElement") -> list[tuple[int, int, Word, ExactScalar]]
             if j < lo:
                 lo = j
         rows.append((lo, cap, w, s))
+    rows.sort(key=itemgetter(0))
     return rows
+
+
+def _rotated(s: ExactScalar, phase: int) -> ExactScalar:
+    """``i^phase s`` for phase +-1: each triple ``(re, im, den)`` becomes
+    ``(-phase im, phase re, den)``, canonical again, so nothing multiplies."""
+    terms = {k: (-phase * im, phase * re, den) for k, (re, im, den) in s._terms.items()}
+    return ExactScalar._raw(terms, s.t_cap)
+
+
+def _mul_rows_into(out: dict, left: list, right: list, phase: int = 0) -> None:
+    """Merge ``i^phase x y`` (phase 0, 1 or -1) into the zero-free term map
+    ``out``, given the :func:`_grade_rows` ``left`` of ``x`` and ``right`` of
+    ``y``; pairs are skipped past either cap, and past the left cap the row
+    ends."""
+    for lo1, cap1, w1, s1 in left:
+        if phase:
+            s1 = _rotated(s1, phase)
+        top = cap1 - lo1
+        for lo2, cap2, w2, s2 in right:
+            if lo2 > top:
+                break
+            if lo1 + lo2 > cap2:
+                continue
+            s = s1 * s2
+            if s._terms:
+                _accumulate(out, w1 + w2, s)
+
+
+def _accumulate(out: dict, w: Word, s: ExactScalar) -> None:
+    """Merge ``s`` at word ``w`` into the zero-free term map ``out``."""
+    old = out.get(w)
+    if old is not None:
+        s = old + s
+        if s.is_zero():
+            del out[w]
+            return
+    out[w] = s
 
 
 class AlgebraElement:
@@ -161,12 +214,7 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         out = dict(self._terms)
         for w, s in other._terms.items():
-            if w in out:
-                s = out[w] + s
-                if s.is_zero():
-                    del out[w]
-                    continue
-            out[w] = s
+            _accumulate(out, w, s)
         return AlgebraElement._raw(out)
 
     def __neg__(self) -> "AlgebraElement":
@@ -176,27 +224,9 @@ class AlgebraElement:
         return self + (-other)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if not self._terms or not other._terms:
-            return AlgebraElement._raw({})
-        left = _grade_rows(self)
-        right = _grade_rows(other)
         out: dict[Word, ExactScalar] = {}
-        for lo1, cap1, w1, s1 in left:
-            for lo2, cap2, w2, s2 in right:
-                # every grade of s1 * s2 is at least lo1 + lo2: above the
-                # pair's cap the product is zero, so skip the multiply
-                if lo1 + lo2 > (cap1 if cap1 < cap2 else cap2):
-                    continue
-                s = s1 * s2
-                if s.is_zero():
-                    continue
-                w = w1 + w2
-                if w in out:
-                    s = out[w] + s
-                    if s.is_zero():
-                        del out[w]
-                        continue
-                out[w] = s
+        if self._terms and other._terms:
+            _mul_rows_into(out, _grade_rows(self), _grade_rows(other))
         return AlgebraElement._raw(out)
 
     def scale(self, s: ExactScalar) -> "AlgebraElement":
@@ -225,7 +255,7 @@ class AlgebraElement:
     # -- star and derivations ------------------------------------------------
 
     def adjoint(self) -> "AlgebraElement":
-        out = AlgebraElement.zero()
+        out: dict[Word, ExactScalar] = {}
         for w, s in self._terms.items():
             sign = 1
             rev: list[Generator] = []
@@ -234,10 +264,8 @@ class AlgebraElement:
                     sign = -sign
                 rev.append(g if g.selfadj else g._replace(star=not g.star))
             coeff = s.conjugate()
-            if sign < 0:
-                coeff = -coeff
-            out = out + AlgebraElement({tuple(rev): coeff})
-        return out
+            _accumulate(out, tuple(rev), coeff if sign > 0 else -coeff)
+        return AlgebraElement._raw(out)
 
     def delta(self, mu: int) -> "AlgebraElement":
         """Formal derivation in direction ``mu`` (1-based), by the Leibniz rule."""
@@ -246,17 +274,7 @@ class AlgebraElement:
             for i, g in enumerate(w):
                 if mu < 1 or mu > len(g.deriv):
                     raise DomainError(f"direction {mu} out of range for {g}")
-                d = list(g.deriv)
-                d[mu - 1] += 1
-                nw = w[:i] + (g._replace(deriv=tuple(d)),) + w[i + 1 :]
-                if nw in out:
-                    v = out[nw] + s
-                    if v.is_zero():
-                        del out[nw]
-                        continue
-                    out[nw] = v
-                else:
-                    out[nw] = s
+                _accumulate(out, w[:i] + (_derived(g, mu, 1),) + w[i + 1 :], s)
         return AlgebraElement._raw(out)
 
     # -- grading and filtering -------------------------------------------------
@@ -368,10 +386,10 @@ class TauClass:
 
 def tau_class(a: AlgebraElement) -> TauClass:
     """Rotate every word to its minimal cyclic form and recombine."""
-    out = AlgebraElement.zero()
+    out: dict[Word, ExactScalar] = {}
     for w, s in a._terms.items():
-        out = out + AlgebraElement({_min_rotation(w): s})
-    return TauClass(out)
+        _accumulate(out, _min_rotation(w), s)
+    return TauClass(AlgebraElement._raw(out))
 
 
 def _grade_key(w: Word) -> tuple:
@@ -388,17 +406,13 @@ def _delta_column(y: Word, mu: int) -> dict[Word, Fraction]:
     rational multiplicities."""
     out: dict[Word, Fraction] = {}
     for i, g in enumerate(y):
-        d = list(g.deriv)
-        d[mu - 1] += 1
-        w = _min_rotation(y[:i] + (g._replace(deriv=tuple(d)),) + y[i + 1 :])
+        w = _min_rotation(y[:i] + (_derived(g, mu, 1),) + y[i + 1 :])
         out[w] = out.get(w, Fraction(0)) + 1
     return {w: c for w, c in out.items() if c}
 
 
 def _tau_zero(a: AlgebraElement) -> bool:
-    rep = AlgebraElement.zero()
-    for w, s in a._terms.items():
-        rep = rep + AlgebraElement({_min_rotation(w): s})
+    rep = tau_class(a).representative
     if rep.is_zero():
         return True
     groups: dict[tuple, dict[Word, ExactScalar]] = {}
@@ -430,9 +444,7 @@ def _group_in_delta_span(terms: dict[Word, ExactScalar]) -> bool:
                 for mu in range(1, n + 1):
                     if g.deriv[mu - 1] == 0:
                         continue
-                    d = list(g.deriv)
-                    d[mu - 1] -= 1
-                    y = _min_rotation(w[:i] + (g._replace(deriv=tuple(d)),) + w[i + 1 :])
+                    y = _min_rotation(w[:i] + (_derived(g, mu, -1),) + w[i + 1 :])
                     if y in sources:
                         continue
                     sources.add(y)

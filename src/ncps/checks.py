@@ -65,11 +65,34 @@ class CheckReport:
 # -- individual checks ---------------------------------------------------------------
 
 
+# key -> (parser, what a value must be); run_check parses every given value
+_INT = (int, "an integer")
+PARSERS = {
+    "floor": _INT, "t_order": _INT, "grid": _INT, "cutoff": _INT, "dim": _INT,
+    "u": (lambda u: tuple(int(x) for x in u.split(",")) if isinstance(u, str) else u,
+          "comma-separated integers"),
+    "kernel_shift": (float, "a number"),
+}
+
+
+def _parsed(cfg: dict) -> dict:
+    """``cfg`` with every value parsed; an unparsable one is a
+    :class:`DomainError` that names the key and the value given."""
+    out = {}
+    for key, value in cfg.items():
+        parse, what = PARSERS[key]
+        try:
+            out[key] = parse(value)
+        except (TypeError, ValueError):
+            raise DomainError(f"{key} must be {what}, got {value!r}") from None
+    return out
+
+
 def _residue_floor(cfg: dict) -> int:
     """The configured floor of a sign symbol on the 3-torus.  Its residue
     reads the degree -3 component, so a higher floor is rejected here, with
     the value as given, before any internal floor is derived from it."""
-    floor = int(cfg.get("floor", -3))
+    floor = cfg["floor"]
     if floor > -3:
         raise DomainError(
             f"floor must be <= -3 (the residue reads the degree -3 component), got {floor}"
@@ -82,7 +105,7 @@ MAX_T_ORDER = 6
 
 def _t_order(cfg: dict, default: int) -> int:
     """The configured deformation grade, bounded before any symbol is built."""
-    t_order = int(cfg.get("t_order", default))
+    t_order = cfg.get("t_order", default)
     if t_order > MAX_T_ORDER:
         raise DomainError(
             f"t_order must be <= {MAX_T_ORDER} (the cost grows about fivefold "
@@ -245,15 +268,9 @@ def _linear_in(a: AlgebraElement, bases: tuple[str, ...]) -> bool:
 
 
 def _check_flow_index(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    u = cfg.get("u", (1, 0, 0))
-    if isinstance(u, str):
-        u = tuple(int(x) for x in u.split(","))
-    grid_n = int(cfg.get("grid", 101))
-    cutoff = int(cfg.get("cutoff", 6))
-    dim = int(cfg.get("dim", 3))
-    grid = nm.flow_grid(grid_n)
-    spectra = nm.unitary_flow_spectra(u, grid, cutoff, dim)
-    flow = nm.spectral_flow(spectra, kernel_shift=float(cfg.get("kernel_shift", 1e-9)))
+    grid = nm.flow_grid(cfg["grid"])
+    spectra = nm.unitary_flow_spectra(cfg["u"], grid, cfg["cutoff"], cfg["dim"])
+    flow = nm.spectral_flow(spectra, kernel_shift=cfg.get("kernel_shift", 1e-9))
     ok = flow == 0
     details = {"flow": flow, "modes": len(spectra[0])}
     return ("pass" if ok else "fail", "n-a", None if ok else str(flow), details)
@@ -354,7 +371,7 @@ def run_check(name: str, config: Optional[dict] = None) -> CheckReport:
         )
     t0 = time.perf_counter()
     try:
-        status, level, witness, details = spec.runner(cfg)
+        status, level, witness, details = spec.runner(_parsed(cfg))
     except (DomainError, sy.FamilyError, sy.InsufficientFloorError,
             sy.EllipticityShapeError, nm.GridTooCoarseError,
             nm.ZeroEigenvalueError) as exc:

@@ -7,15 +7,17 @@ dimensions 2 and 3 are the Pauli matrices, ``gamma_mu = sigma_mu``: the Pauli
 component ``a_mu`` is 1 and the others vanish.  Products and traces are exact,
 so the anticommutation relation and the trace identities (vanishing
 single-gamma trace, Levi-Civita three-gamma trace) hold as matrix identities
-rather than rewrite rules.
+rather than rewrite rules.  Products walk only pairs of nonzero components,
+each into the component and phase of the table :data:`_PAULI`, and
+accumulate in place (:func:`_mul_into`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _accumulate, _grade_rows, _mul_rows_into, _rotated
 from .scalars import DomainError, ExactScalar, RationalLike
 
 
@@ -23,12 +25,33 @@ from .scalars import DomainError, ExactScalar, RationalLike
 
 
 def _times_i(x: AlgebraElement) -> AlgebraElement:
-    """``i x``: each coefficient triple ``(re, im, den)`` becomes the triple
-    ``(-im, re, den)``, canonical again, so no scalar is multiplied."""
-    return AlgebraElement._raw({
-        w: ExactScalar._raw({k: (-im, re, den) for k, (re, im, den) in s._terms.items()}, s.t_cap)
-        for w, s in x._terms.items()
-    })
+    """``i x``, a permutation of each coefficient triple."""
+    return AlgebraElement._raw({w: _rotated(s, 1) for w, s in x._terms.items()})
+
+
+# sigma_i sigma_j = delta_ij 1 + i eps_ijk sigma_k, with sigma_0 = 1: row i,
+# column j holds (k, p), the component the pair lands on and the power p of i
+_PAULI = (
+    ((0, 0), (1, 0), (2, 0), (3, 0)),
+    ((1, 0), (0, 0), (3, 1), (2, -1)),
+    ((2, 0), (3, -1), (0, 0), (1, 1)),
+    ((3, 0), (2, 1), (1, -1), (0, 0)),
+)
+
+
+def _component_rows(m: "Mat2") -> list[tuple[int, list]]:
+    """``(index, grade rows)`` of each nonzero Pauli component of ``m``."""
+    return [(i, _grade_rows(v)) for i, v in enumerate(m.a) if v._terms]
+
+
+def _mul_into(acc: Sequence[dict], left: list, right: list) -> None:
+    """Merge the product of two matrices, given by their
+    :func:`_component_rows`, into the four component term maps ``acc``."""
+    for i, x in left:
+        table = _PAULI[i]
+        for j, y in right:
+            k, phase = table[j]
+            _mul_rows_into(acc[k], x, y, phase)
 
 
 class Mat2:
@@ -40,7 +63,9 @@ class Mat2:
     Sums meet at the smaller t cap, so entries round-trip exactly when their
     t-graded coefficients share one cap, as those of every family do; rows
     that would lose a grade in the conversion raise :class:`DomainError`.
-    The product keeps operand order, since entries do not commute:
+    The product keeps operand order, since entries do not commute; each pair
+    of nonzero components ``a_i b_j`` adds into the one component of
+    :data:`_PAULI`, and a zero component costs nothing:
 
         c0  = a0 b0 + sum_k a_k b_k
         c_k = a0 b_k + a_k b0 + i (a_i b_j - a_j b_i),   (i, j, k) cyclic
@@ -89,14 +114,19 @@ class Mat2:
         return Mat2._of(*(-v for v in self.a))
 
     def mul(self, other: "Mat2") -> "Mat2":
-        a0, a1, a2, a3 = self.a
-        b0, b1, b2, b3 = other.a
-        return Mat2._of(
-            a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3,
-            a0 * b1 + a1 * b0 + _times_i(a2 * b3 - a3 * b2),
-            a0 * b2 + a2 * b0 + _times_i(a3 * b1 - a1 * b3),
-            a0 * b3 + a3 * b0 + _times_i(a1 * b2 - a2 * b1),
-        )
+        acc = ({}, {}, {}, {})
+        _mul_into(acc, _component_rows(self), _component_rows(other))
+        return Mat2._of(*map(AlgebraElement._raw, acc))
+
+    @classmethod
+    def sum(cls, mats: Iterable["Mat2"]) -> "Mat2":
+        """Sum of ``mats``, accumulated in place."""
+        acc = ({}, {}, {}, {})
+        for m in mats:
+            for out, v in zip(acc, m.a):
+                for w, s in v._terms.items():
+                    _accumulate(out, w, s)
+        return cls._of(*map(AlgebraElement._raw, acc))
 
     def lmul(self, c: AlgebraElement) -> "Mat2":
         return Mat2._of(*(c * v for v in self.a))

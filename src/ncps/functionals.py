@@ -62,12 +62,8 @@ def sphere_integral(beta: tuple[int, ...], n: int) -> ExactScalar:
 
 def sphere_integral_component(c: Component, n: int) -> Mat2:
     """Sphere integral of a homogeneous component; denominators restrict to 1."""
-    out = Mat2.zero()
-    for (beta, _m), mat in c.terms.items():
-        w = sphere_integral(beta, n)
-        if not w.is_zero():
-            out = out.add(mat.scale(w))
-    return out
+    moments = ((mat, sphere_integral(beta, n)) for (beta, _m), mat in c.terms.items())
+    return Mat2.sum(mat.scale(w) for mat, w in moments if not w.is_zero())
 
 
 @dataclass
@@ -129,16 +125,9 @@ def cutoff_integral(a: Symbol, n: int) -> tuple[Mat2, bool]:
     """
     if a.dim != n:
         raise DomainError("symbol dimension does not match the integral dimension")
-    finite = Mat2.zero()
-    log_divergent = False
-    for d, comp in a.components.items():
-        sph = sphere_integral_component(comp, n)
-        if d == -n:
-            if not sph.is_zero():
-                log_divergent = True
-            continue
-        finite = finite.add(sph.scale_rational(Fraction(-1, d + n)))
-    return finite, log_divergent
+    sph = {d: sphere_integral_component(comp, n) for d, comp in a.components.items()}
+    finite = Mat2.sum(m.scale_rational(Fraction(-1, d + n)) for d, m in sph.items() if d != -n)
+    return finite, -n in sph and not sph[-n].is_zero()
 
 
 def laurent_residue(a: Symbol, q: int, n: int) -> TauClass:

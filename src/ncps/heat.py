@@ -204,12 +204,8 @@ def gaussian_xi2_moment(beta: tuple[int, ...], s: int) -> ExactScalar:
 
 
 def momentum_integral(g: GaussianIntegrand) -> Mat2:
-    out = Mat2.zero()
-    for (beta, s), mat in g.terms.items():
-        w = gaussian_xi2_moment(beta, s)
-        if not w.is_zero():
-            out = out.add(mat.scale(w))
-    return out
+    moments = ((mat, gaussian_xi2_moment(beta, s)) for (beta, s), mat in g.terms.items())
+    return Mat2.sum(mat.scale(w) for mat, w in moments if not w.is_zero())
 
 
 @dataclass

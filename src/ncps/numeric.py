@@ -390,28 +390,37 @@ def spectral_flow(
         raise DomainError(f"kernel shift must be >= 0, got {kernel_shift}")
     if len(spectra) < 2:
         raise DomainError("need at least two grid points")
-    arrs = [np.sort(np.asarray(s, dtype=float)) for s in spectra]
+    arrs = [np.asarray(s, dtype=float) for s in spectra]
     n = len(arrs[0])
     if any(len(a) != n for a in arrs):
         raise DomainError("all spectra must have the same size")
-    if kernel_shift > 0.0:
-        shifted = [np.abs(a) <= kernel_shift for a in arrs]
-        arrs = [np.where(s, kernel_shift, a) for a, s in zip(arrs, shifted)]
-    else:
-        shifted = [np.zeros(n, dtype=bool) for _ in arrs]
+    if kernel_shift == 0.0:
         for i, a in enumerate(arrs):
             if np.any(a == 0.0):
                 raise ZeroEigenvalueError(
                     f"exact zero eigenvalue at grid point {i}; the family must be "
                     "invertible at the ends (or pass a kernel shift)"
                 )
+
+    def prepared(a: np.ndarray) -> tuple[np.ndarray, bool]:
+        """``a`` ascending, with values within the shift moved onto it."""
+        if not np.all(a[:-1] <= a[1:]):
+            a = np.sort(a)
+        if kernel_shift > 0.0:
+            near = np.abs(a) <= kernel_shift
+            if near.any():
+                return np.where(near, kernel_shift, a), True
+        return a, False
+
     flow = 0
+    b, b_shifted = prepared(arrs[0])
     for j in range(len(arrs) - 1):
-        a, b = arrs[j], arrs[j + 1]
+        a, a_shifted = b, b_shifted
+        b, b_shifted = prepared(arrs[j + 1])
         move = float(np.max(np.abs(b - a))) if n else 0.0
         up = int(np.sum((a < 0) & (b > 0)))
         down = int(np.sum((a > 0) & (b < 0)))
-        crossing = up + down > 0 or bool(np.any(shifted[j] | shifted[j + 1]))
+        crossing = up + down > 0 or a_shifted or b_shifted
         if not crossing:
             # without a recorded crossing, movement must stay below half the
             # zero window, else a crossing pair could have come and gone unseen

@@ -49,7 +49,7 @@ from .algebra import (
     invert_perturbed_unit,
     sqrt_perturbed_unit,
 )
-from .clifford import Mat2, gamma
+from .clifford import Mat2, _component_rows, _mul_into, gamma
 from .scalars import DomainError, ExactScalar, RationalLike
 
 
@@ -218,11 +218,28 @@ class TermMap:
         return out
 
     def add_product(self, left: "TermMap", right: "TermMap") -> None:
-        """Merge the pointwise product ``left . right`` into this map."""
+        """Merge the pointwise product ``left . right`` into this map: each key
+        accumulates four component term maps and becomes one ``Mat2``."""
         join = self._join
+        rights = [(k2, _component_rows(mat2)) for k2, mat2 in right.terms.items()]
+        acc: dict = {}
         for k1, mat1 in left.terms.items():
-            for k2, mat2 in right.terms.items():
-                self._merge(join(k1, k2), mat1.mul(mat2))
+            rows1 = _component_rows(mat1)
+            for k2, rows2 in rights:
+                key = join(k1, k2)
+                comps = acc.get(key)
+                if comps is None:
+                    old = self.terms.get(key)
+                    if old is None:
+                        self._audit(key)
+                    comps = acc[key] = tuple(dict(v._terms) for v in (old or Mat2.zero()).a)
+                _mul_into(comps, rows1, rows2)
+        for key, comps in acc.items():
+            mat = Mat2._of(*map(AlgebraElement._raw, comps))
+            if mat.is_zero():
+                self.terms.pop(key, None)
+            else:
+                self.terms[key] = mat
 
 
 class Component(TermMap):

@@ -273,3 +273,58 @@ def test_nilpotent_powers():
     assert nilpotent_powers(AlgebraElement.zero()) == [AlgebraElement.unit()]
     with pytest.raises(DomainError, match="not nilpotent"):
         nilpotent_powers(elem(A1))  # A1 carries no t grade
+
+
+def test_derived_letters_are_built_once(monkeypatch):
+    import ncps.algebra as alg
+
+    x = (elem(H) * elem(A1) * elem(H)).delta(2) + elem(D1H)
+    first = [x.delta(mu) for mu in (1, 2, 3)]
+    tau_first = [tau_class(d * elem(H)).is_zero() for d in first]
+    calls = []
+    original = Generator._replace
+
+    def counted(self, **kwargs):
+        calls.append(kwargs)
+        return original(self, **kwargs)
+
+    monkeypatch.setattr(Generator, "_replace", counted)
+    assert [x.delta(mu) for mu in (1, 2, 3)] == first
+    assert [tau_class(d * elem(H)).is_zero() for d in first] == tau_first
+    assert calls == []
+    assert alg._derived(H, 1, 1) == D1H and alg._derived(D1H, 1, -1) == H
+
+
+def test_linear_sums_do_not_accumulate_by_copy(monkeypatch):
+    from ncps import functionals as fn
+    from ncps import heat as ht
+    from ncps import symbols as sy
+    from ncps.clifford import Mat2
+
+    _sd, sd2 = sy.dirac_symbol(sy.OperatorFamily.conformal(3, t_cap=1))
+    comp = sy.invert_symbol(sy.sqrt_symbol(sd2, -2), -3).component(-3)
+    layer = ht.lambda_contour_integral(ht.resolvent_symbols(sd2, 2)[2])
+    # both words rotate to one necklace, where their coefficients add
+    x = (elem(H) * elem(D1H)).scale(ExactScalar.rational(2, 1)) + elem(D1H) * elem(H)
+    expect = (
+        fn.sphere_integral_component(comp, 3),
+        ht.momentum_integral(layer),
+        tau_class(x).representative,
+        x.adjoint(),
+    )
+    assert not any(v.is_zero() for v in expect)
+
+    def forbidden(*_args):
+        raise AssertionError("a linear sum accumulated by copy")
+
+    monkeypatch.setattr(AlgebraElement, "__add__", forbidden)
+    monkeypatch.setattr(Mat2, "add", forbidden)
+    got = (
+        fn.sphere_integral_component(comp, 3),
+        ht.momentum_integral(layer),
+        tau_class(x).representative,
+        x.adjoint(),
+    )
+    assert got == expect
+    # 3 h d1(h) is a derivation image, 3/2 d1(h^2), so the span test runs too
+    assert tau_class(x).is_zero()

@@ -181,3 +181,44 @@ def test_t_order_limit_admits_six():
     report = run_check("res-heat", {"t_order": 6})
     assert report.passed
     assert report.params["t_order"] == 6
+
+
+@pytest.mark.parametrize(
+    "name, config, message",
+    [
+        ("flow-index", {"u": "1,x"}, "u must be comma-separated integers, got '1,x'"),
+        ("flow-index", {"kernel_shift": "abc"}, "kernel_shift must be a number, got 'abc'"),
+        ("flow-index", {"grid": "many"}, "grid must be an integer, got 'many'"),
+        ("eta-coupled", {"floor": "abc"}, "floor must be an integer, got 'abc'"),
+        ("eta-conformal", {"floor": "abc"}, "floor must be an integer, got 'abc'"),
+        ("eta-conformal", {"t_order": "x"}, "t_order must be an integer, got 'x'"),
+        ("zeta-conformal", {"t_order": "x"}, "t_order must be an integer, got 'x'"),
+        ("res-heat", {"t_order": "x"}, "t_order must be an integer, got 'x'"),
+    ],
+)
+def test_unparsable_config_is_error_report(name, config, message, monkeypatch):
+    monkeypatch.setattr(sy.OperatorFamily, "conformal", None)  # parsing comes first
+    report = run_check(name, config)
+    assert report.status == "error"
+    assert report.vanishing_level == "n-a"
+    assert report.witness == message
+    (key,) = config
+    assert report.params[key] == config[key]
+    json.loads(report.to_json())
+
+
+def test_parsed_values_reach_the_runner_and_the_echo_keeps_the_given_value():
+    report = run_check("flow-index", {"u": "0,1,0", "grid": "21", "cutoff": 2})
+    assert report.passed
+    assert report.params["u"] == "0,1,0" and report.params["grid"] == "21"
+
+
+def test_runner_value_error_is_not_a_config_error(monkeypatch):
+    from ncps import numeric as nm
+
+    def broken(*_args, **_kwargs):
+        raise ValueError("not a parse failure")
+
+    monkeypatch.setattr(nm, "spectral_flow", broken)
+    with pytest.raises(ValueError, match="not a parse failure"):
+        run_check("flow-index", {"grid": 11, "cutoff": 2})

@@ -271,3 +271,12 @@ def test_num_spectrum_unmodeled_dimension_exits_2(tmp_path, capsys, dim):
     assert code == 2
     assert captured.out == ""
     assert "gamma algebra is modeled in dimensions 2 and 3" in captured.err
+
+
+def test_verify_unparsable_u_prints_the_error_report(capsys):
+    code, out = run(capsys, "verify", "flow-index", "--u", "1,x")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "error"
+    assert payload["witness"] == "u must be comma-separated integers, got '1,x'"
+    assert payload["params"]["u"] == "1,x"

@@ -610,3 +610,95 @@ def test_mode_box_covers_every_dimension(dim):
     box = nm.mode_box(1, dim)
     assert len(box) == 3**dim == len(set(box))
     assert box == sorted(box) and all(len(k) == dim for k in box)
+
+
+def _reference_spectral_flow(spectra, kernel_shift=0.0):
+    """The sort-everything formulation: every spectrum sorted again and a
+    mask built at every grid point, in either mode."""
+    if not kernel_shift >= 0.0:
+        raise DomainError(f"kernel shift must be >= 0, got {kernel_shift}")
+    if len(spectra) < 2:
+        raise DomainError("need at least two grid points")
+    arrs = [np.sort(np.asarray(s, dtype=float)) for s in spectra]
+    n = len(arrs[0])
+    if any(len(a) != n for a in arrs):
+        raise DomainError("all spectra must have the same size")
+    if kernel_shift > 0.0:
+        shifted = [np.abs(a) <= kernel_shift for a in arrs]
+        arrs = [np.where(s, kernel_shift, a) for a, s in zip(arrs, shifted)]
+    else:
+        shifted = [np.zeros(n, dtype=bool) for _ in arrs]
+        for i, a in enumerate(arrs):
+            if np.any(a == 0.0):
+                raise nm.ZeroEigenvalueError(
+                    f"exact zero eigenvalue at grid point {i}; the family must be "
+                    "invertible at the ends (or pass a kernel shift)"
+                )
+    flow = 0
+    for j in range(len(arrs) - 1):
+        a, b = arrs[j], arrs[j + 1]
+        move = float(np.max(np.abs(b - a))) if n else 0.0
+        up = int(np.sum((a < 0) & (b > 0)))
+        down = int(np.sum((a > 0) & (b < 0)))
+        crossing = up + down > 0 or bool(np.any(shifted[j] | shifted[j + 1]))
+        if not crossing:
+            window = min(nm._zero_window(a), nm._zero_window(b))
+            if move > 0.5 * window * (1.0 + 1e-6):
+                raise nm.GridTooCoarseError(
+                    f"step {j}: movement {move:.3g} exceeds half the zero window "
+                    f"{window:.3g}; refine the grid"
+                )
+        flow += up - down
+    return flow
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (DomainError, nm.ZeroEigenvalueError, nm.GridTooCoarseError) as exc:
+        return type(exc), str(exc)
+
+
+def test_spectral_flow_matches_the_sort_everything_reference():
+    rng = np.random.default_rng(7)
+    cases = [
+        nm.unitary_flow_spectra((1, 0, 0), np.linspace(0, 1, 11), 2, 3),
+        nm.unitary_flow_spectra((0, -1, 1), np.linspace(0, 1, 31), 2, 3),
+        [np.array([t - 0.513, -2.0, 2.0]) for t in np.linspace(0, 1, 21)],
+        [np.array([-0.5, 0.2]), np.array([-0.5, 0.9])],
+        [np.array([-1.0, 1.0]), np.array([-1.0, 1.0, 2.0])],
+    ]
+    for _ in range(20):
+        walk = np.cumsum(rng.normal(0, 0.05, size=(15, 4)), axis=0) + rng.normal(0, 1, 4)
+        walk[rng.integers(15), rng.integers(4)] = 0.0 if rng.random() < 0.3 else 1e-7
+        cases.append(list(walk))
+    for spectra in cases:
+        shuffled = [rng.permutation(s) for s in spectra]
+        for shift in (0.0, 1e-9, 1e-6, 0.2):
+            expect = _outcome(_reference_spectral_flow, spectra, shift)
+            assert _outcome(nm.spectral_flow, spectra, shift) == expect
+            assert _outcome(nm.spectral_flow, shuffled, shift) == expect
+
+
+def test_spectral_flow_sorts_only_unsorted_spectra_and_spans_no_grid(monkeypatch):
+    import tracemalloc
+
+    spectra = nm.unitary_flow_spectra((1, 0, 0), nm.flow_grid(101), 6, 3)
+    expect = nm.spectral_flow(spectra, kernel_shift=1e-9)
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("spectral_flow did work its input does not need")
+
+    monkeypatch.setattr(np, "sort", forbidden)
+    tracemalloc.start()
+    try:
+        assert nm.spectral_flow(spectra, kernel_shift=1e-9) == expect
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few arrays the size of one spectrum, none the size of the grid
+    assert peak < 10 * spectra[0].nbytes < len(spectra) * spectra[0].nbytes
+    # strict mode builds no mask at all
+    monkeypatch.setattr(np, "where", forbidden)
+    monkeypatch.setattr(np, "zeros", forbidden)
+    assert nm.spectral_flow([np.array([-1.0, 1.0]), np.array([-1.0, 2.0])]) == 0
