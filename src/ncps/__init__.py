@@ -17,7 +17,7 @@ from .algebra import (
     gen,
     tau_class,
 )
-from .clifford import Mat2, clifford_word, gamma, matrix_trace
+from .clifford import Mat2, clifford_word, gamma
 from .symbols import (
     Component,
     OperatorFamily,

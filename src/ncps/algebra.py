@@ -20,9 +20,13 @@ smaller of their caps is skipped, since its product would vanish; the right
 rows ascend in lowest grade, so the first pair past the left cap ends the
 row.  That one loop, :func:`_mul_rows_into`, merges every product in place,
 under a phase 1 or +-i for the Pauli products of :mod:`ncps.clifford`.  Every
-finite series in a nilpotent perturbation (the Neumann inverse and binomial
-square root of a perturbed unit, and the leading resolvent layer of
-:mod:`ncps.heat`) sums the powers of :func:`nilpotent_powers`.
+finite series in a nilpotent perturbation sums one orbit of
+:func:`nilpotent_orbit`, the iterates ``x, step(x), ...`` of a step that
+raises the t grade, up to the last nonzero one: the powers of
+:func:`nilpotent_powers` behind the Neumann inverse and binomial square root
+of a perturbed unit and the leading resolvent layer of :mod:`ncps.heat`, the
+powers of ``c t h`` in :func:`exp_expand`, and the two-sided solve of the
+square root in :mod:`ncps.symbols`.
 """
 
 from __future__ import annotations
@@ -244,14 +248,6 @@ class AlgebraElement:
             return AlgebraElement.zero()
         return AlgebraElement._raw({w: s.scale(q) for w, s in self._terms.items()})
 
-    def power(self, k: int) -> "AlgebraElement":
-        if k < 0:
-            raise DomainError("negative powers are not defined in the free algebra")
-        out = AlgebraElement.unit()
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- star and derivations ------------------------------------------------
 
     def adjoint(self) -> "AlgebraElement":
@@ -287,14 +283,6 @@ class AlgebraElement:
 
     def t_grade(self, j: int) -> "AlgebraElement":
         return AlgebraElement({w: s.t_grade(j) for w, s in self._terms.items()})
-
-    def max_t_power(self) -> int:
-        return max((s.max_t_power() for s in self._terms.values()), default=0)
-
-    def t_cap_min(self) -> Optional[int]:
-        """Tightest t cap carried by any coefficient, or None if uncapped."""
-        caps = [s.t_cap for s in self._terms.values() if s.t_cap is not None]
-        return min(caps) if caps else None
 
     def filter_base_degree(self, bases: Iterable[str], cap: int) -> "AlgebraElement":
         """Drop words containing more than ``cap`` letters from ``bases``."""
@@ -500,19 +488,20 @@ def _group_in_delta_span(terms: dict[Word, ExactScalar]) -> bool:
 
 
 def exp_expand(base: Generator, c: RationalLike, m: int) -> AlgebraElement:
-    """Order-``m`` expansion of ``exp(c * t * base)`` in the nilpotent grade.
+    """Order-``m`` expansion of ``exp(c * t * base)`` in the nilpotent grade:
+    the sum of ``(c t base)^j / j!`` over the orbit of the unit under right
+    multiplication by ``c t base``.
 
-    The result carries ``t_cap = m`` so that subsequent products stay
-    truncated at the same order.
+    Every coefficient, the unit's included, carries ``t_cap = m`` so that
+    subsequent products stay truncated at the same order.
     """
     if any(base.deriv) or base.star:
         raise DomainError("exponentials are declared on underived base generators")
-    c = Fraction(c)
-    out = AlgebraElement.scalar(ExactScalar.one(t_cap=m))
-    g = AlgebraElement.generator(base)
-    for j in range(1, m + 1):
-        coeff = ExactScalar.t_power(j, c**j / math.factorial(j), t_cap=m)
-        out = out + g.power(j).scale(coeff)
+    x = AlgebraElement({(base,): ExactScalar.t_power(1, Fraction(c), t_cap=m)})
+    powers = nilpotent_orbit(AlgebraElement.scalar(ExactScalar.one(t_cap=m)), lambda p: p * x)
+    out = powers[0]
+    for j, power in enumerate(powers[1:], start=1):
+        out = out + power.scale_rational(Fraction(1, math.factorial(j)))
     return out
 
 
@@ -533,15 +522,22 @@ def _split_unit(a: AlgebraElement) -> tuple[Fraction, AlgebraElement]:
     return c_re, nil
 
 
-def nilpotent_powers(x: AlgebraElement) -> list[AlgebraElement]:
-    """``[1, x, x^2, ...]`` up to the last nonzero power of a nilpotent ``x``;
-    every finite series in a nilpotent perturbation sums these."""
-    out = [AlgebraElement.unit()]
-    while not (power := out[-1] * x).is_zero():
-        if len(out) > 64:
+def nilpotent_orbit(x, step) -> list:
+    """``[x, step(x), step(step(x)), ...]`` up to the last nonzero term, at
+    most 64 terms, for a ``step`` that is nilpotent on ``x``; every finite
+    series in a nilpotent perturbation sums one such orbit.  The stop test is
+    the terms' own ``is_zero``."""
+    out = [x]
+    while not (nxt := step(out[-1])).is_zero():
+        if len(out) == 64:
             raise DomainError("perturbation is not nilpotent")
-        out.append(power)
+        out.append(nxt)
     return out
+
+
+def nilpotent_powers(x: AlgebraElement) -> list[AlgebraElement]:
+    """``[1, x, x^2, ...]`` up to the last nonzero power of a nilpotent ``x``."""
+    return nilpotent_orbit(AlgebraElement.unit(), lambda p: p * x)
 
 
 def invert_perturbed_unit(a: AlgebraElement) -> AlgebraElement:

@@ -21,7 +21,7 @@ from . import heat as ht
 from . import numeric as nm
 from . import symbols as sy
 from .algebra import AlgebraElement, gen
-from .checks import ALIASES, CHECKS, CONVENTIONS, run_check
+from .checks import ALIASES, CHECKS, CONVENTIONS, _parsed, run_check
 from .scalars import DomainError
 
 
@@ -39,8 +39,6 @@ def _load_family(path: str) -> sy.OperatorFamily:
 
 def _load_numeric_family(path: str) -> nm.NumericFamily:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    dim = int(data["dim"])
-    theta = nm.theta_matrix(data["theta"]) if "theta" in data else None
 
     def parse_modes(obj: dict) -> nm.ConcreteElement:
         modes = {}
@@ -49,14 +47,18 @@ def _load_numeric_family(path: str) -> nm.NumericFamily:
             modes[k] = complex(val[0], val[1])
         return nm.ConcreteElement(dim, modes)
 
-    return nm.NumericFamily(
-        kind=data["kind"],
-        dim=dim,
-        theta=theta,
-        weyl=parse_modes(data["weyl_modes"]) if "weyl_modes" in data else None,
-        gauge=[parse_modes(g) for g in data.get("gauge_modes", [])] or None,
-        flow_k=tuple(int(x) for x in data.get("flow_k", ())),
-    )
+    try:
+        dim = int(data["dim"])
+        return nm.NumericFamily(
+            kind=data["kind"],
+            dim=dim,
+            theta=nm.theta_matrix(data["theta"]) if "theta" in data else None,
+            weyl=parse_modes(data["weyl_modes"]) if "weyl_modes" in data else None,
+            gauge=[parse_modes(g) for g in data.get("gauge_modes", [])] or None,
+            flow_k=tuple(int(x) for x in data.get("flow_k", ())),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed numeric family file: {exc}") from None
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -136,8 +138,6 @@ def _cmd_heat(args: argparse.Namespace) -> int:
 
 
 def _cmd_anomaly(args: argparse.Namespace) -> int:
-    if args.dim != 2:
-        raise DomainError("the anomaly density is a dimension-2 computation")
     fam = sy.OperatorFamily.conformal(2, t_cap=args.t_order)
     grades = ht.anomaly_density(fam)
     payload = {
@@ -184,10 +184,7 @@ def _cmd_num_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_num_flow(args: argparse.Namespace) -> int:
-    u = tuple(int(x) for x in args.u.split(","))
-    theta = None
-    if args.theta:
-        theta = nm.theta_matrix(json.loads(Path(args.theta).read_text(encoding="utf-8")))
+    u = _parsed({"u": args.u})["u"]
     grid = nm.flow_grid(args.grid)
     spectra = nm.unitary_flow_spectra(u, grid, args.cutoff, args.dim)
     flow = nm.spectral_flow(spectra, kernel_shift=args.kernel_shift)
@@ -196,7 +193,6 @@ def _cmd_num_flow(args: argparse.Namespace) -> int:
         "grid": args.grid,
         "cutoff": args.cutoff,
         "dim": args.dim,
-        "theta": None if theta is None else [list(r) for r in theta],
         "kernel_shift": args.kernel_shift,
         "flow": flow,
     }
@@ -258,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     h.set_defaults(fn=_cmd_heat)
 
     a = sub.add_parser("anomaly", help="conformal anomaly density, dimension 2")
-    a.add_argument("--dim", type=int, default=2)
     a.add_argument("--t-order", dest="t_order", type=int, default=1)
     a.add_argument("--json", type=str, default=None)
     a.set_defaults(fn=_cmd_anomaly)
@@ -283,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     nf.add_argument("--grid", type=int, default=101)
     nf.add_argument("--cutoff", type=int, default=6)
     nf.add_argument("--dim", type=int, default=3)
-    nf.add_argument("--theta", type=str, default=None,
-                    help="deformation matrix file; echoed only, commutator "
-                    "shifts by basic unitaries are deformation independent")
     nf.add_argument("--kernel-shift", dest="kernel_shift", type=float, default=1e-9)
     nf.add_argument("--json", type=str, default=None)
     nf.set_defaults(fn=_cmd_num_flow)
@@ -305,9 +297,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, sy.FamilyError, sy.InsufficientFloorError,
-            sy.EllipticityShapeError, nm.GridTooCoarseError, nm.ZeroEigenvalueError,
-            FileNotFoundError, KeyError, json.JSONDecodeError, ValueError) as exc:
+    except (DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

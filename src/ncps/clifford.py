@@ -195,10 +195,6 @@ def clifford_word(dim: int, indices: Sequence[int]) -> Mat2:
     return out
 
 
-def matrix_trace(g: Mat2) -> AlgebraElement:
-    return g.trace()
-
-
 def levi_civita(indices: Sequence[int]) -> int:
     """Sign of the permutation, 0 on repeated indices."""
     idx = list(indices)

@@ -159,7 +159,7 @@ def conformal_variation_direction(f: OperatorFamily) -> Symbol:
     """Symbol of the symmetrized Weyl derivative ``(h D + D h)/2`` at t = 0."""
     dim = f.dim
     h = AlgebraElement.generator(gen(f.weyl, dim))
-    hsym = Symbol.make(dim, [_component_of_element(dim, h)])
+    hsym = Symbol.make(dim, [Component.scalar(dim, h)])
     free, _ = dirac_symbol(OperatorFamily.free(dim))
     left = star_product(hsym, free)
     right = star_product(free, hsym)
@@ -168,12 +168,6 @@ def conformal_variation_direction(f: OperatorFamily) -> Symbol:
         dim,
         (c.scale_rational(Fraction(1, 2)) for c in both.components.values()),
     )
-
-
-def _component_of_element(dim: int, a: AlgebraElement) -> Component:
-    comp = Component(dim, 0)
-    comp.add_term((0,) * dim, 0, Mat2.diag(a))
-    return comp
 
 
 def induced_cs_density(f: OperatorFamily, gauge_cap: Optional[int] = None) -> TauClass:

@@ -15,9 +15,9 @@ exact:
   ``lambda = xi^2``, replacing ``(xi^2 - lambda)^{-m}`` by
   ``exp(-xi^2)/(m-1)!`` (orientation pinned so that the flat heat coefficient
   is positive);
-* momentum integrals reduce to Gaussian moments, i.e. Gamma products; the
-  factored ``(xi^2)^s`` multiplies the moment of ``xi^beta`` by the Gamma
-  ratio ``Gamma(a + s) / Gamma(a)``, ``a = (|beta| + n) / 2``, a rational;
+* momentum integrals reduce to Gaussian moments, in polar coordinates a
+  sphere moment of ``xi^beta`` times ``Gamma(a + s) / 2``, ``a = (|beta| + n)
+  / 2``: the factored ``(xi^2)^s`` only shifts the Gamma argument by ``s``;
 * the inverse square root comes from the Mellin representation, where each
   ``(xi^2 + lambda)^{-m}`` integrates to a Beta value, a rational multiple of
   ``(xi^2)^{1/2 - m}``.
@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import AlgebraElement, TauClass, gen, nilpotent_powers, tau_class
+from .functionals import sphere_integral, sphere_integral_component
 from .scalars import DomainError, ExactScalar, gamma_half_pair
 from .symbols import (
     Component,
@@ -61,7 +62,7 @@ class ResolventComponent(TermMap):
     ``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}`` and joint degree
     ``|beta| + 2s - 2m = -2 - k``.  The ``(xi^2)^s`` factor stays factored:
     products add ``s``, and :func:`momentum_integral` integrates it in closed
-    form as a Gamma ratio."""
+    form as a shift of the radial Gamma argument."""
 
     __slots__ = ()
 
@@ -87,14 +88,6 @@ class ResolventComponent(TermMap):
         if len(k1) == 2:  # a polynomial symbol term xi^beta, key (beta, 0)
             k1 = (k1[0], 0, 0)
         return TermMap._join(k1, k2)
-
-    def mul_poly_component(self, c: Component) -> "ResolventComponent":
-        """Left-multiply by a polynomial homogeneous component."""
-        if not c.is_polynomial():
-            raise DomainError("resolvent recursion needs polynomial input symbols")
-        out = self._like(self.degree + c.degree)
-        out.add_product(c, self)
-        return out
 
     def render(self) -> str:
         if not self.terms:
@@ -151,25 +144,17 @@ def resolvent_symbols(sd2: Symbol, count: int) -> list[ResolventComponent]:
 # -- contour integral and Gaussian moments ------------------------------------------
 
 
-class GaussianIntegrand(TermMap):
-    """Momentum-space integrand ``sum M_{beta,s} xi^beta (xi^2)^s exp(-xi^2)``,
-    keyed ``(beta, s)``; it has no single degree."""
-
-    __slots__ = ()
-
-    def __init__(self, dim: int):
-        super().__init__(dim, None)
-
-
-def lambda_contour_integral(rc: ResolventComponent) -> GaussianIntegrand:
+def lambda_contour_integral(rc: ResolventComponent) -> TermMap:
     """Close the resolvent parameter against ``exp(-lambda)``.
 
     Each factor ``(xi^2 - lambda)^{-m}`` reduces to the residue at
     ``lambda = xi^2``, giving ``exp(-xi^2) / (m-1)!``; the orientation is
-    pinned so the flat case comes out positive.  A term odd in some ``xi_i``
-    has Gaussian moment zero, so it is dropped before it is scaled.
+    pinned so the flat case comes out positive.  The result is the
+    momentum-space integrand ``sum M_{beta,s} xi^beta (xi^2)^s exp(-xi^2)``,
+    a term map keyed ``(beta, s)`` with no single degree.  A term odd in some
+    ``xi_i`` has Gaussian moment zero, so it is dropped before it is scaled.
     """
-    out = GaussianIntegrand(rc.dim)
+    out = TermMap(rc.dim, None)
     for (beta, s, m), mat in rc.terms.items():
         if any(b % 2 for b in beta):
             continue
@@ -178,32 +163,24 @@ def lambda_contour_integral(rc: ResolventComponent) -> GaussianIntegrand:
     return out
 
 
-def gaussian_moment(beta: tuple[int, ...]) -> ExactScalar:
-    """Exact moment ``int_{R^n} xi^beta exp(-xi^2) dxi``; zero for odd exponents."""
-    if any(b % 2 for b in beta):
-        return ExactScalar.zero()
-    coeff = Fraction(1)
-    p = 0
-    for b in beta:
-        c, half = gamma_half_pair(b + 1)
-        coeff *= c
-        p += half
-    return ExactScalar.pi_half(p, coeff)
-
-
 def gaussian_xi2_moment(beta: tuple[int, ...], s: int) -> ExactScalar:
     """Exact moment ``int_{R^n} xi^beta (xi^2)^s exp(-xi^2) dxi``.
 
-    In polar coordinates ``(xi^2)^s`` only shifts the radial Gamma argument
-    ``a = (|beta| + n) / 2`` by ``s``, so the moment is
-    ``gaussian_moment(beta)`` times ``Gamma(a + s) / Gamma(a)``, the rational
-    ``a (a + 1) ... (a + s - 1)``.
+    In polar coordinates it is the radial integral
+    ``int_0^inf r^{2a + 2s - 1} exp(-r^2) dr = Gamma(a + s) / 2``, with
+    ``a = (|beta| + n) / 2``, times the sphere moment of ``xi^beta``; zero
+    for odd exponents.
     """
-    a = Fraction(sum(beta) + len(beta), 2)
-    return gaussian_moment(beta).scale(math.prod(a + i for i in range(s)))
+    c, p = gamma_half_pair(sum(beta) + len(beta) + 2 * s)
+    return sphere_integral(beta, len(beta)) * ExactScalar.pi_half(p, c / 2)
 
 
-def momentum_integral(g: GaussianIntegrand) -> Mat2:
+def gaussian_moment(beta: tuple[int, ...]) -> ExactScalar:
+    """Exact moment ``int_{R^n} xi^beta exp(-xi^2) dxi``; zero for odd exponents."""
+    return gaussian_xi2_moment(beta, 0)
+
+
+def momentum_integral(g: TermMap) -> Mat2:
     moments = ((mat, gaussian_xi2_moment(beta, s)) for (beta, s), mat in g.terms.items())
     return Mat2.sum(mat.scale(w) for mat, w in moments if not w.is_zero())
 
@@ -307,8 +284,6 @@ def res_heat_crosscheck(k: int, f: OperatorFamily) -> ResHeatPair:
     """Residue of the k-th inverse power of the squared family against the
     matching heat coefficient: ``res(Delta^{-k}) = (2/(k-1)!) beta_{n-2k}``.
     """
-    from .functionals import sphere_integral_component
-
     n = f.dim
     if k < 1 or n - 2 * k < 0:
         raise DomainError("need k >= 1 and n - 2k >= 0 for the order-2 crosscheck")

@@ -44,15 +44,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import clifford
-from .algebra import AlgebraElement, TauClass
+from .algebra import TauClass
 from .scalars import DomainError
 
 
-class GridTooCoarseError(RuntimeError):
+class GridTooCoarseError(DomainError):
     """Eigenvalue movement between samples is too large to count crossings."""
 
 
-class ZeroEigenvalueError(RuntimeError):
+class ZeroEigenvalueError(DomainError):
     """An endpoint spectrum touches zero exactly; the flow count is ambiguous."""
 
 
@@ -183,10 +183,6 @@ def _spinor_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out.reshape(2 * n, 2 * n)
 
 
-def free_dirac_matrix(L: int, dim: int) -> np.ndarray:
-    return _spinor_sum([np.diag(k) for k in _box_coordinates(L, dim)])
-
-
 def expm_hermitian(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(m)
     return (vecs * np.exp(vals)) @ vecs.conj().T
@@ -264,7 +260,7 @@ def build_operator(f: NumericFamily, L: int, t: float = 0.0) -> TruncatedOperato
     if f.support_radius() > L:
         raise DomainError("mode support exceeds the truncation box")
     mat = _spinor_sum(_dirac_blocks(f, L, t))
-    defect = _hermiticity_defect(mat)
+    defect = _defect_and_scale(mat)[0]
     mat += mat.conj().T  # symmetrize in place: _spinor_sum returns a fresh array
     mat /= 2.0
     return TruncatedOperator(
@@ -274,10 +270,6 @@ def build_operator(f: NumericFamily, L: int, t: float = 0.0) -> TruncatedOperato
         hermiticity_defect=defect,
         interior_cutoff=L - f.support_radius(),
     )
-
-
-def _hermiticity_defect(mat: np.ndarray) -> float:
-    return _defect_and_scale(mat)[0]
 
 
 def _defect_and_scale(mat: np.ndarray) -> tuple[float, float]:
@@ -520,15 +512,21 @@ def gauge_conjugation_deviation(
 # -- numeric evaluation of formal trace classes ---------------------------------------
 
 
-def evaluate_element(
-    a: AlgebraElement,
+def evaluate_tau(
+    cls: TauClass,
     assign: dict[str, ConcreteElement],
     theta: np.ndarray,
     t: float = 1.0,
 ) -> complex:
-    """Trace of a formal element with generators bound to concrete data."""
+    """Numeric value of a trace class on the concrete twisted torus: each
+    word of the representative, with its generators bound to concrete data,
+    becomes a twisted convolution whose zero mode is its trace.
+
+    Cyclic rotation of words is a symmetry of the concrete trace, so any
+    representative gives the same number.
+    """
     total = 0j
-    for word, coeff in a.terms():
+    for word, coeff in cls.representative.terms():
         val: Optional[ConcreteElement] = None
         for g in word:
             base = assign.get(g.base)
@@ -544,17 +542,3 @@ def evaluate_element(
         wtau = 1.0 + 0j if val is None else val.tau()
         total += coeff.to_complex(t) * wtau
     return total
-
-
-def evaluate_tau(
-    cls: TauClass,
-    assign: dict[str, ConcreteElement],
-    theta: np.ndarray,
-    t: float = 1.0,
-) -> complex:
-    """Numeric value of a trace class on the concrete twisted torus.
-
-    Cyclic rotation of words is a symmetry of the concrete trace, so any
-    representative gives the same number.
-    """
-    return evaluate_element(cls.representative, assign, theta, t)

@@ -256,11 +256,6 @@ class ExactScalar:
             for k, (re, im, den) in sorted(self._terms.items())
         )
 
-    def max_t_power(self) -> int:
-        if not self._terms:
-            return 0
-        return max(j for (_, j) in self._terms)
-
     def t_grade(self, j: int) -> "ExactScalar":
         """The sub-sum of terms with t grade exactly ``j`` (t factor kept)."""
         return ExactScalar._raw(

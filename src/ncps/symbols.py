@@ -30,8 +30,9 @@ map, :class:`TermMap`.  Inversion is written once as well, in
 same recursion from different leading layers.  Inversion and square roots are
 solved degree by degree; the leading components that occur here are central
 scalar functions times ``1 + (nilpotent)`` and are handled by finite Neumann /
-binomial series, with the square root solving the two-sided equation
-``b X + X b = R`` order by order in the nilpotent grade.
+binomial series.  At each degree the square root solves the two-sided
+equation ``v X + X v = R``, ``v = 1 + w``, by the finite series
+``X = 1/2 sum_k (-1/2)^k A^k(R)`` of the nilpotent map ``A(X) = w X + X w``.
 """
 
 from __future__ import annotations
@@ -47,21 +48,22 @@ from .algebra import (
     exp_expand,
     gen,
     invert_perturbed_unit,
+    nilpotent_orbit,
     sqrt_perturbed_unit,
 )
 from .clifford import Mat2, _component_rows, _mul_into, gamma
 from .scalars import DomainError, ExactScalar, RationalLike
 
 
-class EllipticityShapeError(ValueError):
+class EllipticityShapeError(DomainError):
     """Leading component is not a central scalar power times a perturbed unit."""
 
 
-class InsufficientFloorError(ValueError):
+class InsufficientFloorError(DomainError):
     """A computation needs homogeneous components below the computed floor."""
 
 
-class FamilyError(ValueError):
+class FamilyError(DomainError):
     """Malformed operator-family description."""
 
 
@@ -248,9 +250,10 @@ class Component(TermMap):
     __slots__ = ()
 
     @classmethod
-    def unit(cls, dim: int) -> "Component":
+    def scalar(cls, dim: int, a: AlgebraElement) -> "Component":
+        """The degree-0 component ``a (x) 1``, constant in xi."""
         c = cls(dim, 0)
-        c.add_term((0,) * dim, 0, Mat2.diag(AlgebraElement.unit()))
+        c.add_term((0,) * dim, 0, Mat2.diag(a))
         return c
 
     def _audit(self, key: TermKey) -> None:
@@ -612,9 +615,8 @@ def invert_symbol(a: Symbol, floor: int) -> Symbol:
         raise DomainError(f"floor {floor} is above the leading inverse degree {-r}")
     _require_known(a, 2 * r + floor, "inversion")
 
-    lead = Component(a.dim, 0)
-    lead.add_term((0,) * a.dim, 0, Mat2.diag(uinv))
-    return Symbol.make(a.dim, _inverse_layers(a, lead.mul_xi2(-r).reduced(), kmax), floor)
+    lead = Component.scalar(a.dim, uinv).mul_xi2(-r).reduced()
+    return Symbol.make(a.dim, _inverse_layers(a, lead, kmax), floor)
 
 
 def _inverse_layers(a: Symbol, lead: TermMap, count: int) -> list:
@@ -642,31 +644,15 @@ def _inverse_layers(a: Symbol, lead: TermMap, count: int) -> list:
 def _solve_symmetric(v: AlgebraElement, rhs: Component) -> Component:
     """Solve ``v X + X v = rhs`` for a perturbed unit ``v = 1 + w``.
 
-    ``w`` is t-nilpotent, so the two-sided equation decouples grade by grade:
-    the grade-g slice is ``2 X_g = rhs_g - sum_j (w_j X_{g-j} + X_{g-j} w_j)``.
+    With ``A(X) = w X + X w`` the equation is ``(2 + A) X = rhs``.  ``w`` is
+    t-nilpotent, so ``A`` is too, and ``X = 1/2 sum_k (-1/2)^k A^k(rhs)`` sums
+    one orbit of ``A``; ``A`` keeps every key, so no term needs reducing.
     """
     w = v - AlgebraElement.unit()
-    if w.is_zero():
-        return rhs.scale_rational(Fraction(1, 2))
-    cap = w.t_cap_min()
-    if cap is None:
-        raise DomainError("nilpotent perturbation without a t cap")
-    w_grades = {
-        j: wj
-        for j in range(1, w.max_t_power() + 1)
-        if not (wj := w.t_grade(j)).is_zero()
-    }
+    orbit = nilpotent_orbit(rhs, lambda x: x.lmul_elem(w).add(x.rmul_elem(w)))
     out = Component(rhs.dim, rhs.degree)
-    grades: dict[int, Component] = {}
-    for g in range(cap + 1):
-        acc = rhs.t_grade(g)
-        for j, wj in w_grades.items():
-            prev = grades.get(g - j)
-            if prev is not None and not prev.is_empty():
-                acc = acc.sub(prev.lmul_elem(wj)).sub(prev.rmul_elem(wj))
-        xg = acc.scale_rational(Fraction(1, 2)).reduced()
-        grades[g] = xg
-        out = out.add(xg)
+    for k, term in enumerate(orbit):
+        out = out.add(term.scale_rational(Fraction(1, 2) * Fraction(-1, 2) ** k))
     return out
 
 
@@ -686,9 +672,7 @@ def sqrt_symbol(a: Symbol, floor: int) -> Symbol:
         raise DomainError(f"floor {floor} is above the leading square-root degree {r}")
     _require_known(a, r + floor, "square root")
 
-    lead = Component(a.dim, 0)
-    lead.add_term((0,) * a.dim, 0, Mat2.diag(v))
-    lead = lead.mul_xi2(r).reduced()
+    lead = Component.scalar(a.dim, v).mul_xi2(r).reduced()
 
     b: dict[int, Component] = {r: lead}
     moyal = _Moyal()
@@ -829,9 +813,7 @@ def dirac_symbol(f: OperatorFamily) -> tuple[Symbol, Symbol]:
         sd = free.add(Symbol.make(dim, [_slash_component(dim, coeffs)]))
     elif f.kind == "conformal_dirac":
         half = exp_expand(gen(f.weyl, dim), Fraction(1, 2), f.t_cap)
-        e_comp = Component(dim, 0)
-        e_comp.add_term((0,) * dim, 0, Mat2.diag(half))
-        e_sym = Symbol.make(dim, [e_comp])
+        e_sym = Symbol.make(dim, [Component.scalar(dim, half)])
         sd = star_product(e_sym, star_product(free, e_sym))
     else:  # pragma: no cover - guarded by __post_init__
         raise FamilyError(f.kind)

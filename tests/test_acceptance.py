@@ -18,7 +18,7 @@ from ncps import numeric as nm
 from ncps import symbols as sy
 from ncps.algebra import AlgebraElement, tau_class
 from ncps.checks import run_check
-from ncps.clifford import Mat2, clifford_word, gamma, levi_civita, matrix_trace
+from ncps.clifford import Mat2, clifford_word, gamma, levi_civita
 from ncps.scalars import ExactScalar
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
@@ -117,13 +117,13 @@ def test_criterion_07_property_suites():
                     ExactScalar.rational(2 if i == j else 0)
                 )
                 ok = ok and anti.e == expect.e
-                ok = ok and matrix_trace(clifford_word(dim, [i, j])) == AlgebraElement.rational(
+                ok = ok and clifford_word(dim, [i, j]).trace() == AlgebraElement.rational(
                     2 if i == j else 0
                 )
     for i in range(1, 4):
         for j in range(1, 4):
             for k in range(1, 4):
-                ok = ok and matrix_trace(clifford_word(3, [i, j, k])) == AlgebraElement.rational(
+                ok = ok and clifford_word(3, [i, j, k]).trace() == AlgebraElement.rational(
                     0, 2 * levi_civita((i, j, k))
                 )
     # trace cyclicity, adjoint and Leibniz laws on random elements

@@ -1,5 +1,6 @@
 """Free *-algebra: products, adjoints, derivations, trace classes, exponentials."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from ncps.algebra import (
     exp_expand,
     gen,
     invert_perturbed_unit,
+    nilpotent_orbit,
     nilpotent_powers,
     sqrt_perturbed_unit,
     tau_class,
@@ -273,6 +275,32 @@ def test_nilpotent_powers():
     assert nilpotent_powers(AlgebraElement.zero()) == [AlgebraElement.unit()]
     with pytest.raises(DomainError, match="not nilpotent"):
         nilpotent_powers(elem(A1))  # A1 carries no t grade
+
+
+def test_nilpotent_orbit_stops_at_the_last_nonzero_term():
+    x = elem(H).scale(ExactScalar.t_power(1, t_cap=3))
+    orbit = nilpotent_orbit(x, lambda p: p * x + x * p)
+    assert orbit == [x, (x * x).scale_rational(2), (x * x * x).scale_rational(4)]
+    assert nilpotent_orbit(AlgebraElement.unit(), lambda p: p * x) == nilpotent_powers(x)
+    assert nilpotent_orbit(x, lambda p: p * x * x * x) == [x]
+    # at most 64 terms: x^63 is the deepest power an orbit holds
+    deep = elem(H).scale(ExactScalar.t_power(1, t_cap=63))
+    assert len(nilpotent_powers(deep)) == 64
+    with pytest.raises(DomainError, match="not nilpotent"):
+        nilpotent_powers(elem(H).scale(ExactScalar.t_power(1, t_cap=64)))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 4])
+@pytest.mark.parametrize("c", [1, Fraction(-3, 2), Fraction(1, 2)])
+def test_exp_expand_caps_every_coefficient(m, c):
+    e = exp_expand(H, c, m)
+    terms = dict(e.terms())
+    assert len(terms) == m + 1
+    assert {s.t_cap for s in terms.values()} == {m}
+    assert terms[()] == ExactScalar.one(t_cap=m)  # the t-free unit included
+    for j in range(1, m + 1):
+        assert terms[(H,) * j] == ExactScalar.t_power(j, Fraction(c) ** j / math.factorial(j), t_cap=m)
+    assert exp_expand(H, 0, m) == AlgebraElement.scalar(ExactScalar.one(t_cap=m))
 
 
 def test_derived_letters_are_built_once(monkeypatch):

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from ncps import numeric as nm
 from ncps import symbols as sy
 from ncps.checks import CHECKS, run_check
+from ncps.scalars import DomainError
 
 
 def test_registry_has_descriptions():
@@ -194,6 +196,18 @@ def test_t_order_limit_admits_six():
         ("eta-conformal", {"t_order": "x"}, "t_order must be an integer, got 'x'"),
         ("zeta-conformal", {"t_order": "x"}, "t_order must be an integer, got 'x'"),
         ("res-heat", {"t_order": "x"}, "t_order must be an integer, got 'x'"),
+        # an integer is never truncated: an int, an integral float or an
+        # integer string, for every integer key and each entry of u
+        ("flow-index", {"grid": 11.9}, "grid must be an integer, got 11.9"),
+        ("flow-index", {"cutoff": "2.5"}, "cutoff must be an integer, got '2.5'"),
+        ("flow-index", {"dim": float("inf")}, "dim must be an integer, got inf"),
+        ("eta-coupled", {"floor": -3.7}, "floor must be an integer, got -3.7"),
+        ("eta-coupled", {"floor": True}, "floor must be an integer, got True"),
+        ("eta-conformal", {"t_order": [2]}, "t_order must be an integer, got [2]"),
+        ("flow-index", {"u": [1.9, 0, 0]}, "u must be comma-separated integers, got [1.9, 0, 0]"),
+        ("flow-index", {"u": (1, False, 0)}, "u must be comma-separated integers, got (1, False, 0)"),
+        ("flow-index", {"u": 7}, "u must be comma-separated integers, got 7"),
+        ("flow-index", {"u": "1,0.5,0"}, "u must be comma-separated integers, got '1,0.5,0'"),
     ],
 )
 def test_unparsable_config_is_error_report(name, config, message, monkeypatch):
@@ -211,6 +225,30 @@ def test_parsed_values_reach_the_runner_and_the_echo_keeps_the_given_value():
     report = run_check("flow-index", {"u": "0,1,0", "grid": "21", "cutoff": 2})
     assert report.passed
     assert report.params["u"] == "0,1,0" and report.params["grid"] == "21"
+
+
+def test_integral_floats_and_integer_strings_are_integers():
+    given = run_check("flow-index", {"grid": 21.0, "cutoff": "2", "u": [0, 1.0, "0"]})
+    plain = run_check("flow-index", {"grid": 21, "cutoff": 2, "u": (0, 1, 0)})
+    assert given.passed and given.details == plain.details
+    assert given.params["grid"] == 21.0 and given.params["u"] == [0, 1.0, "0"]
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [sy.FamilyError, sy.InsufficientFloorError, sy.EllipticityShapeError,
+     nm.GridTooCoarseError, nm.ZeroEigenvalueError],
+)
+def test_every_engine_error_is_a_domain_error(cls, monkeypatch):
+    assert issubclass(cls, DomainError)
+
+    def raising(*_args, **_kwargs):
+        raise cls("raised by the runner")
+
+    monkeypatch.setattr(nm, "spectral_flow", raising)
+    report = run_check("flow-index", {"grid": 11, "cutoff": 2})
+    assert report.status == "error"
+    assert report.witness == "raised by the runner"
 
 
 def test_runner_value_error_is_not_a_config_error(monkeypatch):

@@ -66,11 +66,25 @@ def test_verify_unread_flags_are_error(capsys):
 
 
 def test_verify_has_no_theta_flag(capsys):
-    # no check reads a deformation matrix; `num flow --theta` keeps its flag
+    # no check reads a deformation matrix, and neither does `num flow`
     with pytest.raises(SystemExit) as exc:
         main(["verify", "flow-index", "--theta", "x"])
     assert exc.value.code != 0
     assert "--theta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["num", "flow", "--theta", "theta.json"], "--theta"),
+        (["anomaly", "--dim", "2"], "--dim"),
+    ],
+)
+def test_removed_flags_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_wres_family_file(tmp_path, capsys):
@@ -172,6 +186,7 @@ def test_num_flow_command(capsys):
         (["--kernel-shift", "nan"], "kernel shift must be >= 0, got nan"),
         (["--kernel-shift", "0", "--grid", "11", "--cutoff", "2"], "exact zero eigenvalue at grid point 0"),
         (["--u", "5,0,0", "--grid", "3", "--cutoff", "1"], "step 1: movement 2.5 exceeds half the zero window"),
+        (["--u", "1,x,0"], "u must be comma-separated integers, got '1,x,0'"),
     ],
 )
 def test_num_flow_bad_input_exits_2_with_message(capsys, argv, message):
@@ -193,6 +208,25 @@ def test_num_heat_command(capsys):
 def test_missing_family_file(capsys):
     code, _ = run(capsys, "wres", "--family", "/nonexistent/f.json")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"kind": "free_dirac"}, "malformed numeric family file: 'dim'"),
+        ({"kind": "free_dirac", "dim": "x"}, "malformed numeric family file: invalid literal"),
+        ({"kind": "free_dirac", "dim": 2, "theta": [[0, 1], [1, 0]]},
+         "malformed numeric family file: deformation matrix must be skew-symmetric"),
+    ],
+)
+def test_num_spectrum_malformed_family_file_exits_2(tmp_path, capsys, data, message):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(data))
+    code = main(["num", "spectrum", "--family", str(fam), "--cutoff", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
 
 
 def test_num_spectrum_coupled_modes(tmp_path, capsys):

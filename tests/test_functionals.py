@@ -263,8 +263,8 @@ def test_functionals_are_linear_over_scalars():
     lhs = fn.wres(scaled, 3).traced
     rhs = fn.wres(sym, 3).traced.scale(s)
     assert (lhs - rhs).is_zero()
-    fin_a, _ = fn.cutoff_integral(Symbol.make(DIM, [Component.unit(DIM)]), 3)
-    fin_b, _ = fn.cutoff_integral(Symbol.make(DIM, [Component.unit(DIM).scale(s)]), 3)
+    fin_a, _ = fn.cutoff_integral(Symbol.make(DIM, [Component.scalar(DIM, AlgebraElement.unit())]), 3)
+    fin_b, _ = fn.cutoff_integral(Symbol.make(DIM, [Component.scalar(DIM, AlgebraElement.unit()).scale(s)]), 3)
     assert all(
         (fin_b.e[i][j] - fin_a.e[i][j].scale(s)).is_zero()
         for i in range(2)

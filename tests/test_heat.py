@@ -10,7 +10,7 @@ from ncps import heat as ht
 from ncps import numeric as nm
 from ncps import symbols as sy
 from ncps.algebra import AlgebraElement, gen, tau_class
-from ncps.scalars import DomainError, ExactScalar
+from ncps.scalars import DomainError, ExactScalar, gamma_half_pair
 from ncps.symbols import Component, Mat2, OperatorFamily, dirac_symbol
 
 DIM = 3
@@ -98,7 +98,8 @@ def reference_resolvent_symbols(sd2, count):
                     for i, a in enumerate(alpha):
                         for _ in range(a):
                             left, right = left.xi_derivative(i), right.delta(i + 1)
-                    term = right.mul_poly_component(left)
+                    term = right._like(right.degree + left.degree)
+                    term.add_product(left, right)
                     cross = cross.add(term.scale_rational(Fraction(1, sy._alpha_factorial(alpha))))
         layers.append(r0.mul(cross).neg())
     return layers
@@ -187,6 +188,29 @@ def test_gaussian_xi2_moment_matches_monomial_expansion(n):
                     shifted = tuple(b + c for b, c in zip(beta, mono))
                     expect = expect + ht.gaussian_moment(shifted).scale(coeff)
                 assert ht.gaussian_xi2_moment(beta, s) == expect, (beta, s)
+
+
+def _gamma_product_moment(beta, s):
+    """The moment as a product of one-dimensional Gaussian moments
+    ``Gamma((b + 1) / 2)`` times the radial ratio ``Gamma(a + s) / Gamma(a)``,
+    ``a = (|beta| + n) / 2``."""
+    if any(b % 2 for b in beta):
+        return ExactScalar.zero()
+    coeff, p = Fraction(1), 0
+    for b in beta:
+        c, half = gamma_half_pair(b + 1)
+        coeff, p = coeff * c, p + half
+    a = Fraction(sum(beta) + len(beta), 2)
+    return ExactScalar.pi_half(p, coeff * math.prod(a + i for i in range(s)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gaussian_moments_match_the_gamma_product_reference(n):
+    for total in range(9):
+        for beta in sy.multi_indices(n, total):
+            for s in range(4):
+                assert ht.gaussian_xi2_moment(beta, s) == _gamma_product_moment(beta, s), (beta, s)
+            assert ht.gaussian_moment(beta) == _gamma_product_moment(beta, 0), beta
 
 
 def test_gaussian_xi2_moment_values():

@@ -108,7 +108,7 @@ def test_multiplication_matrix_matches_loop_reference(dim, L):
 @pytest.mark.parametrize("L", [2, 3])
 def test_blockwise_assembly_matches_kron_reference(dim, L):
     theta, h = THETAS[dim], _weyl(dim)
-    d = nm.free_dirac_matrix(L, dim)
+    d = nm.build_operator(nm.NumericFamily("free_dirac", dim), L).matrix
     assert np.array_equal(d, _kron_dirac(L, dim))
     e = np.kron(nm.expm_hermitian(0.35 * nm.multiplication_matrix(h, L, theta)), np.eye(2))
     top = nm.build_operator(nm.NumericFamily("conformal_dirac", dim, theta=theta, weyl=h), L, t=0.7)
@@ -386,7 +386,7 @@ def test_conformal_member_at_zero_is_the_free_operator(dim, monkeypatch):
     top = nm.build_operator(fam, L, t=0.0)
     free = nm.build_operator(nm.NumericFamily("free_dirac", dim), L)
     assert np.array_equal(top.matrix, free.matrix)
-    assert np.array_equal(top.matrix, nm.free_dirac_matrix(L, dim))
+    assert np.array_equal(top.matrix, _kron_dirac(L, dim))
     assert top.hermiticity_defect == 0.0
     bad = nm.NumericFamily("conformal_dirac", dim, theta=THETAS[dim],
                            weyl=nm.ConcreteElement(dim, {(1,) + (0,) * (dim - 1): 1.0}))
@@ -583,9 +583,9 @@ def test_gamma_num_is_the_exact_pauli_table():
 def test_blockwise_hermiticity_defect_equals_full_max(n):
     rng = np.random.default_rng(n)
     mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    assert nm._hermiticity_defect(mat) == float(np.max(np.abs(mat - mat.conj().T)))
+    assert nm._defect_and_scale(mat)[0] == float(np.max(np.abs(mat - mat.conj().T)))
     herm = (mat + mat.conj().T) / 2
-    assert nm._hermiticity_defect(herm) == 0.0
+    assert nm._defect_and_scale(herm)[0] == 0.0
     bad = herm.copy()
     bad[n - 1, 0] += 1e-6j * max(1.0, float(np.max(np.abs(herm))))
     with pytest.raises(DomainError, match="not Hermitian"):
@@ -599,7 +599,7 @@ def test_blockwise_scale_equals_full_max(n):
     mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     defect, scale = nm._defect_and_scale(mat)
     assert scale == float(np.max(np.abs(mat)))
-    assert defect == nm._hermiticity_defect(mat)
+    assert defect == nm._defect_and_scale(mat)[0]
     # a non-Hermitian array is refused whatever its size
     with pytest.raises(DomainError, match="not Hermitian"):
         nm.hermitian_eigenvalues(mat)

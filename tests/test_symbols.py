@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncps import symbols as sy
-from ncps.algebra import AlgebraElement, Generator, exp_expand, gen
+from ncps.algebra import AlgebraElement, Generator, exp_expand, gen, sqrt_perturbed_unit
 from ncps.scalars import DomainError, ExactScalar
 from ncps.symbols import (
     Component,
@@ -38,7 +38,7 @@ def elem_mat(a):
 
 
 def one_symbol(dim=DIM):
-    return Symbol.make(dim, [Component.unit(dim)])
+    return Symbol.make(dim, [Component.scalar(dim, AlgebraElement.unit())])
 
 
 def xi_slash(dim=DIM):
@@ -573,7 +573,7 @@ def test_roundtrips_for_shipped_families():
         OperatorFamily.free(2),
         OperatorFamily.conformal(2, t_cap=1),
     ]
-    one2 = Symbol.make(2, [Component.unit(2)])
+    one2 = Symbol.make(2, [Component.scalar(2, AlgebraElement.unit())])
     for fam in fams:
         _, sd2 = dirac_symbol(fam)
         absd = sqrt_symbol(sd2, floor=-2)
@@ -630,6 +630,32 @@ def test_golden_conformal_sign_render():
     assert _sha256(sgn.render()) == (
         "c4ee031cfb57e5f1fdb78b086e4427717a5be397817eb239067e480abda2b240"
     )
+
+
+def test_golden_conformal_sqrt_render():
+    """Byte-identical render of the conformal square root at t_cap 3, floor
+    -2, pinned while its two-sided equation was still solved t grade by t
+    grade."""
+    sd2 = dirac_symbol(OperatorFamily.conformal(3, t_cap=3))[1]
+    assert _sha256(sqrt_symbol(sd2, -2).render()) == (
+        "d5d87b4c75a4b09b025bbe8e8ecaa4cca0a38d681dc96947781f6bf542fafef5"
+    )
+
+
+@pytest.mark.parametrize("degree", [1, 0])
+def test_solve_symmetric_is_exact(degree):
+    # v X + X v = R for the perturbed unit v of the conformal family at
+    # t_cap 3, whose t-graded part does not commute with R
+    sd2 = dirac_symbol(OperatorFamily.conformal(DIM, t_cap=3))[1]
+    v = sqrt_perturbed_unit(sy._central_leading(sd2)[1])
+    rhs = sd2.component(degree)
+    x = sy._solve_symmetric(v, rhs)
+    assert not rhs.is_zero() and not x.is_zero()
+    assert x.lmul_elem(v).add(x.rmul_elem(v)).equals(rhs)
+    assert not x.equals(rhs.scale_rational(Fraction(1, 2)))
+    # with w = 0 the orbit has one term: X = R / 2
+    half = sy._solve_symmetric(AlgebraElement.unit(), rhs)
+    assert half.equals(rhs.scale_rational(Fraction(1, 2)))
 
 
 def reference_star_product(a, b, floor):
