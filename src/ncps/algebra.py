@@ -38,7 +38,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .scalars import _NO_CAP, DomainError, ExactScalar, RationalLike
+from .scalars import _MEMO, _NO_CAP, DomainError, ExactScalar, RationalLike, _interned
 
 
 class Generator(NamedTuple):
@@ -135,9 +135,13 @@ def _grade_rows(a: "AlgebraElement") -> list[tuple[int, int, Word, ExactScalar]]
 
 def _rotated(s: ExactScalar, phase: int) -> ExactScalar:
     """``i^phase s`` for phase +-1: each triple ``(re, im, den)`` becomes
-    ``(-phase im, phase re, den)``, canonical again, so nothing multiplies."""
-    terms = {k: (-phase * im, phase * re, den) for k, (re, im, den) in s._terms.items()}
-    return ExactScalar._raw(terms, s.t_cap)
+    ``(-phase im, phase re, den)``, canonical again, so nothing multiplies;
+    memoized like the ring operations of :mod:`ncps.scalars`."""
+    hit = _MEMO.get(memo_key := (id(s), phase, "i"))
+    if hit is None:
+        terms = {k: (-phase * im, phase * re, den) for k, (re, im, den) in s._terms.items()}
+        hit = _MEMO[memo_key] = _interned(terms, s.t_cap)
+    return hit
 
 
 def _mul_rows_into(out: dict, left: list, right: list, phase: int = 0) -> None:
@@ -272,6 +276,23 @@ class AlgebraElement:
                     raise DomainError(f"direction {mu} out of range for {g}")
                 _accumulate(out, w[:i] + (_derived(g, mu, 1),) + w[i + 1 :], s)
         return AlgebraElement._raw(out)
+
+    def substitute(self, base: str, x: "AlgebraElement") -> "AlgebraElement":
+        """Replace each letter ``d^alpha(g)`` with this base by ``delta^alpha x``,
+        and ``d^alpha(g*)`` by ``delta^alpha (x*)``."""
+        out = AlgebraElement.zero()
+        for w, s in self._terms.items():
+            prod = AlgebraElement.scalar(s)
+            for g in w:
+                y = AlgebraElement.generator(g)
+                if g.base == base:
+                    y = x.adjoint() if g.star else x
+                    for mu, order in enumerate(g.deriv, start=1):
+                        for _ in range(order):
+                            y = y.delta(mu)
+                prod = prod * y
+            out = out + prod
+        return out
 
     # -- grading and filtering -------------------------------------------------
 

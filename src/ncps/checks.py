@@ -82,12 +82,24 @@ def _ints(u) -> tuple[int, ...]:
     return tuple(map(_int, u.split(",") if isinstance(u, str) else u))
 
 
+def _kernel_shift(value) -> float:
+    """A number (not a bool) below 1, the smallest nonzero |n| at the flow's
+    endpoints, which a larger shift would swallow; a negative or NaN shift is
+    refused by :func:`ncps.numeric.spectral_flow` itself."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    if float(value) >= 1.0:
+        what = "< 1 (the smallest nonzero |n| at the endpoints)"
+        raise DomainError(f"kernel_shift must be {what}, got {value!r}")
+    return float(value)
+
+
 # key -> (parser, what a value must be); run_check parses every given value
 _INT = (_int, "an integer")
 PARSERS = {
     "floor": _INT, "t_order": _INT, "grid": _INT, "cutoff": _INT, "dim": _INT,
     "u": (_ints, "comma-separated integers"),
-    "kernel_shift": (float, "a number"),
+    "kernel_shift": (_kernel_shift, "a number"),
 }
 
 
@@ -99,24 +111,31 @@ def _parsed(cfg: dict) -> dict:
         parse, what = PARSERS[key]
         try:
             out[key] = parse(value)
+        except DomainError:
+            raise
         except (TypeError, ValueError):
             raise DomainError(f"{key} must be {what}, got {value!r}") from None
     return out
 
 
+MIN_FLOOR = -5
+MAX_T_ORDER = 6
+
+
 def _residue_floor(cfg: dict) -> int:
     """The configured floor of a sign symbol on the 3-torus.  Its residue
     reads the degree -3 component, so a higher floor is rejected here, with
-    the value as given, before any internal floor is derived from it."""
+    the value as given, before any internal floor is derived from it; a
+    floor below ``MIN_FLOOR`` is rejected as too costly."""
     floor = cfg["floor"]
     if floor > -3:
         raise DomainError(
             f"floor must be <= -3 (the residue reads the degree -3 component), got {floor}"
         )
+    if floor < MIN_FLOOR:
+        what = f">= {MIN_FLOOR} (the word-terms grow about sevenfold per degree)"
+        raise DomainError(f"floor must be {what}, got {floor}")
     return floor
-
-
-MAX_T_ORDER = 6
 
 
 def _t_order(cfg: dict) -> int:

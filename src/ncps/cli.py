@@ -184,16 +184,17 @@ def _cmd_num_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_num_flow(args: argparse.Namespace) -> int:
-    u = _parsed({"u": args.u})["u"]
+    cfg = _parsed({"u": args.u, "kernel_shift": args.kernel_shift})
+    u, shift = cfg["u"], cfg["kernel_shift"]
     grid = nm.flow_grid(args.grid)
     spectra = nm.unitary_flow_spectra(u, grid, args.cutoff, args.dim)
-    flow = nm.spectral_flow(spectra, kernel_shift=args.kernel_shift)
+    flow = nm.spectral_flow(spectra, kernel_shift=shift)
     payload = {
         "u": list(u),
         "grid": args.grid,
         "cutoff": args.cutoff,
         "dim": args.dim,
-        "kernel_shift": args.kernel_shift,
+        "kernel_shift": shift,
         "flow": flow,
     }
     _emit(payload, args.json)
@@ -278,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     nf.add_argument("--grid", type=int, default=101)
     nf.add_argument("--cutoff", type=int, default=6)
     nf.add_argument("--dim", type=int, default=3)
-    nf.add_argument("--kernel-shift", dest="kernel_shift", type=float, default=1e-9)
+    nf.add_argument("--kernel-shift", dest="kernel_shift", type=str, default="1e-9")
     nf.add_argument("--json", type=str, default=None)
     nf.set_defaults(fn=_cmd_num_flow)
 

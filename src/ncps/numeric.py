@@ -461,6 +461,10 @@ def unitary_flow_spectra(
         raise DomainError(f"cutoff must be >= 1 (mode box |k|_inf <= cutoff), got {L}")
     if len(k) != dim:
         raise DomainError(f"lattice vector u has {len(k)} entries but dim is {dim}")
+    # the endpoint kernel mode n = -u must lie in the box, else one crossing
+    # has no partner and the flow reads nonzero
+    if max(map(abs, k), default=0) > L:
+        raise DomainError(f"cutoff must be >= max|u_i| = {max(map(abs, k))}, got {L}")
     box = np.asarray(mode_box(L, dim), dtype=float)
     kvec = np.asarray(k, dtype=float)
     gammas = np.stack([gamma_num(dim, mu) for mu in range(1, dim + 1)])

@@ -21,6 +21,14 @@ and :meth:`ExactScalar.rational_part` return ``Fraction`` pairs.
 pi is never evaluated numerically on the symbolic path: sphere and Gaussian
 integrals produce exact rational multiples of half-integer powers of pi and
 all vanishing statements are decided by exact zero tests.
+
+Scalars are hash-consed: every construction, ``copy`` and pickle included,
+returns the one interned object of its value, the cap counted as part of it.
+Products, sums, scalings, negations and the ``i``-rotations of
+:mod:`ncps.algebra` look their result up in one memo keyed on operand ``id()``s
+and compute only on a miss.  That is sound because interned objects are never
+freed, so no id is reused, and no code mutates a scalar's ``_terms`` after
+construction.  Equality and hashing stay value-based and ignore the cap.
 """
 
 from __future__ import annotations
@@ -34,9 +42,8 @@ RationalLike = Union[int, Fraction]
 Triple = tuple[int, int, int]
 
 _NO_CAP = 1 << 62  # above every t grade: stands for an absent cap in loops
-# the hot methods (__add__, __mul__, scale) build their result inline rather
-# than through ExactScalar._raw, whose call costs as much as a small product
-_new = object.__new__
+_INTERN: dict = {}  # (t_cap, sorted term items) -> the one scalar of that value
+_MEMO: dict = {}  # operand ids and operation tag -> result
 
 
 class DomainError(ValueError):
@@ -75,6 +82,17 @@ def _add_triples(x: Triple, y: Triple) -> Optional[Triple]:
     return (re, im, den) if g == 1 else (re // g, im // g, den // g)
 
 
+def _interned(terms: dict[tuple[int, int], Triple], t_cap: Optional[int]) -> "ExactScalar":
+    """The one scalar of this value; ``terms`` must already hold canonical
+    triples only and respect the cap."""
+    key = (t_cap, tuple(sorted(terms.items())))
+    obj = _INTERN.get(key)
+    if obj is None:
+        obj = _INTERN[key] = object.__new__(ExactScalar)
+        obj._terms, obj.t_cap = terms, t_cap
+    return obj
+
+
 def _fmt_rational(num: int, den: int) -> str:
     g = gcd(num, den)
     if g != 1:
@@ -108,8 +126,8 @@ class ExactScalar:
 
     __slots__ = ("_terms", "t_cap")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         terms: Optional[Mapping[tuple[int, int], tuple[RationalLike, RationalLike]]] = None,
         t_cap: Optional[int] = None,
     ):
@@ -125,21 +143,12 @@ class ExactScalar:
                 v = _triple(re, im)
                 if v is not None:
                     clean[(p, j)] = v
-        self._terms = clean
-        self.t_cap = t_cap
+        return _interned(clean, t_cap)
 
-    @classmethod
-    def _raw(
-        cls,
-        terms: dict[tuple[int, int], Triple],
-        t_cap: Optional[int],
-    ) -> "ExactScalar":
-        """Trusted constructor for internal arithmetic: the term map must
-        already hold canonical triples only and respect the cap."""
-        obj = object.__new__(cls)
-        obj._terms = terms
-        obj.t_cap = t_cap
-        return obj
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, which
+        # returns the interned object instead of filling a fresh one
+        return ExactScalar, (dict(self.terms()), self.t_cap)
 
     # -- constructors -----------------------------------------------------
 
@@ -177,6 +186,9 @@ class ExactScalar:
         if cap != other.t_cap:
             cap = _min_cap(cap, other.t_cap)
             return self.truncate_t(cap) + other.truncate_t(cap)
+        hit = _MEMO.get(memo_key := (id(self), id(other), "+"))
+        if hit is not None:
+            return hit
         out = self._terms.copy()
         for key, v in other._terms.items():
             if key in out:
@@ -185,20 +197,22 @@ class ExactScalar:
                     del out[key]
                     continue
             out[key] = v
-        obj = _new(ExactScalar)
-        obj._terms = out
-        obj.t_cap = cap
-        return obj
+        return _MEMO.setdefault(memo_key, _interned(out, cap))
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar._raw(
-            {k: (-re, -im, den) for k, (re, im, den) in self._terms.items()}, self.t_cap
-        )
+        hit = _MEMO.get(memo_key := (id(self), "-"))
+        if hit is None:
+            terms = {k: (-re, -im, den) for k, (re, im, den) in self._terms.items()}
+            hit = _MEMO[memo_key] = _interned(terms, self.t_cap)
+        return hit
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         return self + (-other)
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
+        hit = _MEMO.get(memo_key := (id(self), id(other), "*"))
+        if hit is not None:
+            return hit
         c1, c2 = self.t_cap, other.t_cap
         cap = c2 if c1 is None else c1 if c2 is None or c1 < c2 else c2
         top = _NO_CAP if cap is None else cap
@@ -220,12 +234,12 @@ class ExactScalar:
                         del out[key]
                         continue
                 out[key] = v
-        obj = _new(ExactScalar)
-        obj._terms = out
-        obj.t_cap = cap
-        return obj
+        return _MEMO.setdefault(memo_key, _interned(out, cap))
 
     def scale(self, q: RationalLike) -> "ExactScalar":
+        hit = _MEMO.get(memo_key := (id(self), q, "q"))
+        if hit is not None:
+            return hit
         n, m = q.numerator, q.denominator
         if n == 0:
             return ExactScalar.zero(self.t_cap)
@@ -234,13 +248,10 @@ class ExactScalar:
             re, im, den = re * n, im * n, den * m
             g = gcd(re, im, den)
             out[k] = (re, im, den) if g == 1 else (re // g, im // g, den // g)
-        obj = _new(ExactScalar)
-        obj._terms = out
-        obj.t_cap = self.t_cap
-        return obj
+        return _MEMO.setdefault(memo_key, _interned(out, self.t_cap))
 
     def conjugate(self) -> "ExactScalar":
-        return ExactScalar._raw(
+        return _interned(
             {k: (re, -im, den) for k, (re, im, den) in self._terms.items()}, self.t_cap
         )
 
@@ -258,7 +269,7 @@ class ExactScalar:
 
     def t_grade(self, j: int) -> "ExactScalar":
         """The sub-sum of terms with t grade exactly ``j`` (t factor kept)."""
-        return ExactScalar._raw(
+        return _interned(
             {k: v for k, v in self._terms.items() if k[1] == j}, self.t_cap
         )
 
@@ -267,7 +278,7 @@ class ExactScalar:
         if m < 0:
             raise DomainError("truncation order must be >= 0")
         cap = m if self.t_cap is None else min(self.t_cap, m)
-        return ExactScalar._raw(
+        return _interned(
             {k: v for k, v in self._terms.items() if k[1] <= m}, cap
         )
 

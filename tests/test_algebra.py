@@ -159,6 +159,33 @@ def test_delta_leibniz_random():
         assert (lhs - rhs).is_zero()
 
 
+def test_substitute_is_a_homomorphism_that_commutes_with_delta():
+    rng = random.Random(19)
+    for _ in range(25):
+        a, b = random_element(rng), random_element(rng)
+        x = random_element(rng, bases=("A1", "g"))
+        mu = rng.randint(1, 3)
+        sa, sb = a.substitute("h", x), b.substitute("h", x)
+        assert (a * b + b).substitute("h", x) == sa * sb + sb
+        assert a.delta(mu).substitute("h", x) == sa.delta(mu)
+        assert a.substitute("h", elem(H)) == a
+        assert all(g.base != "h" for w, _ in sa.terms() for g in w)
+
+
+def test_substitute_examples():
+    d12h = elem(H).delta(1).delta(2)
+    x = elem(A1) * elem(A1) + AlgebraElement.rational(3)
+    got = (elem(A1) * d12h).substitute("h", x)
+    assert got == elem(A1) * x.delta(1).delta(2)
+    assert got.substitute("h", elem(H)) == got  # no h left
+    # a starred letter of a non-self-adjoint base takes the adjoint of x
+    u = gen("u", 3, selfadj=False)
+    y = elem(A1) * AlgebraElement.rational(0, 1)
+    starred = elem(u).adjoint().delta(3)
+    assert starred.substitute("u", y) == y.adjoint().delta(3)
+    assert elem(u).substitute("u", y) == y
+
+
 def test_tau_commutators_random():
     rng = random.Random(17)
     for _ in range(25):

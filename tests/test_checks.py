@@ -130,6 +130,69 @@ def test_unread_key_is_error_report(name, config, unread):
     assert report.params[unread] == config[unread]
 
 
+@pytest.mark.parametrize(
+    "config, message, cutoff",
+    [
+        ({"grid": 11, "cutoff": 2, "u": (5, 0, 0)}, "cutoff must be >= max|u_i| = 5, got 2", 5),
+        ({"grid": 101, "cutoff": 1, "u": (2, 1, 0)}, "cutoff must be >= max|u_i| = 2, got 1", 2),
+    ],
+)
+def test_flow_index_cutoff_below_the_shift_is_error_report(config, message, cutoff):
+    # the endpoint kernel mode -u lies outside the box: this read as a false
+    # fail with flow -1 before the cutoff was checked against u
+    report = run_check("flow-index", config)
+    assert report.status == "error"
+    assert report.witness == message
+    assert run_check("flow-index", {**config, "cutoff": cutoff}).passed
+
+
+SHIFT_BOUND = "kernel_shift must be < 1 (the smallest nonzero |n| at the endpoints), got "
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [
+        ("inf", SHIFT_BOUND + "'inf'"),
+        (1e300, SHIFT_BOUND + "1e+300"),
+        (1, SHIFT_BOUND + "1"),
+        (float("inf"), SHIFT_BOUND + "inf"),
+        (True, "kernel_shift must be a number, got True"),
+        (float("nan"), "kernel shift must be >= 0, got nan"),
+        ("-inf", "kernel shift must be >= 0, got -inf"),
+        (-0.5, "kernel shift must be >= 0, got -0.5"),
+    ],
+)
+def test_flow_index_kernel_shift_is_a_number_in_the_unit_interval(shift, message):
+    report = run_check("flow-index", {"grid": 11, "cutoff": 2, "kernel_shift": shift})
+    assert report.status == "error"
+    assert report.witness == message
+    assert report.params["kernel_shift"] is shift
+
+
+@pytest.mark.parametrize("shift", ["inf", 1e300])
+def test_huge_kernel_shift_no_longer_passes_a_small_cutoff(shift):
+    # inf and 1e300 once turned the false fail of u outside the box into a pass
+    config = {"grid": 11, "cutoff": 2, "u": (5, 0, 0), "kernel_shift": shift}
+    assert run_check("flow-index", config).status == "error"
+
+
+def test_flow_index_kernel_shift_admits_the_unit_interval():
+    for shift in (1e-6, "0.5", 0.999):
+        assert run_check("flow-index", {"grid": 11, "cutoff": 2, "kernel_shift": shift}).passed
+
+
+@pytest.mark.parametrize("name", ["eta-coupled", "eta-conformal"])
+@pytest.mark.parametrize("floor", [-6, "-9"])
+def test_residue_floor_is_bounded_below(name, floor, monkeypatch):
+    monkeypatch.setattr(sy, "sign_symbol", None)  # rejected before any symbol
+    report = run_check(name, {"floor": floor})
+    assert report.status == "error"
+    assert report.witness == (
+        f"floor must be >= -5 (the word-terms grow about sevenfold per degree), got {int(floor)}"
+    )
+    assert report.params["floor"] == floor
+
+
 def test_declared_optional_key_is_read():
     report = run_check("flow-index", {"grid": 11, "cutoff": 2, "kernel_shift": 1e-6})
     assert report.passed

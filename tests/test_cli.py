@@ -175,6 +175,9 @@ def test_num_flow_command(capsys):
     assert json.loads(out)["flow"] == 0
 
 
+SHIFT_BOUND = "kernel_shift must be < 1 (the smallest nonzero |n| at the endpoints), got "
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -185,8 +188,15 @@ def test_num_flow_command(capsys):
         (["--kernel-shift", "-1"], "kernel shift must be >= 0, got -1.0"),
         (["--kernel-shift", "nan"], "kernel shift must be >= 0, got nan"),
         (["--kernel-shift", "0", "--grid", "11", "--cutoff", "2"], "exact zero eigenvalue at grid point 0"),
-        (["--u", "5,0,0", "--grid", "3", "--cutoff", "1"], "step 1: movement 2.5 exceeds half the zero window"),
+        (["--u", "1,-8,-7", "--grid", "5", "--cutoff", "8"], "step 1: movement 2.5 exceeds half the zero window"),
         (["--u", "1,x,0"], "u must be comma-separated integers, got '1,x,0'"),
+        (["--u", "5,0,0", "--grid", "11", "--cutoff", "2"], "cutoff must be >= max|u_i| = 5, got 2"),
+        (["--u", "2,1,0", "--cutoff", "1"], "cutoff must be >= max|u_i| = 2, got 1"),
+        (["--kernel-shift", "inf"], f"{SHIFT_BOUND}'inf'"),
+        (["--kernel-shift", "1e300"], f"{SHIFT_BOUND}'1e300'"),
+        (["--kernel-shift", "1"], f"{SHIFT_BOUND}'1'"),
+        (["--kernel-shift=-inf"], "kernel shift must be >= 0, got -inf"),
+        (["--kernel-shift", "x"], "kernel_shift must be a number, got 'x'"),
     ],
 )
 def test_num_flow_bad_input_exits_2_with_message(capsys, argv, message):
@@ -196,6 +206,13 @@ def test_num_flow_bad_input_exits_2_with_message(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert "broadcast" not in captured.err
+
+
+def test_num_flow_echoes_the_parsed_shift(capsys):
+    code, out = run(capsys, "num", "flow", "--grid", "11", "--cutoff", "2", "--kernel-shift", "0.5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kernel_shift"] == 0.5 and payload["flow"] == 0
 
 
 def test_num_heat_command(capsys):

@@ -248,6 +248,23 @@ def test_cs_density_closed_form():
     assert hashlib.sha256(full.render().encode()).hexdigest() == GOLDEN_CS_DENSITY
 
 
+@pytest.mark.parametrize(
+    "phase, invariant",
+    [((1, 0), True), ((-1, 0), False), ((0, 1), False), ((0, -1), False)],
+)
+def test_cs_density_is_gauge_invariant_in_tau(phase, invariant):
+    # dA_mu -> delta_mu u + c [A_mu, u] with u not self-adjoint: only c = 1,
+    # the convention of the README, gives zero in tau
+    density = fn.induced_cs_density(OperatorFamily.coupled(3)).representative
+    u = AlgebraElement.generator(gen("u", DIM, selfadj=False))
+    c = ExactScalar.rational(*phase)
+    for m in (1, 2, 3):
+        A = AlgebraElement.generator(gen(f"A{m}", DIM))
+        density = density.substitute(f"dA{m}", u.delta(m) + (A * u - u * A).scale(c))
+    assert not density.is_zero()
+    assert tau_class(density).is_zero() is invariant
+
+
 def test_cs_density_rejects_other_families():
     with pytest.raises(DomainError):
         fn.induced_cs_density(OperatorFamily.free(3))

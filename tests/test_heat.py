@@ -526,3 +526,19 @@ def test_contour_integral_drops_odd_moments():
         assert ht.lambda_contour_integral(layers[k]).is_empty()
     even = ht.lambda_contour_integral(layers[2])
     assert even.terms and all(b % 2 == 0 for beta, _s in even.terms for b in beta)
+
+
+# sha256 of the "beta_<k>: <matrix render> | <traced render>" lines, recorded
+# before the coefficient ring was hash-consed
+GOLDEN_CONFORMAL_BETAS_T_CAP_3 = "850e441bd6706119d60b1bdd1b472adf955758233535097f8ff2e6bb433ceb6f"
+
+
+def test_golden_conformal_heat_renders_at_t_cap_3():
+    import hashlib
+
+    _, sd2 = dirac_symbol(OperatorFamily.conformal(3, t_cap=3))
+    text = "\n".join(
+        f"beta_{c.index}: {c.matrix.render()} | {c.traced.render()}"
+        for c in ht.heat_coefficients(sd2, 3)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CONFORMAL_BETAS_T_CAP_3

@@ -477,6 +477,10 @@ def test_unitary_flow_spectra_are_the_closed_form_block_spectra(dim, k, monkeypa
         ((1, 0), 2, 3, "lattice vector u has 2 entries but dim is 3"),
         ((1, 0, 0), 2, 2, "lattice vector u has 3 entries but dim is 2"),
         ((1, 0, 0, 0), 2, 4, "gamma algebra is modeled in dimensions 2 and 3"),
+        # the endpoint kernel mode -u must lie in the box
+        ((5, 0, 0), 4, 3, "cutoff must be >= max|u_i| = 5, got 4"),
+        ((2, 1, 0), 1, 3, "cutoff must be >= max|u_i| = 2, got 1"),
+        ((0, -3), 2, 2, "cutoff must be >= max|u_i| = 3, got 2"),
     ],
 )
 def test_unitary_flow_spectra_input_checks(k, L, dim, message):

@@ -257,3 +257,67 @@ def test_boundary_returns_fractions():
     ]
     assert ExactScalar.zero().rational_part() == (0, 0)
     assert s.render() == "3/4 - 1/6 i + 2 * pi^{1/2}"
+
+
+# -- hash-consing: one object per value, memoized arithmetic ---------------------
+
+
+def test_equal_value_and_cap_give_the_same_object():
+    half = ExactScalar.rational(Fraction(1, 2), t_cap=2)
+    assert half + half is ExactScalar.one(t_cap=2)
+    assert ExactScalar.rational(3).scale(Fraction(1, 6)) is ExactScalar.rational(Fraction(1, 2))
+    assert ExactScalar({(0, 1): (1, 0), (2, 0): (0, 1)}) is ExactScalar(
+        {(2, 0): (0, 1), (0, 1): (1, 0)}
+    )
+    assert ExactScalar.t_power(3, t_cap=2) is ExactScalar.zero(t_cap=2)
+
+
+def test_equal_terms_with_different_caps_are_different_objects_that_compare_equal():
+    capped, free = ExactScalar.t_power(1, t_cap=2), ExactScalar.t_power(1)
+    assert capped is not free
+    assert capped == free and hash(capped) == hash(free)
+    assert (capped.t_cap, free.t_cap) == (2, None)
+    assert ExactScalar.zero(t_cap=0) is not ExactScalar.zero()
+
+
+@pytest.mark.parametrize("cap", [None, 0, 3])
+def test_copy_deepcopy_and_pickle_return_the_interned_object(cap):
+    import copy
+    import pickle
+
+    s = ExactScalar({(1, 0): (3, 1), (0, 0): (Fraction(-2, 7), 0)}, t_cap=cap)
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin is s
+    assert copy.deepcopy([s, s]) == [s, s]
+    assert ExactScalar.zero().is_zero() and ExactScalar.zero().render() == "0"
+    assert ExactScalar.one().render() == "1"
+
+
+def fresh(op):
+    """``op()`` computed with an empty memo, so every operation it makes runs
+    its arithmetic; the memo is put back afterwards."""
+    from ncps import scalars
+
+    saved, scalars._MEMO = scalars._MEMO, {}
+    try:
+        return op()
+    finally:
+        scalars._MEMO = saved
+
+
+@given(raw_scalars(), raw_scalars(), st.one_of(st.integers(-6, 6), rationals))
+@settings(max_examples=200)
+def test_memoized_arithmetic_matches_a_fresh_computation(x, y, q):
+    a, b = ExactScalar(*x), ExactScalar(*y)
+    ops = {
+        "mul": (lambda: a * b, ref_mul(ref_value(*x), ref_value(*y))),
+        "add": (lambda: a + b, ref_add(ref_value(*x), ref_value(*y))),
+        "scale": (lambda: a.scale(q), ref_scale(ref_value(*x), Fraction(q))),
+        "neg": (lambda: -a, ref_scale(ref_value(*x), -1)),
+    }
+    for op, ref in ops.values():
+        first, again = op(), op()
+        assert again is first
+        computed = fresh(op)
+        assert computed is first and computed.t_cap == first.t_cap
+        assert_matches(first, ref)

@@ -829,3 +829,14 @@ def test_central_leading_rejects_sigma_part(k):
     for i in range(DIM):
         scalar.add_term(tuple(2 if j == i else 0 for j in range(DIM)), 0, Mat2.diag(mat.a[0]))
     assert sy._central_leading(Symbol.make(DIM, [scalar])) == (2, mat.a[0])
+
+
+# sha256 of the render, recorded before the coefficient ring was hash-consed
+GOLDEN_COUPLED_SIGN_FLOOR_4 = "aef221e7cf9e99e9b3c4b8953d30aee5f76054b5748899dd6e621927c92d3628"
+
+
+def test_golden_coupled_sign_symbol_render_at_floor_minus_4():
+    import hashlib
+
+    sgn = sign_symbol(OperatorFamily.coupled(3), floor=-4)
+    assert hashlib.sha256(sgn.render().encode()).hexdigest() == GOLDEN_COUPLED_SIGN_FLOOR_4
