@@ -122,25 +122,30 @@ MIN_FLOOR = -5
 MAX_T_ORDER = 6
 
 
-def _residue_floor(cfg: dict) -> int:
-    """The configured floor of a sign symbol on the 3-torus.  Its residue
-    reads the degree -3 component, so a higher floor is rejected here, with
-    the value as given, before any internal floor is derived from it; a
-    floor below ``MIN_FLOOR`` is rejected as too costly."""
-    floor = cfg["floor"]
-    if floor > -3:
-        raise DomainError(
-            f"floor must be <= -3 (the residue reads the degree -3 component), got {floor}"
-        )
+def _bounded_floor(floor: int) -> int:
+    """A symbol floor, of a check or of ``ncps wres``; one below
+    ``MIN_FLOOR`` is rejected as too costly."""
     if floor < MIN_FLOOR:
         what = f">= {MIN_FLOOR} (the word-terms grow about sevenfold per degree)"
         raise DomainError(f"floor must be {what}, got {floor}")
     return floor
 
 
-def _t_order(cfg: dict) -> int:
-    """The configured deformation grade, bounded before any symbol is built."""
-    t_order = cfg["t_order"]
+def _residue_floor(cfg: dict) -> int:
+    """The configured floor of a sign symbol on the 3-torus.  Its residue
+    reads the degree -3 component, so a higher floor is rejected here, with
+    the value as given, before any internal floor is derived from it."""
+    floor = cfg["floor"]
+    if floor > -3:
+        raise DomainError(
+            f"floor must be <= -3 (the residue reads the degree -3 component), got {floor}"
+        )
+    return _bounded_floor(floor)
+
+
+def _t_order(t_order: int) -> int:
+    """A deformation grade, of a check or of ``ncps wres`` and ``ncps heat``,
+    bounded before any symbol is built."""
     if t_order > MAX_T_ORDER:
         raise DomainError(
             f"t_order must be <= {MAX_T_ORDER} (the cost grows about fivefold "
@@ -162,7 +167,7 @@ def _check_eta_coupled(cfg: dict) -> tuple[str, str, Optional[str], dict]:
 
 
 def _check_eta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    t_order = _t_order(cfg)
+    t_order = _t_order(cfg["t_order"])
     floor = _residue_floor(cfg)
     fam = sy.OperatorFamily.conformal(3, t_cap=t_order)
     _sd, sd2 = sy.dirac_symbol(fam)
@@ -225,7 +230,7 @@ def _check_eta_invariance(cfg: dict) -> tuple[str, str, Optional[str], dict]:
 
 
 def _check_zeta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    t_order = _t_order(cfg)
+    t_order = _t_order(cfg["t_order"])
     details = {}
     witness = None
     ok = True
@@ -247,7 +252,7 @@ def _check_zeta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
 
 
 def _check_res_heat(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    t_order = _t_order(cfg)
+    t_order = _t_order(cfg["t_order"])
     details = {}
     ok = True
     witness = None

@@ -21,7 +21,7 @@ from . import heat as ht
 from . import numeric as nm
 from . import symbols as sy
 from .algebra import AlgebraElement, gen
-from .checks import ALIASES, CHECKS, CONVENTIONS, _parsed, run_check
+from .checks import ALIASES, CHECKS, CONVENTIONS, _bounded_floor, _parsed, _t_order, run_check
 from .scalars import DomainError
 
 
@@ -84,14 +84,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _override_t_order(fam: sy.OperatorFamily, t_order: Optional[int]) -> sy.OperatorFamily:
-    if t_order is None or fam.kind != "conformal_dirac":
+    if t_order is None:
+        return fam
+    _t_order(t_order)  # the bound `verify` has, whatever the family
+    if fam.kind != "conformal_dirac":
         return fam
     return sy.OperatorFamily.conformal(fam.dim, t_cap=t_order, weyl=fam.weyl)
 
 
 def _cmd_wres(args: argparse.Namespace) -> int:
     fam = _override_t_order(_load_family(args.family), args.t_order)
-    floor = args.floor if args.floor is not None else -fam.dim
+    floor = _bounded_floor(args.floor) if args.floor is not None else -fam.dim
     if args.compose == "sign":
         symbol = sy.sign_symbol(fam, floor=floor)
     elif args.compose == "abs-inverse":

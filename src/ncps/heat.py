@@ -14,7 +14,10 @@ exact:
 * the contour integral against ``exp(-lambda)`` reduces to the residue at
   ``lambda = xi^2``, replacing ``(xi^2 - lambda)^{-m}`` by
   ``exp(-xi^2)/(m-1)!`` (orientation pinned so that the flat heat coefficient
-  is positive);
+  is positive); a term odd in some ``xi_i`` has Gaussian moment zero, so the
+  heat coefficients build the last layer in its xi-even part only (see
+  :func:`heat_coefficients`), and an odd layer not at all, since the audit
+  makes ``|beta|`` as odd as ``k``;
 * momentum integrals reduce to Gaussian moments, in polar coordinates a
   sphere moment of ``xi^beta`` times ``Gamma(a + s) / 2``, ``a = (|beta| + n)
   / 2``: the factored ``(xi^2)^s`` only shifts the Gamma argument by ``s``;
@@ -108,10 +111,18 @@ class ResolventComponent(TermMap):
     __repr__ = render
 
 
-def _resolvent_leading(sd2: Symbol) -> ResolventComponent:
+def _resolvent_leading(sd2: Symbol, count: int) -> ResolventComponent:
     """``r_0``: inverse of the leading part ``xi^2 (1 + nu)``, as the finite
     Neumann series ``sum_j (-nu)^j (xi^2)^j (xi^2 - lambda)^{-j-1}`` in the
-    nilpotent perturbation ``nu`` of the central symbol."""
+    nilpotent perturbation ``nu`` of the central symbol, after the checks
+    that ``count`` layers can be built from it."""
+    if count < 0:
+        raise DomainError(f"the number of resolvent layers must be >= 0, got {count}")
+    if sd2.floor is not None:
+        raise DomainError("resolvent recursion expects an exact differential symbol")
+    for c in sd2.components.values():
+        if not c.is_polynomial():
+            raise DomainError("resolvent recursion expects polynomial components")
     two, u = _central_leading(sd2)
     if two != 2:
         raise EllipticityShapeError("resolvent recursion expects an order-2 symbol")
@@ -131,17 +142,15 @@ def _resolvent_leading(sd2: Symbol) -> ResolventComponent:
 def resolvent_symbols(sd2: Symbol, count: int) -> list[ResolventComponent]:
     """Layers ``r_0 .. r_count`` of the resolvent of an order-2 polynomial
     symbol: the inverse-layer recursion of :mod:`ncps.symbols` from ``r_0``."""
-    if count < 0:
-        raise DomainError(f"the number of resolvent layers must be >= 0, got {count}")
-    if sd2.floor is not None:
-        raise DomainError("resolvent recursion expects an exact differential symbol")
-    for c in sd2.components.values():
-        if not c.is_polynomial():
-            raise DomainError("resolvent recursion expects polynomial components")
-    return _inverse_layers(sd2, _resolvent_leading(sd2), count)
+    return _inverse_layers(sd2, _resolvent_leading(sd2, count), count)
 
 
 # -- contour integral and Gaussian moments ------------------------------------------
+
+
+def _xi_odd(beta: tuple[int, ...]) -> bool:
+    """Whether ``xi^beta`` is odd in some ``xi_i``: its Gaussian moment is zero."""
+    return any(b % 2 for b in beta)
 
 
 def lambda_contour_integral(rc: ResolventComponent) -> TermMap:
@@ -156,7 +165,7 @@ def lambda_contour_integral(rc: ResolventComponent) -> TermMap:
     """
     out = TermMap(rc.dim, None)
     for (beta, s, m), mat in rc.terms.items():
-        if any(b % 2 for b in beta):
+        if _xi_odd(beta):
             continue
         w = Fraction(1, math.factorial(m - 1))
         out.add_term(beta, s, mat if w == 1 else mat.scale_rational(w))
@@ -203,8 +212,21 @@ class HeatCoefficient:
 def heat_coefficients(
     sd2: Symbol, count: int, localizer: Optional[AlgebraElement] = None
 ) -> list[HeatCoefficient]:
-    """Exact heat coefficients ``beta_0 .. beta_count`` of an order-2 family."""
-    layers = resolvent_symbols(sd2, count)
+    """Exact heat coefficients ``beta_0 .. beta_count`` of an order-2 family.
+
+    The recursion needs ``r_0 .. r_{count-1}`` in full, but of ``r_count``
+    only what :func:`lambda_contour_integral` keeps: the terms even in every
+    ``xi_i``.  Its ``cross`` merges only the Moyal pairs whose joined key is
+    xi-even, and builds no ``delta`` rung that feeds none of them.  This is
+    exact: a term's parity class depends on its key alone, ``r_0`` has
+    ``beta = 0``, so ``r_count = -r_0 . cross`` keeps the classes of
+    ``cross``, and ``reduced`` leaves a layer's keys as they are.  The audit
+    ``|beta| + 2s - 2m = -2 - k`` makes every key of an odd layer odd in some
+    ``xi_i``, so an odd ``r_count`` costs no rung and no product at all.
+    """
+    layers = _inverse_layers(
+        sd2, _resolvent_leading(sd2, count), count, lambda key: not _xi_odd(key[0])
+    )
     out = []
     for i, rc in enumerate(layers):
         mat = momentum_integral(lambda_contour_integral(rc))

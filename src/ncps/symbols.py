@@ -108,22 +108,25 @@ class TermMap:
     with a monomial multi-index ``beta``, followed by integer powers of
     central factors in xi (and, in :mod:`ncps.heat`, the resolvent
     parameter).  Entries merge on insert and zero entries are dropped.
+    ``_keep``, a predicate on keys or ``None``, restricts the map to a part:
+    :meth:`add_product` skips every pair whose product key it refuses.
 
     Subclasses fix what the powers mean: :meth:`_audit` checks a new key
     against the degree, :meth:`_join` gives the key of a product of two
     terms, and ``render`` prints them."""
 
-    __slots__ = ("dim", "degree", "terms")
+    __slots__ = ("dim", "degree", "terms", "_keep")
 
     def __init__(self, dim: int, degree: Optional[int]):
         self.dim = dim
         self.degree = degree
         self.terms: dict = {}
+        self._keep = None
 
     def _like(self, degree: Optional[int]):
-        """Empty map of the same kind at ``degree``."""
+        """Empty map of the same kind at ``degree``, keeping every key."""
         out = object.__new__(type(self))
-        out.dim, out.degree, out.terms = self.dim, degree, {}
+        out.dim, out.degree, out.terms, out._keep = self.dim, degree, {}, None
         return out
 
     def _audit(self, key: tuple) -> None:
@@ -222,13 +225,15 @@ class TermMap:
     def add_product(self, left: "TermMap", right: "TermMap") -> None:
         """Merge the pointwise product ``left . right`` into this map: each key
         accumulates four component term maps and becomes one ``Mat2``."""
-        join = self._join
+        join, keep = self._join, self._keep
         rights = [(k2, _component_rows(mat2)) for k2, mat2 in right.terms.items()]
         acc: dict = {}
         for k1, mat1 in left.terms.items():
             rows1 = _component_rows(mat1)
             for k2, rows2 in rights:
                 key = join(k1, k2)
+                if keep is not None and not keep(key):
+                    continue
                 comps = acc.get(key)
                 if comps is None:
                     old = self.terms.get(key)
@@ -494,7 +499,10 @@ class _Moyal:
     Taylor coefficients ``(d/dxi)^alpha a / alpha!`` of left factors, so
     ``1/alpha!`` is applied once per (factor, alpha) and no product is
     scaled, and ``delta^alpha b`` of right factors.  Each rung is one step
-    up from the rung below it in the first direction that alpha uses."""
+    up from the rung below it in the first direction that alpha uses.
+    ``delta`` changes coefficients only, so the keys of ``delta^alpha b`` are
+    keys of ``b``: when the output map keeps no product key of the Taylor
+    rung with ``b``, the ``delta`` rung is never built."""
 
     def __init__(self):
         self.memo: dict[tuple, TermMap] = {}
@@ -503,9 +511,12 @@ class _Moyal:
         """Merge the order-``r`` part of ``a * b`` into ``out``."""
         if r and not b.has_generators():
             return  # delta kills a factor with constant coefficients
+        keep = out._keep
         for alpha in multi_indices(a.dim, r):
             left = self._rung(_taylor_step, a, alpha)
-            if left.is_empty():
+            if left.is_empty() or keep is not None and not any(
+                keep(out._join(k1, k2)) for k1 in left.terms for k2 in b.terms
+            ):
                 continue
             right = self._rung(_delta_step, b, alpha)
             if not right.is_empty():
@@ -619,19 +630,23 @@ def invert_symbol(a: Symbol, floor: int) -> Symbol:
     return Symbol.make(a.dim, _inverse_layers(a, lead, kmax), floor)
 
 
-def _inverse_layers(a: Symbol, lead: TermMap, count: int) -> list:
+def _inverse_layers(a: Symbol, lead: TermMap, count: int, keep=None) -> list:
     """Layers ``b_0 = lead, .., b_count`` of the right inverse of ``a``, where
     ``lead`` inverts the top component of ``a``.  Layer ``k`` has degree
     ``deg lead - k`` and is ``-lead . cross``, with ``cross`` the degree
     ``-k`` part of ``a * (b_0 + .. + b_{k-1})``: the Moyal pairs of ``a_d``
     and a known layer ``b_j`` at order ``d + deg b_j + k``.  Both
     :func:`invert_symbol` and the resolvent layers of :mod:`ncps.heat` are
-    this recursion; the layer type comes from ``lead``."""
+    this recursion; the layer type comes from ``lead``.  A ``keep`` predicate
+    on keys restricts the last ``cross`` to the keys it accepts; the layers
+    below it are needed in full."""
     minus_lead = lead.neg()  # negate the short factor once
     layers = [lead]
     moyal = _Moyal()
     for k in range(1, count + 1):
         cross = lead._like(-k)
+        if k == count:
+            cross._keep = keep
         for d, ad in a.components.items():
             for bj in layers:
                 order = d + bj.degree + k

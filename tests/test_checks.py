@@ -248,6 +248,14 @@ def test_t_order_limit_admits_six():
     assert report.params["t_order"] == 6
 
 
+def test_zeta_conformal_at_the_t_order_limit():
+    # beta_1 and beta_3 vanish for both families at the deepest grade allowed
+    report = run_check("zeta-conformal", {"t_order": 6})
+    assert report.passed and report.vanishing_level == "trace"
+    zero = {"beta_1": "zero", "beta_3": "zero"}
+    assert report.details == {"flat": zero, "conformal": zero}
+
+
 @pytest.mark.parametrize(
     "name, config, message",
     [

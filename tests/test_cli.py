@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ncps.checks import run_check
 from ncps.cli import main
 
 
@@ -113,6 +114,35 @@ def test_heat_command(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["coefficients"]["beta_1"]["traced"] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, kind, check, config",
+    [
+        (["wres", "--floor", "-7"], "coupled_dirac", "eta-coupled", {"floor": -7}),
+        (["wres", "--compose", "abs-inverse", "--floor", "-6"], "coupled_dirac", "eta-coupled", {"floor": -6}),
+        (["wres", "--t-order", "7"], "conformal_dirac", "zeta-conformal", {"t_order": 7}),
+        (["wres", "--t-order", "9"], "coupled_dirac", "zeta-conformal", {"t_order": 9}),
+        (["heat", "--t-order", "7"], "conformal_dirac", "zeta-conformal", {"t_order": 7}),
+    ],
+)
+def test_wres_and_heat_bounds_exit_2_with_the_verify_message(tmp_path, capsys, argv, kind, check, config):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"kind": kind, "dim": 3, "t_cap": 1}))
+    code = main([*argv, "--family", str(fam)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {run_check(check, config).witness}\n"
+
+
+def test_wres_keeps_the_floor_of_a_2d_family(tmp_path, capsys):
+    # the residue floor -3 of the 3-d checks is not a bound of `wres`
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"kind": "conformal_dirac", "dim": 2, "t_cap": 1}))
+    for argv in ([], ["--floor", "-2"]):
+        code, out = run(capsys, "wres", "--family", str(fam), *argv)
+        assert code == 0 and json.loads(out)["floor"] == -2
 
 
 def test_heat_command_negative_orders_is_clean_error(tmp_path, capsys):

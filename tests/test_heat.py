@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ncps import clifford
 from ncps import heat as ht
 from ncps import numeric as nm
 from ncps import symbols as sy
@@ -542,3 +543,92 @@ def test_golden_conformal_heat_renders_at_t_cap_3():
         for c in ht.heat_coefficients(sd2, 3)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CONFORMAL_BETAS_T_CAP_3
+
+
+def reference_heat_coefficients(sd2, count, localizer=None):
+    """The contour integral of the full layers of ``resolvent_symbols``, as
+    (matrix, traced, tau) per coefficient, and the layers themselves."""
+    layers = ht.resolvent_symbols(sd2, count)
+    out = []
+    for rc in layers:
+        mat = ht.momentum_integral(ht.lambda_contour_integral(rc))
+        traced = (mat if localizer is None else mat.lmul(localizer)).trace()
+        out.append((mat, traced, tau_class(traced)))
+    return out, layers
+
+
+def same_layer(a, b):
+    return a.k == b.k and set(a.terms) == set(b.terms) and a.sub(b).is_empty()
+
+
+def xi_even_part(layer):
+    out = ht.ResolventComponent(layer.dim, layer.k)
+    for (beta, s, m), mat in layer.terms.items():
+        if not ht._xi_odd(beta):
+            out.add_term(beta, s, m, mat)
+    return out
+
+
+H2 = AlgebraElement.generator(gen("h", 2))
+
+
+@pytest.mark.parametrize(
+    "fam, counts, localizer",
+    [(OperatorFamily.conformal(3, t_cap=t), range(5), None) for t in range(4)]
+    + [
+        (OperatorFamily.coupled(3), (2, 3), None),
+        (OperatorFamily.free(2), range(5), None),
+        (OperatorFamily.free(3), range(5), None),
+    ]
+    + [(OperatorFamily.conformal(2, t_cap=t), range(1, 4), H2) for t in range(6)],
+    ids=[f"conformal3_t{t}" for t in range(4)]
+    + ["coupled3", "free2", "free3"]
+    + [f"conformal2_t{t}_h" for t in range(6)],
+)
+def test_heat_coefficients_match_the_full_layer_reference(fam, counts, localizer, monkeypatch):
+    # the last layer is built in its xi-even part only; the coefficients, and
+    # every layer below it, are those of the full recursion
+    _, sd2 = dirac_symbol(fam)
+    reference, full = reference_heat_coefficients(sd2, max(counts), localizer)
+    integrate = ht.lambda_contour_integral
+    seen = []
+    monkeypatch.setattr(ht, "lambda_contour_integral", lambda rc: seen.append(rc) or integrate(rc))
+    for count in counts:
+        seen.clear()
+        coeffs = ht.heat_coefficients(sd2, count, localizer=localizer)
+        assert len(coeffs) == len(seen) == count + 1
+        for layer, ref in zip(seen[:-1], full):
+            assert same_layer(layer, ref)
+        assert same_layer(seen[-1], xi_even_part(full[count]))
+        for c, (mat, traced, tau) in zip(coeffs, reference, strict=False):
+            assert c.matrix.render() == mat.render()
+            assert c.traced.render() == traced.render()
+            assert c.tau.render() == tau.render()
+
+
+def test_an_odd_last_layer_builds_no_rung_and_no_product(monkeypatch):
+    calls = {"delta": 0, "mul": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(sy, "_delta_step", counting("delta", sy._delta_step))
+    mul = counting("mul", clifford._mul_into)
+    monkeypatch.setattr(clifford, "_mul_into", mul)
+    monkeypatch.setattr(sy, "_mul_into", mul)
+
+    def cost(fn, *args):
+        calls.update(delta=0, mul=0)
+        fn(*args)
+        return dict(calls)
+
+    _, sd2 = dirac_symbol(OperatorFamily.conformal(3, t_cap=2))
+    below = cost(ht.resolvent_symbols, sd2, 2)
+    assert cost(ht.heat_coefficients, sd2, 3) == below
+    # the full layer r_3 costs both
+    full = cost(ht.resolvent_symbols, sd2, 3)
+    assert full["delta"] > below["delta"] > 0 and full["mul"] > below["mul"] > 0
