@@ -24,7 +24,7 @@ finite series in a nilpotent perturbation sums one orbit of
 :func:`nilpotent_orbit`, the iterates ``x, step(x), ...`` of a step that
 raises the t grade, up to the last nonzero one: the powers of
 :func:`nilpotent_powers` behind the Neumann inverse and binomial square root
-of a perturbed unit and the leading resolvent layer of :mod:`ncps.heat`, the
+of a perturbed unit and the leading resolvent layer of :mod:`ncps.symbols`, the
 powers of ``c t h`` in :func:`exp_expand`, and the two-sided solve of the
 square root in :mod:`ncps.symbols`.
 """

@@ -120,6 +120,9 @@ def _parsed(cfg: dict) -> dict:
 
 MIN_FLOOR = -5
 MAX_T_ORDER = 6
+# heat_coefficients of coupled(3): 1.1 s at 6 orders, over 60 s at 8; of
+# conformal(3, t_cap=2): 0.5 s at 6, 6.0 s at 8
+MAX_HEAT_ORDERS = 6
 
 
 def _bounded_floor(floor: int) -> int:
@@ -131,14 +134,15 @@ def _bounded_floor(floor: int) -> int:
     return floor
 
 
-def _residue_floor(cfg: dict) -> int:
-    """The configured floor of a sign symbol on the 3-torus.  Its residue
-    reads the degree -3 component, so a higher floor is rejected here, with
-    the value as given, before any internal floor is derived from it."""
-    floor = cfg["floor"]
-    if floor > -3:
+def _residue_floor(floor: int, dim: int) -> int:
+    """The floor of a symbol whose residue is read on the ``dim``-torus, of a
+    check or of ``ncps wres``.  The residue reads the degree ``-dim``
+    component, so a higher floor is rejected here, with the value as given,
+    before any internal floor is derived from it."""
+    if floor > -dim:
         raise DomainError(
-            f"floor must be <= -3 (the residue reads the degree -3 component), got {floor}"
+            f"floor must be <= {-dim} (the residue reads the degree {-dim} "
+            f"component), got {floor}"
         )
     return _bounded_floor(floor)
 
@@ -154,8 +158,19 @@ def _t_order(t_order: int) -> int:
     return t_order
 
 
+def _heat_orders(orders: int) -> int:
+    """The last heat coefficient ``ncps heat`` computes, bounded before any
+    layer is built; a negative one is refused by the resolvent recursion."""
+    if orders > MAX_HEAT_ORDERS:
+        raise DomainError(
+            f"orders must be <= {MAX_HEAT_ORDERS} (the cost grows at least "
+            f"fivefold per two orders), got {orders}"
+        )
+    return orders
+
+
 def _check_eta_coupled(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    floor = _residue_floor(cfg)
+    floor = _residue_floor(cfg["floor"], 3)
     fam = sy.OperatorFamily.coupled(3)
     # an insufficient floor is reported as an error, never silently deepened
     sgn = sy.sign_symbol(fam, floor=floor)
@@ -168,7 +183,7 @@ def _check_eta_coupled(cfg: dict) -> tuple[str, str, Optional[str], dict]:
 
 def _check_eta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
     t_order = _t_order(cfg["t_order"])
-    floor = _residue_floor(cfg)
+    floor = _residue_floor(cfg["floor"], 3)
     fam = sy.OperatorFamily.conformal(3, t_cap=t_order)
     _sd, sd2 = sy.dirac_symbol(fam)
     absd = sy.sqrt_symbol(sd2, 0)

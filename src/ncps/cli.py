@@ -21,7 +21,17 @@ from . import heat as ht
 from . import numeric as nm
 from . import symbols as sy
 from .algebra import AlgebraElement, gen
-from .checks import ALIASES, CHECKS, CONVENTIONS, _bounded_floor, _parsed, _t_order, run_check
+from .checks import (
+    ALIASES,
+    CHECKS,
+    CONVENTIONS,
+    _bounded_floor,
+    _heat_orders,
+    _parsed,
+    _residue_floor,
+    _t_order,
+    run_check,
+)
 from .scalars import DomainError
 
 
@@ -94,7 +104,12 @@ def _override_t_order(fam: sy.OperatorFamily, t_order: Optional[int]) -> sy.Oper
 
 def _cmd_wres(args: argparse.Namespace) -> int:
     fam = _override_t_order(_load_family(args.family), args.t_order)
-    floor = _bounded_floor(args.floor) if args.floor is not None else -fam.dim
+    if args.floor is None:
+        floor = -fam.dim
+    elif args.compose == "none":
+        floor = _bounded_floor(args.floor)
+    else:
+        floor = _residue_floor(args.floor, fam.dim)
     if args.compose == "sign":
         symbol = sy.sign_symbol(fam, floor=floor)
     elif args.compose == "abs-inverse":
@@ -122,7 +137,7 @@ def _cmd_heat(args: argparse.Namespace) -> int:
     localizer = None
     if args.localizer:
         localizer = AlgebraElement.generator(gen(args.localizer, fam.dim))
-    coeffs = ht.heat_coefficients(sd2, args.orders, localizer=localizer)
+    coeffs = ht.heat_coefficients(sd2, _heat_orders(args.orders), localizer=localizer)
     payload = {
         "family": fam.to_dict(),
         "orders": args.orders,

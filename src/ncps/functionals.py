@@ -30,8 +30,7 @@ from .symbols import (
     _slash_component,
     dirac_symbol,
     inverse_abs_symbol,
-    invert_symbol,
-    sqrt_symbol,
+    mellin_inverse_power,
     star_product,
 )
 
@@ -189,9 +188,7 @@ def induced_cs_density(f: OperatorFamily, gauge_cap: Optional[int] = None) -> Ta
         return sym.filter_base_degree(f.gauge, gauge_cap)
 
     _sd, sd2 = dirac_symbol(f)
-    absd = sqrt_symbol(trim(sd2), -dim + 1)
-    inv = invert_symbol(trim(absd), -dim - 1)
-    inv = trim(inv)
+    inv = trim(mellin_inverse_power(trim(sd2), -dim - 1))
     coeffs = [AlgebraElement.generator(gen(f"dA{m}", dim)) for m in range(1, dim + 1)]
     direction = Symbol.make(dim, [_slash_component(dim, coeffs)])
     prod = star_product(direction, inv, -dim)

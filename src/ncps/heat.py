@@ -1,15 +1,11 @@
-"""Resolvent recursion and heat-trace coefficients for squared Dirac families.
+"""Heat-trace coefficients and localized densities of squared Dirac families.
 
-The resolvent parameter enters through central factors ``(xi^2 - lambda)^{-m}``
-and counts with homogeneity degree two, so the recursion for the inverse of
-``sigma(D^2) - lambda`` is graded by joint homogeneity: the k-th layer has
-degree ``-2 - k``.  A layer term is ``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}``
-times a matrix, keyed ``(beta, s, m)``: the powers of ``xi^2`` that the
-Neumann series of the leading part brings in stay factored through every
-product and are never expanded into monomials.  Layers are term maps of
-:mod:`ncps.symbols`, computed by the inversion kernel there (the one that
-inverts symbols) from the leading layer ``r_0``.  All analytic steps are
-exact:
+The resolvent layers ``r_k`` of ``sigma(D^2) - lambda``, their leading layer
+and the Mellin route to ``|D|^{-1}`` live in :mod:`ncps.symbols`, which the
+sign and inverse-absolute-value symbols need; they are re-exported here.  A
+layer term is ``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}`` times a matrix, keyed
+``(beta, s, m)``, with joint degree ``-2 - k``.  This module closes the
+layers into heat coefficients.  All analytic steps are exact:
 
 * the contour integral against ``exp(-lambda)`` reduces to the residue at
   ``lambda = xi^2``, replacing ``(xi^2 - lambda)^{-m}`` by
@@ -20,17 +16,12 @@ exact:
   makes ``|beta|`` as odd as ``k``;
 * momentum integrals reduce to Gaussian moments, in polar coordinates a
   sphere moment of ``xi^beta`` times ``Gamma(a + s) / 2``, ``a = (|beta| + n)
-  / 2``: the factored ``(xi^2)^s`` only shifts the Gamma argument by ``s``;
-* the inverse square root comes from the Mellin representation, where each
-  ``(xi^2 + lambda)^{-m}`` integrates to a Beta value, a rational multiple of
-  ``(xi^2)^{1/2 - m}``.
+  / 2``: the factored ``(xi^2)^s`` only shifts the Gamma argument by ``s``.
 
-This provides a derivation of the inverse-absolute-value expansion that is
-independent of the square-root/inversion route in :mod:`ncps.symbols`; the two
-must agree component by component.  The inverse at ``lambda = 0`` is the symbol
-inverse itself, so the residue / heat-coefficient identity takes its residue
-side from symbol inversion and its heat side from the contour integral of the
-layers, not both from one set of layers.
+The inverse at ``lambda = 0`` is the symbol inverse itself, so the residue /
+heat-coefficient identity takes its residue side from symbol inversion and its
+heat side from the contour integral of the layers, not both from one set of
+layers.
 """
 
 from __future__ import annotations
@@ -40,109 +31,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import AlgebraElement, TauClass, gen, nilpotent_powers, tau_class
+from .algebra import AlgebraElement, TauClass, gen, tau_class
 from .functionals import sphere_integral, sphere_integral_component
 from .scalars import DomainError, ExactScalar, gamma_half_pair
-from .symbols import (
-    Component,
-    EllipticityShapeError,
+from .symbols import (  # the resolvent layers and the Mellin route are re-exported here
     Mat2,
     OperatorFamily,
+    ResolventComponent,
     Symbol,
     TermMap,
-    _central_leading,
     _inverse_layers,
+    _mellin_half_factor,
+    _resolvent_leading,
     dirac_symbol,
     invert_symbol,
+    mellin_inverse_power,
+    resolvent_symbols,
 )
-
-
-ResKey = tuple[tuple[int, ...], int, int]  # (beta, xi^2 power s >= 0, resolvent power m >= 1)
-
-
-class ResolventComponent(TermMap):
-    """Layer ``r_k``: term map (beta, s, m) -> matrix, with factors
-    ``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}`` and joint degree
-    ``|beta| + 2s - 2m = -2 - k``.  The ``(xi^2)^s`` factor stays factored:
-    products add ``s``, and :func:`momentum_integral` integrates it in closed
-    form as a shift of the radial Gamma argument."""
-
-    __slots__ = ()
-
-    def __init__(self, dim: int, k: int):
-        super().__init__(dim, -2 - k)
-
-    @property
-    def k(self) -> int:
-        return -2 - self.degree
-
-    def _audit(self, key: ResKey) -> None:
-        beta, s, m = key
-        if m < 1 or s < 0:
-            raise DomainError("resolvent power must be >= 1 and xi^2 power >= 0")
-        if sum(beta) + 2 * s - 2 * m != self.degree:
-            raise DomainError(
-                f"term xi^{beta} (xi^2)^{s} (xi^2-lam)^{{-{m}}} breaks the "
-                f"homogeneity audit for layer {self.k}"
-            )
-
-    @staticmethod
-    def _join(k1: tuple, k2: ResKey) -> ResKey:
-        if len(k1) == 2:  # a polynomial symbol term xi^beta, key (beta, 0)
-            k1 = (k1[0], 0, 0)
-        return TermMap._join(k1, k2)
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (beta, s, m) in sorted(self.terms, key=lambda k: (k[2], k[1], k[0])):
-            mat = self.terms[(beta, s, m)]
-            factors = []
-            for i, b in enumerate(beta, start=1):
-                if b:
-                    factors.append(f"xi{i}" + (f"^{b}" if b > 1 else ""))
-            if s:
-                factors.append("(xi^2)" + (f"^{s}" if s > 1 else ""))
-            factors.append(f"(xi^2-lam)^{{-{m}}}")
-            parts.append("*".join(factors) + f" . {mat.render()}")
-        return "  +  ".join(parts)
-
-    __repr__ = render
-
-
-def _resolvent_leading(sd2: Symbol, count: int) -> ResolventComponent:
-    """``r_0``: inverse of the leading part ``xi^2 (1 + nu)``, as the finite
-    Neumann series ``sum_j (-nu)^j (xi^2)^j (xi^2 - lambda)^{-j-1}`` in the
-    nilpotent perturbation ``nu`` of the central symbol, after the checks
-    that ``count`` layers can be built from it."""
-    if count < 0:
-        raise DomainError(f"the number of resolvent layers must be >= 0, got {count}")
-    if sd2.floor is not None:
-        raise DomainError("resolvent recursion expects an exact differential symbol")
-    for c in sd2.components.values():
-        if not c.is_polynomial():
-            raise DomainError("resolvent recursion expects polynomial components")
-    two, u = _central_leading(sd2)
-    if two != 2:
-        raise EllipticityShapeError("resolvent recursion expects an order-2 symbol")
-    unit = AlgebraElement.unit()
-    if not (u.t_grade(0) - unit).is_zero():
-        raise EllipticityShapeError("leading symbol must be xi^2 (1 + nilpotent)")
-    try:
-        powers = nilpotent_powers(u - unit)
-    except DomainError as exc:
-        raise EllipticityShapeError(f"leading {exc}") from exc
-    r0 = ResolventComponent(sd2.dim, 0)
-    for j, power in enumerate(powers):
-        r0.add_term((0,) * sd2.dim, j, j + 1, Mat2.diag(-power if j % 2 else power))
-    return r0
-
-
-def resolvent_symbols(sd2: Symbol, count: int) -> list[ResolventComponent]:
-    """Layers ``r_0 .. r_count`` of the resolvent of an order-2 polynomial
-    symbol: the inverse-layer recursion of :mod:`ncps.symbols` from ``r_0``."""
-    return _inverse_layers(sd2, _resolvent_leading(sd2, count), count)
 
 
 # -- contour integral and Gaussian moments ------------------------------------------
@@ -234,40 +139,6 @@ def heat_coefficients(
         traced = loc.trace()
         out.append(HeatCoefficient(i, mat, traced, tau_class(traced)))
     return out
-
-
-# -- inverse powers through the Mellin representation --------------------------------
-
-
-def _mellin_half_factor(m: int) -> Fraction:
-    """``(1/pi) * Beta(1/2, m - 1/2)`` = Gamma(m-1/2) / (sqrt(pi) (m-1)!)."""
-    c, half = gamma_half_pair(2 * m - 1)
-    if half != 1:
-        raise DomainError("unexpected pi bookkeeping in the Mellin factor")
-    return c / math.factorial(m - 1)
-
-
-def mellin_inverse_power(sd2: Symbol, floor: int) -> Symbol:
-    """Expansion of the inverse square root of an order-2 family.
-
-    Uses ``A^{-1/2} = (1/pi) int_0^inf lam^{-1/2} (A + lam)^{-1} dlam``
-    termwise on the resolvent layers: layer ``r_j`` gives the degree
-    ``-1 - j`` component, and its term ``xi^beta (xi^2)^s (xi^2 + lam)^{-m}``
-    integrates to a rational multiple of ``xi^beta (xi^2)^{s + 1/2 - m}``; no
-    ``(xi^2)^s`` is expanded, and :meth:`Symbol.make` reduces the result to
-    normal form.  Independent of the square-root/inversion route, against
-    which it is tested.
-    """
-    if floor > -1:
-        raise DomainError("floor must be at most -1 for an order -1 expansion")
-    comps = []
-    for j, rc in enumerate(resolvent_symbols(sd2, -floor - 1)):
-        comp = Component(sd2.dim, -1 - j)
-        for (beta, s, m), mat in rc.terms.items():
-            w = _mellin_half_factor(m)
-            comp.add_term(beta, 2 * (m - s) - 1, mat if w == 1 else mat.scale_rational(w))
-        comps.append(comp)
-    return Symbol.make(sd2.dim, comps, floor)
 
 
 # -- localized densities ----------------------------------------------------------

@@ -23,16 +23,31 @@ The composition law is the graded star product
     a * b  =  sum_alpha (1/alpha!) (d/dxi)^alpha a . delta^alpha b
 
 truncated below a floor.  It is written once, in :class:`_Moyal`, which the
-star product, inversion, the square root and the resolvent layers of
-:mod:`ncps.heat` all call.  Components and resolvent layers share one term
-map, :class:`TermMap`.  Inversion is written once as well, in
-:func:`_inverse_layers`: symbol inversion and the resolvent layers are the
-same recursion from different leading layers.  Inversion and square roots are
-solved degree by degree; the leading components that occur here are central
-scalar functions times ``1 + (nilpotent)`` and are handled by finite Neumann /
-binomial series.  At each degree the square root solves the two-sided
-equation ``v X + X v = R``, ``v = 1 + w``, by the finite series
-``X = 1/2 sum_k (-1/2)^k A^k(R)`` of the nilpotent map ``A(X) = w X + X w``.
+star product, inversion, the square root and the resolvent layers all call.
+Components and resolvent layers share one term map, :class:`TermMap`.
+Inversion is written once as well, in :func:`_inverse_layers`: symbol
+inversion and the resolvent layers are the same recursion from different
+leading layers.  Inversion and square roots are solved degree by degree; the
+leading components that occur here are central scalar functions times
+``1 + (nilpotent)`` and are handled by finite Neumann / binomial series.  At
+each degree the square root solves the two-sided equation ``v X + X v = R``,
+``v = 1 + w``, by the finite series ``X = 1/2 sum_k (-1/2)^k A^k(R)`` of the
+nilpotent map ``A(X) = w X + X w``.
+
+The resolvent layer ``r_k`` of an order-2 polynomial symbol ``sigma(D^2)``
+is graded by joint homogeneity in xi and the resolvent parameter, which
+counts with degree two: a term ``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}``,
+keyed ``(beta, s, m)``, has degree ``-2 - k``; the powers of ``xi^2`` that
+the Neumann series of the leading layer brings in stay factored through every
+product.  ``|D|^{-1}``, behind the sign and inverse-absolute-value symbols,
+comes from these layers by the Mellin representation
+``A^{-1/2} = (1/pi) int_0^inf lam^{-1/2} (A + lam)^{-1} dlam``, where each
+``(xi^2 + lambda)^{-m}`` integrates to a rational multiple of
+``(xi^2)^{1/2 - m}``: one recursion whose left factor is the polynomial
+``sigma(D^2)``.  The square root followed by inversion reaches the same
+symbol by two recursions with non-polynomial left factors; it stays public
+as the independent route the tests compare against.  The heat coefficients
+of :mod:`ncps.heat` close the same layers by a contour integral.
 """
 
 from __future__ import annotations
@@ -49,10 +64,11 @@ from .algebra import (
     gen,
     invert_perturbed_unit,
     nilpotent_orbit,
+    nilpotent_powers,
     sqrt_perturbed_unit,
 )
 from .clifford import Mat2, _component_rows, _mul_into, gamma
-from .scalars import DomainError, ExactScalar, RationalLike
+from .scalars import DomainError, ExactScalar, RationalLike, gamma_half_pair
 
 
 class EllipticityShapeError(DomainError):
@@ -106,7 +122,7 @@ TermKey = tuple[tuple[int, ...], int]  # (beta, m)
 class TermMap:
     """Finite map key -> :class:`Mat2` of a fixed joint degree.  A key starts
     with a monomial multi-index ``beta``, followed by integer powers of
-    central factors in xi (and, in :mod:`ncps.heat`, the resolvent
+    central factors in xi (and, in :class:`ResolventComponent`, the resolvent
     parameter).  Entries merge on insert and zero entries are dropped.
     ``_keep``, a predicate on keys or ``None``, restricts the map to a part:
     :meth:`add_product` skips every pair whose product key it refuses.
@@ -636,10 +652,10 @@ def _inverse_layers(a: Symbol, lead: TermMap, count: int, keep=None) -> list:
     ``deg lead - k`` and is ``-lead . cross``, with ``cross`` the degree
     ``-k`` part of ``a * (b_0 + .. + b_{k-1})``: the Moyal pairs of ``a_d``
     and a known layer ``b_j`` at order ``d + deg b_j + k``.  Both
-    :func:`invert_symbol` and the resolvent layers of :mod:`ncps.heat` are
-    this recursion; the layer type comes from ``lead``.  A ``keep`` predicate
-    on keys restricts the last ``cross`` to the keys it accepts; the layers
-    below it are needed in full."""
+    :func:`invert_symbol` and :func:`resolvent_symbols` are this recursion;
+    the layer type comes from ``lead``.  A ``keep`` predicate on keys
+    restricts the last ``cross`` to the keys it accepts; the layers below it
+    are needed in full."""
     minus_lead = lead.neg()  # negate the short factor once
     layers = [lead]
     moyal = _Moyal()
@@ -705,6 +721,129 @@ def sqrt_symbol(a: Symbol, floor: int) -> Symbol:
         if not comp.is_empty():
             b[r - k] = comp
     return Symbol(a.dim, b, floor).reduced()
+
+
+# -- resolvent layers and the inverse square root ------------------------------------
+
+
+ResKey = tuple[tuple[int, ...], int, int]  # (beta, xi^2 power s >= 0, resolvent power m >= 1)
+
+
+class ResolventComponent(TermMap):
+    """Layer ``r_k``: term map (beta, s, m) -> matrix, with factors
+    ``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}`` and joint degree
+    ``|beta| + 2s - 2m = -2 - k``.  The ``(xi^2)^s`` factor stays factored:
+    products add ``s``, and the momentum integral of :mod:`ncps.heat`
+    integrates it in closed form as a shift of the radial Gamma argument."""
+
+    __slots__ = ()
+
+    def __init__(self, dim: int, k: int):
+        super().__init__(dim, -2 - k)
+
+    @property
+    def k(self) -> int:
+        return -2 - self.degree
+
+    def _audit(self, key: ResKey) -> None:
+        beta, s, m = key
+        if m < 1 or s < 0:
+            raise DomainError("resolvent power must be >= 1 and xi^2 power >= 0")
+        if sum(beta) + 2 * s - 2 * m != self.degree:
+            raise DomainError(
+                f"term xi^{beta} (xi^2)^{s} (xi^2-lam)^{{-{m}}} breaks the "
+                f"homogeneity audit for layer {self.k}"
+            )
+
+    @staticmethod
+    def _join(k1: tuple, k2: ResKey) -> ResKey:
+        if len(k1) == 2:  # a polynomial symbol term xi^beta, key (beta, 0)
+            k1 = (k1[0], 0, 0)
+        return TermMap._join(k1, k2)
+
+    def render(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for (beta, s, m) in sorted(self.terms, key=lambda k: (k[2], k[1], k[0])):
+            mat = self.terms[(beta, s, m)]
+            factors = []
+            for i, b in enumerate(beta, start=1):
+                if b:
+                    factors.append(f"xi{i}" + (f"^{b}" if b > 1 else ""))
+            if s:
+                factors.append("(xi^2)" + (f"^{s}" if s > 1 else ""))
+            factors.append(f"(xi^2-lam)^{{-{m}}}")
+            parts.append("*".join(factors) + f" . {mat.render()}")
+        return "  +  ".join(parts)
+
+    __repr__ = render
+
+
+def _resolvent_leading(sd2: Symbol, count: int) -> ResolventComponent:
+    """``r_0``: inverse of the leading part ``xi^2 (1 + nu)``, as the finite
+    Neumann series ``sum_j (-nu)^j (xi^2)^j (xi^2 - lambda)^{-j-1}`` in the
+    nilpotent perturbation ``nu`` of the central symbol, after the checks
+    that ``count`` layers can be built from it."""
+    if count < 0:
+        raise DomainError(f"the number of resolvent layers must be >= 0, got {count}")
+    if sd2.floor is not None:
+        raise DomainError("resolvent recursion expects an exact differential symbol")
+    for c in sd2.components.values():
+        if not c.is_polynomial():
+            raise DomainError("resolvent recursion expects polynomial components")
+    two, u = _central_leading(sd2)
+    if two != 2:
+        raise EllipticityShapeError("resolvent recursion expects an order-2 symbol")
+    unit = AlgebraElement.unit()
+    if not (u.t_grade(0) - unit).is_zero():
+        raise EllipticityShapeError("leading symbol must be xi^2 (1 + nilpotent)")
+    try:
+        powers = nilpotent_powers(u - unit)
+    except DomainError as exc:
+        raise EllipticityShapeError(f"leading {exc}") from exc
+    r0 = ResolventComponent(sd2.dim, 0)
+    for j, power in enumerate(powers):
+        r0.add_term((0,) * sd2.dim, j, j + 1, Mat2.diag(-power if j % 2 else power))
+    return r0
+
+
+def resolvent_symbols(sd2: Symbol, count: int) -> list[ResolventComponent]:
+    """Layers ``r_0 .. r_count`` of the resolvent of an order-2 polynomial
+    symbol: the inverse-layer recursion from ``r_0``."""
+    return _inverse_layers(sd2, _resolvent_leading(sd2, count), count)
+
+
+def _mellin_half_factor(m: int) -> Fraction:
+    """``(1/pi) * Beta(1/2, m - 1/2)`` = Gamma(m-1/2) / (sqrt(pi) (m-1)!)."""
+    c, half = gamma_half_pair(2 * m - 1)
+    if half != 1:
+        raise DomainError("unexpected pi bookkeeping in the Mellin factor")
+    return c / math.factorial(m - 1)
+
+
+def mellin_inverse_power(sd2: Symbol, floor: int) -> Symbol:
+    """Expansion of the inverse square root of an order-2 family.
+
+    Uses ``A^{-1/2} = (1/pi) int_0^inf lam^{-1/2} (A + lam)^{-1} dlam``
+    termwise on the resolvent layers: layer ``r_j`` gives the degree
+    ``-1 - j`` component, and its term ``xi^beta (xi^2)^s (xi^2 + lam)^{-m}``
+    integrates to a rational multiple of ``xi^beta (xi^2)^{s + 1/2 - m}``; no
+    ``(xi^2)^s`` is expanded, and :meth:`Symbol.make` reduces the result to
+    normal form.  One recursion whose left factor is the polynomial ``sd2``,
+    where the square-root/inversion route runs two with non-polynomial left
+    factors; the tests hold the two routes equal component by component.
+    """
+    if floor > -1:
+        raise DomainError("floor must be at most -1 for an order -1 expansion")
+    comps = []
+    for j, rc in enumerate(resolvent_symbols(sd2, -floor - 1)):
+        comp = Component(sd2.dim, -1 - j)
+        for (beta, s, m), mat in rc.terms.items():
+            w = _mellin_half_factor(m)
+            comp.add_term(beta, 2 * (m - s) - 1, mat if w == 1 else mat.scale_rational(w))
+        comps.append(comp)
+    return Symbol.make(sd2.dim, comps, floor)
 
 
 # -- operator families -------------------------------------------------------------
@@ -836,23 +975,23 @@ def dirac_symbol(f: OperatorFamily) -> tuple[Symbol, Symbol]:
     return sd, sd2
 
 
-def _inverse_abs(sd2: Symbol, floor: int) -> Symbol:
-    """``|D|^{-1}`` down to ``floor``: the square root of ``sd2`` down to
-    ``floor + 2``, then its inverse."""
-    return invert_symbol(sqrt_symbol(sd2, floor + 2), floor)
-
-
 def inverse_abs_symbol(f: OperatorFamily, floor: int) -> Symbol:
-    """Expansion of the inverse absolute value, via square root then inversion."""
-    return _inverse_abs(dirac_symbol(f)[1], floor)
+    """Expansion of the inverse absolute value down to ``floor``, from the
+    resolvent layers of the squared family.  ``invert_symbol(sqrt_symbol(sd2,
+    floor + 2), floor)`` is an independent route to the same symbol, which
+    the tests compare against."""
+    return mellin_inverse_power(dirac_symbol(f)[1], floor)
 
 
 def sign_symbol(f: OperatorFamily, floor: Optional[int] = None) -> Symbol:
     """Symbol of the sign operator of the family, down to ``floor``.
 
     Default floor is ``-dim`` so that the residue component is determined.
+    The product ``D |D|^{-1}`` takes ``|D|^{-1}`` from the resolvent layers
+    (:func:`inverse_abs_symbol`); the square-root/inversion route is the
+    tests' reference for it.
     """
     if floor is None:
         floor = -f.dim
     sd, sd2 = dirac_symbol(f)
-    return star_product(sd, _inverse_abs(sd2, floor - 1), floor)
+    return star_product(sd, mellin_inverse_power(sd2, floor - 1), floor)

@@ -76,7 +76,7 @@ def test_criterion_05_oracle_equivalence():
     ):
         _, sd2 = sy.dirac_symbol(fam)
         mel = ht.mellin_inverse_power(sd2, floor=-4)
-        direct = sy.inverse_abs_symbol(fam, floor=-4)
+        direct = sy.invert_symbol(sy.sqrt_symbol(sd2, -2), -4)
         ok = ok and mel.equals(direct, down_to=-4)
     report(5, "two-route inverse oracle", ok, time.perf_counter() - t0, 300)
 

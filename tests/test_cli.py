@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ncps.checks import run_check
+from ncps.checks import MAX_HEAT_ORDERS, run_check
 from ncps.cli import main
 
 
@@ -124,6 +124,9 @@ def test_heat_command(tmp_path, capsys):
         (["wres", "--t-order", "7"], "conformal_dirac", "zeta-conformal", {"t_order": 7}),
         (["wres", "--t-order", "9"], "coupled_dirac", "zeta-conformal", {"t_order": 9}),
         (["heat", "--t-order", "7"], "conformal_dirac", "zeta-conformal", {"t_order": 7}),
+        (["wres", "--compose", "abs-inverse", "--floor", "0"], "coupled_dirac", "eta-coupled", {"floor": 0}),
+        (["wres", "--compose", "sign", "--floor", "1"], "coupled_dirac", "eta-coupled", {"floor": 1}),
+        (["wres", "--floor", "-2"], "conformal_dirac", "eta-coupled", {"floor": -2}),
     ],
 )
 def test_wres_and_heat_bounds_exit_2_with_the_verify_message(tmp_path, capsys, argv, kind, check, config):
@@ -143,6 +146,23 @@ def test_wres_keeps_the_floor_of_a_2d_family(tmp_path, capsys):
     for argv in ([], ["--floor", "-2"]):
         code, out = run(capsys, "wres", "--family", str(fam), *argv)
         assert code == 0 and json.loads(out)["floor"] == -2
+    for compose in ("sign", "abs-inverse"):
+        code = main(["wres", "--family", str(fam), "--compose", compose, "--floor", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: floor must be <= -2 (the residue reads the degree -2 component), got -1\n"
+        )
+
+
+def test_heat_orders_above_the_bound_exit_2_naming_the_value(tmp_path, capsys):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"kind": "conformal_dirac", "dim": 3, "t_cap": 2}))
+    code = main(["heat", "--family", str(fam), "--orders", str(MAX_HEAT_ORDERS + 1)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: orders must be <= {MAX_HEAT_ORDERS} ")
+    assert captured.err.endswith(f", got {MAX_HEAT_ORDERS + 1}\n")
 
 
 def test_heat_command_negative_orders_is_clean_error(tmp_path, capsys):

@@ -225,6 +225,31 @@ def test_cs_density_linear_and_filtered():
     assert (linear.representative - trunc).is_zero()
 
 
+def sqrt_inversion_cs_density(f, gauge_cap):
+    """``Wres(gamma^mu dA_mu |D|^{-1})`` with ``|D|^{-1}`` by the square root
+    and then its inverse, trimmed to ``gauge_cap`` after every stage."""
+
+    def trim(sym):
+        return sym if gauge_cap is None else sym.filter_base_degree(f.gauge, gauge_cap)
+
+    dim = f.dim
+    sd2 = sy.dirac_symbol(f)[1]
+    absd = sy.sqrt_symbol(trim(sd2), -dim + 1)
+    inv = trim(sy.invert_symbol(trim(absd), -dim - 1))
+    coeffs = [AlgebraElement.generator(gen(f"dA{m}", dim)) for m in range(1, dim + 1)]
+    direction = Symbol.make(dim, [sy._slash_component(dim, coeffs)])
+    return fn.wres(trim(star_product(direction, inv, -dim)), dim).tau_value
+
+
+@pytest.mark.parametrize("gauge_cap", [None, 1, 2])
+def test_cs_density_matches_the_sqrt_inversion_pipeline(gauge_cap):
+    fam = OperatorFamily.coupled(3)
+    got = fn.induced_cs_density(fam, gauge_cap=gauge_cap)
+    ref = sqrt_inversion_cs_density(fam, gauge_cap)
+    assert (got.representative - ref.representative).is_zero()
+    assert got.render() == ref.render()
+
+
 # sha256 of the render, pinned before products skipped word pairs over the
 # t cap
 GOLDEN_CS_DENSITY = "3183a61967a9063c61d3b1eb98520e53d4cd19aab13782afb6d71fd87e2df36b"

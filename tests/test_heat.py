@@ -301,7 +301,7 @@ def test_mellin_coupled_order_minus_two():
 def test_oracle_equivalence_mellin_vs_sqrt_route(fam):
     _, sd2 = dirac_symbol(fam)
     mel = ht.mellin_inverse_power(sd2, floor=-4)
-    direct = sy.inverse_abs_symbol(fam, floor=-4)
+    direct = sy.invert_symbol(sy.sqrt_symbol(sd2, -2), -4)
     assert mel.equals(direct, down_to=-4)
 
 
