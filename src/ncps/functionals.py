@@ -27,10 +27,10 @@ from .symbols import (
     Mat2,
     OperatorFamily,
     Symbol,
+    _inverse_abs,
     _slash_component,
     dirac_symbol,
     inverse_abs_symbol,
-    mellin_inverse_power,
     star_product,
 )
 
@@ -188,7 +188,7 @@ def induced_cs_density(f: OperatorFamily, gauge_cap: Optional[int] = None) -> Ta
         return sym.filter_base_degree(f.gauge, gauge_cap)
 
     _sd, sd2 = dirac_symbol(f)
-    inv = trim(mellin_inverse_power(trim(sd2), -dim - 1))
+    inv = trim(_inverse_abs(trim(sd2), -dim - 1))
     coeffs = [AlgebraElement.generator(gen(f"dA{m}", dim)) for m in range(1, dim + 1)]
     direction = Symbol.make(dim, [_slash_component(dim, coeffs)])
     prod = star_product(direction, inv, -dim)

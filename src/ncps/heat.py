@@ -41,7 +41,6 @@ from .symbols import (  # the resolvent layers and the Mellin route are re-expor
     Symbol,
     TermMap,
     _inverse_layers,
-    _mellin_half_factor,
     _resolvent_leading,
     dirac_symbol,
     invert_symbol,

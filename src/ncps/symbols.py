@@ -45,9 +45,14 @@ comes from these layers by the Mellin representation
 ``(xi^2 + lambda)^{-m}`` integrates to a rational multiple of
 ``(xi^2)^{1/2 - m}``: one recursion whose left factor is the polynomial
 ``sigma(D^2)``.  The square root followed by inversion reaches the same
-symbol by two recursions with non-polynomial left factors; it stays public
-as the independent route the tests compare against.  The heat coefficients
-of :mod:`ncps.heat` close the same layers by a contour integral.
+symbol by two recursions with non-polynomial left factors, but merges the
+keys that differ only in the power of ``xi^2``, which the layers keep apart
+because their Mellin weights differ.  So the layers carry about one copy of
+each term per nilpotent power of the leading layer, and past
+``MAX_RESOLVENT_POWERS`` such powers :func:`_inverse_abs` takes the square
+root and inversion instead; the tests hold the two routes equal.  The heat
+coefficients of :mod:`ncps.heat` close the same layers by a contour
+integral.
 """
 
 from __future__ import annotations
@@ -846,6 +851,31 @@ def mellin_inverse_power(sd2: Symbol, floor: int) -> Symbol:
     return Symbol.make(sd2.dim, comps, floor)
 
 
+# |D|^{-1} of conformal(3, t_cap) down to degree -4, whose leading layer has
+# t_cap + 1 keys, in a fresh interpreter: from the layers 0.15-0.17 s and 33 MB
+# at t_cap 3, 0.50 s and 48 MB at 4, 1.6-1.8 s and 94 MB at 5, 5.0-5.7 s and
+# 216 MB at 6; by the square root and inversion 0.15-0.25 s and 33 MB,
+# 0.60-0.75 s and 39 MB, 1.5-1.7 s and 64 MB, 3.7-3.9 s and 124 MB.  The
+# layers' memory outgrows the other route's from t_cap 4 on.
+MAX_RESOLVENT_POWERS = 4
+
+
+def _inverse_abs(sd2: Symbol, floor: int) -> Symbol:
+    """``|D|^{-1}`` down to ``floor`` from the exact ``sd2 = sigma(D^2)``.
+
+    The resolvent layers run one recursion on the polynomial ``sd2``, but
+    keep the keys of the leading layer's Neumann series apart through every
+    product, since their Mellin weights differ, where the square root and
+    the inversion merge them into one.  So the layers are used while the
+    leading layer has at most ``MAX_RESOLVENT_POWERS`` keys, one per
+    nilpotent power (every free, coupled and unitary family has one), and
+    past that the square root of ``sd2`` down to ``floor + 2`` and its
+    inverse."""
+    if len(_resolvent_leading(sd2, 0).terms) <= MAX_RESOLVENT_POWERS:
+        return mellin_inverse_power(sd2, floor)
+    return invert_symbol(sqrt_symbol(sd2, floor + 2), floor)
+
+
 # -- operator families -------------------------------------------------------------
 
 
@@ -977,21 +1007,20 @@ def dirac_symbol(f: OperatorFamily) -> tuple[Symbol, Symbol]:
 
 def inverse_abs_symbol(f: OperatorFamily, floor: int) -> Symbol:
     """Expansion of the inverse absolute value down to ``floor``, from the
-    resolvent layers of the squared family.  ``invert_symbol(sqrt_symbol(sd2,
-    floor + 2), floor)`` is an independent route to the same symbol, which
-    the tests compare against."""
-    return mellin_inverse_power(dirac_symbol(f)[1], floor)
+    resolvent layers of the squared family, or by its square root and
+    inversion past ``MAX_RESOLVENT_POWERS`` leading keys
+    (:func:`_inverse_abs`).  The tests hold the two routes equal."""
+    return _inverse_abs(dirac_symbol(f)[1], floor)
 
 
 def sign_symbol(f: OperatorFamily, floor: Optional[int] = None) -> Symbol:
     """Symbol of the sign operator of the family, down to ``floor``.
 
     Default floor is ``-dim`` so that the residue component is determined.
-    The product ``D |D|^{-1}`` takes ``|D|^{-1}`` from the resolvent layers
-    (:func:`inverse_abs_symbol`); the square-root/inversion route is the
-    tests' reference for it.
+    The product ``D |D|^{-1}`` takes ``|D|^{-1}`` as
+    :func:`inverse_abs_symbol` does.
     """
     if floor is None:
         floor = -f.dim
     sd, sd2 = dirac_symbol(f)
-    return star_product(sd, mellin_inverse_power(sd2, floor - 1), floor)
+    return star_product(sd, _inverse_abs(sd2, floor - 1), floor)

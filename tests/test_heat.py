@@ -263,9 +263,9 @@ def test_mellin_factor_against_quadrature():
     c = 1.3
     expect = 0.5 * math.pi * c ** (-1.5)
     assert abs(mellin_quadrature(2, c) - expect) < 1e-4
-    assert ht._mellin_half_factor(2) == Fraction(1, 2)  # (1/pi) * (pi/2)
-    assert ht._mellin_half_factor(1) == Fraction(1)
-    assert ht._mellin_half_factor(3) == Fraction(3, 8)
+    assert sy._mellin_half_factor(2) == Fraction(1, 2)  # (1/pi) * (pi/2)
+    assert sy._mellin_half_factor(1) == Fraction(1)
+    assert sy._mellin_half_factor(3) == Fraction(3, 8)
 
 
 def test_mellin_free_single_component():
@@ -289,20 +289,46 @@ def test_mellin_coupled_order_minus_two():
     assert mel.component(-2).equals(expect)
 
 
-@pytest.mark.parametrize(
-    "fam",
-    [
-        OperatorFamily.free(3),
-        OperatorFamily.coupled(3),
-        OperatorFamily.conformal(3, t_cap=2),
-    ],
-    ids=["free", "coupled", "conformal_t2"],
-)
-def test_oracle_equivalence_mellin_vs_sqrt_route(fam):
+def _route_case(fam, floor):
+    cap = "" if fam.t_cap is None else f"_t{fam.t_cap}"
+    return pytest.param(fam, floor, id=f"{fam.kind}{fam.dim}{cap}_floor{floor}")
+
+
+ROUTE_CASES = [
+    pytest.param(OperatorFamily.free(3), -4, id="free"),
+    pytest.param(OperatorFamily.coupled(3), -4, id="coupled"),
+    pytest.param(OperatorFamily.conformal(3, t_cap=2), -4, id="conformal_t2"),
+    *(_route_case(OperatorFamily.free(2), floor) for floor in (-2, -3)),
+    _route_case(OperatorFamily.free(3), -3),
+    *(_route_case(OperatorFamily.coupled(3), floor) for floor in (-3, -5)),
+    *(
+        _route_case(OperatorFamily.conformal(3, t_cap=k), floor)
+        for k in range(4)
+        for floor in (-3, -4)
+        if (k, floor) != (2, -4)
+    ),
+    *(
+        _route_case(OperatorFamily.conformal(2, t_cap=k), floor)
+        for k in range(5)
+        for floor in (-2, -3)
+    ),
+    *(
+        _route_case(OperatorFamily.unitary(3, (1, 0, 0), Fraction(1, 2)), floor)
+        for floor in (-3, -4)
+    ),
+]
+
+
+@pytest.mark.parametrize("fam, floor", ROUTE_CASES)
+def test_oracle_equivalence_mellin_vs_sqrt_route(fam, floor):
+    """The resolvent layers and the square root followed by inversion give
+    the same ``|D|^{-1}``, component by component and byte for byte."""
     _, sd2 = dirac_symbol(fam)
-    mel = ht.mellin_inverse_power(sd2, floor=-4)
-    direct = sy.invert_symbol(sy.sqrt_symbol(sd2, -2), -4)
-    assert mel.equals(direct, down_to=-4)
+    mel = ht.mellin_inverse_power(sd2, floor=floor)
+    direct = sy.invert_symbol(sy.sqrt_symbol(sd2, floor + 2), floor)
+    assert mel.floor == direct.floor == floor
+    assert mel.equals(direct, down_to=floor)
+    assert mel.render() == direct.render()
 
 
 # sha256 of the per-grade renders joined by " | ", pinned before products

@@ -842,51 +842,27 @@ def test_golden_coupled_sign_symbol_render_at_floor_minus_4():
     assert hashlib.sha256(sgn.render().encode()).hexdigest() == GOLDEN_COUPLED_SIGN_FLOOR_4
 
 
-def sqrt_inversion_route(sd2, floor):
-    """``|D|^{-1}`` by the independent route: the square root of ``sd2`` down
-    to ``floor + 2``, then its inverse."""
-    return invert_symbol(sqrt_symbol(sd2, floor + 2), floor)
-
-
-INVERSE_ABS_CASES = [
-    (OperatorFamily.free(2), -2),
-    (OperatorFamily.free(2), -3),
-    (OperatorFamily.free(3), -3),
-    (OperatorFamily.free(3), -4),
-    *((OperatorFamily.coupled(3), floor) for floor in (-3, -4, -5)),
-    *((OperatorFamily.conformal(3, t_cap=k), floor) for k in range(4) for floor in (-3, -4)),
-    *((OperatorFamily.conformal(2, t_cap=k), floor) for k in range(5) for floor in (-2, -3)),
-    (OperatorFamily.unitary(3, (1, 0, 0), Fraction(1, 2)), -3),
-    (OperatorFamily.unitary(3, (1, 0, 0), Fraction(1, 2)), -4),
-]
-
-
-def _case_id(case):
-    fam, floor = case
-    cap = "" if fam.t_cap is None else f"_t{fam.t_cap}"
-    return f"{fam.kind}{fam.dim}{cap}_floor{floor}"
-
-
-@pytest.mark.parametrize("fam, floor", INVERSE_ABS_CASES, ids=[_case_id(c) for c in INVERSE_ABS_CASES])
-def test_inverse_abs_matches_the_sqrt_inversion_route(fam, floor):
-    """The resolvent layers and the square root followed by inversion give
-    the same ``|D|^{-1}``, component by component and byte for byte."""
-    got = sy.inverse_abs_symbol(fam, floor)
-    ref = sqrt_inversion_route(dirac_symbol(fam)[1], floor)
-    assert got.floor == ref.floor == floor
-    assert got.equals(ref, down_to=floor)
-    assert got.render() == ref.render()
-
-
-# every family of INVERSE_ABS_CASES at its residue floor; the coupled sign at
-# -4 is pinned by GOLDEN_COUPLED_SIGN_FLOOR_4
-SIGN_CASES = [(fam, floor) for fam, floor in INVERSE_ABS_CASES if floor == -fam.dim]
-
-
-@pytest.mark.parametrize("fam, floor", SIGN_CASES, ids=[_case_id(c) for c in SIGN_CASES])
-def test_sign_matches_the_sqrt_inversion_route(fam, floor):
-    sd, sd2 = dirac_symbol(fam)
-    got = sign_symbol(fam, floor)
-    ref = star_product(sd, sqrt_inversion_route(sd2, floor - 1), floor)
-    assert got.equals(ref, down_to=floor)
-    assert got.render() == ref.render()
+@pytest.mark.parametrize(
+    "fam, layers",
+    [
+        (OperatorFamily.coupled(3), True),
+        (OperatorFamily.conformal(2, t_cap=sy.MAX_RESOLVENT_POWERS - 1), True),
+        (OperatorFamily.conformal(2, t_cap=sy.MAX_RESOLVENT_POWERS), False),
+    ],
+    ids=["coupled", "conformal_at_the_bound", "conformal_past_the_bound"],
+)
+def test_inverse_abs_takes_the_layers_up_to_max_resolvent_powers(monkeypatch, fam, layers):
+    """The leading layer of a conformal family has one key per t grade, and
+    past ``MAX_RESOLVENT_POWERS`` keys the square root and inversion are
+    taken; ``test_oracle_equivalence_mellin_vs_sqrt_route`` holds the two
+    routes equal."""
+    sd2 = dirac_symbol(fam)[1]
+    keys = 1 if fam.t_cap is None else fam.t_cap + 1
+    assert len(sy._resolvent_leading(sd2, 0).terms) == keys
+    calls = []
+    for name in ("mellin_inverse_power", "sqrt_symbol"):
+        real = getattr(sy, name)
+        monkeypatch.setattr(sy, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    sign_symbol(fam)
+    sy.inverse_abs_symbol(fam, -fam.dim)
+    assert calls == 2 * ["mellin_inverse_power" if layers else "sqrt_symbol"]
