@@ -14,7 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import functionals as fn
 from . import heat as ht
@@ -22,7 +22,7 @@ from . import numeric as nm
 from . import symbols as sy
 from .algebra import AlgebraElement, exp_expand, gen
 from .clifford import gamma
-from .scalars import DomainError
+from .scalars import DomainError, parse_int, parse_ints, parse_value
 
 CONVENTIONS = {
     "cutoff": "sharp radial cutoff, indicator of |xi| >= 1",
@@ -65,23 +65,6 @@ class CheckReport:
 # -- individual checks ---------------------------------------------------------------
 
 
-def _int(value) -> int:
-    """An ``int`` (not a bool), an integral float, or a string ``int()``
-    parses; anything else raises, so no value is truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise TypeError(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(value)
-    return int(value)
-
-
-def _ints(u) -> tuple[int, ...]:
-    """A comma-separated string, list or tuple of :func:`_int` entries."""
-    if not isinstance(u, (str, list, tuple)):
-        raise TypeError(u)
-    return tuple(map(_int, u.split(",") if isinstance(u, str) else u))
-
-
 def _kernel_shift(value) -> float:
     """A number (not a bool) below 1, the smallest nonzero |n| at the flow's
     endpoints, which a larger shift would swallow; a negative or NaN shift is
@@ -94,44 +77,51 @@ def _kernel_shift(value) -> float:
     return float(value)
 
 
-# key -> (parser, what a value must be); run_check parses every given value
-_INT = (_int, "an integer")
-PARSERS = {
-    "floor": _INT, "t_order": _INT, "grid": _INT, "cutoff": _INT, "dim": _INT,
-    "u": (_ints, "comma-separated integers"),
-    "kernel_shift": (_kernel_shift, "a number"),
-}
-
-
-def _parsed(cfg: dict) -> dict:
-    """``cfg`` with every value parsed; an unparsable one is a
-    :class:`DomainError` that names the key and the value given."""
-    out = {}
-    for key, value in cfg.items():
-        parse, what = PARSERS[key]
-        try:
-            out[key] = parse(value)
-        except DomainError:
-            raise
-        except (TypeError, ValueError):
-            raise DomainError(f"{key} must be {what}, got {value!r}") from None
-    return out
-
-
 MIN_FLOOR = -5
 MAX_T_ORDER = 6
-# heat_coefficients of coupled(3): 1.1 s at 6 orders, over 60 s at 8; of
-# conformal(3, t_cap=2): 0.5 s at 6, 6.0 s at 8
 MAX_HEAT_ORDERS = 6
 
 
-def _bounded_floor(floor: int) -> int:
-    """A symbol floor, of a check or of ``ncps wres``; one below
-    ``MIN_FLOOR`` is rejected as too costly."""
-    if floor < MIN_FLOOR:
-        what = f">= {MIN_FLOOR} (the word-terms grow about sevenfold per degree)"
-        raise DomainError(f"floor must be {what}, got {floor}")
-    return floor
+class Key(NamedTuple):
+    """How a check config key, a subcommand flag or a family file field is
+    read: its parser, what a value must be, and for the costly depths the
+    range a parsed value must lie in, with the reason."""
+
+    parse: Callable
+    what: str
+    lo: Optional[int] = None
+    hi: Optional[int] = None
+    why: str = ""
+
+
+_INT = (parse_int, "an integer")
+# every value run_check, `wres`, `heat` and `num flow` are given is read here
+PARSERS = {
+    "floor": Key(*_INT, lo=MIN_FLOOR, why="the word-terms grow about sevenfold per degree"),
+    "t_order": Key(*_INT, hi=MAX_T_ORDER, why="the cost grows about fivefold per grade"),
+    # heat_coefficients of coupled(3): 1.1 s at 6 orders, over 60 s at 8; of
+    # conformal(3, t_cap=2): 0.5 s at 6, 6.0 s at 8
+    "orders": Key(*_INT, hi=MAX_HEAT_ORDERS, why="the cost grows at least fivefold per two orders"),
+    "grid": Key(*_INT), "cutoff": Key(*_INT), "dim": Key(*_INT),
+    "u": Key(parse_ints, "comma-separated integers"),
+    "kernel_shift": Key(_kernel_shift, "a number"),
+}
+PARSERS["t_cap"] = PARSERS["t_order"]  # the deformation cap of a family file
+
+
+def _parsed(cfg: dict) -> dict:
+    """``cfg`` with every value parsed, then bounded, before any symbol is
+    built.  An unparsable value is a :class:`DomainError` that names the key
+    and the value given; one out of its range names the range, the reason
+    and the parsed value."""
+    out = {key: parse_value(key, value, *PARSERS[key][:2]) for key, value in cfg.items()}
+    for key, value in out.items():
+        lo, hi, why = PARSERS[key][2:]
+        if lo is not None and value < lo:
+            raise DomainError(f"{key} must be >= {lo} ({why}), got {value}")
+        if hi is not None and value > hi:
+            raise DomainError(f"{key} must be <= {hi} ({why}), got {value}")
+    return out
 
 
 def _residue_floor(floor: int, dim: int) -> int:
@@ -144,29 +134,7 @@ def _residue_floor(floor: int, dim: int) -> int:
             f"floor must be <= {-dim} (the residue reads the degree {-dim} "
             f"component), got {floor}"
         )
-    return _bounded_floor(floor)
-
-
-def _t_order(t_order: int) -> int:
-    """A deformation grade, of a check or of ``ncps wres`` and ``ncps heat``,
-    bounded before any symbol is built."""
-    if t_order > MAX_T_ORDER:
-        raise DomainError(
-            f"t_order must be <= {MAX_T_ORDER} (the cost grows about fivefold "
-            f"per grade), got {t_order}"
-        )
-    return t_order
-
-
-def _heat_orders(orders: int) -> int:
-    """The last heat coefficient ``ncps heat`` computes, bounded before any
-    layer is built; a negative one is refused by the resolvent recursion."""
-    if orders > MAX_HEAT_ORDERS:
-        raise DomainError(
-            f"orders must be <= {MAX_HEAT_ORDERS} (the cost grows at least "
-            f"fivefold per two orders), got {orders}"
-        )
-    return orders
+    return floor
 
 
 def _check_eta_coupled(cfg: dict) -> tuple[str, str, Optional[str], dict]:
@@ -182,7 +150,7 @@ def _check_eta_coupled(cfg: dict) -> tuple[str, str, Optional[str], dict]:
 
 
 def _check_eta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    t_order = _t_order(cfg["t_order"])
+    t_order = cfg["t_order"]
     floor = _residue_floor(cfg["floor"], 3)
     fam = sy.OperatorFamily.conformal(3, t_cap=t_order)
     _sd, sd2 = sy.dirac_symbol(fam)
@@ -245,7 +213,7 @@ def _check_eta_invariance(cfg: dict) -> tuple[str, str, Optional[str], dict]:
 
 
 def _check_zeta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    t_order = _t_order(cfg["t_order"])
+    t_order = cfg["t_order"]
     details = {}
     witness = None
     ok = True
@@ -267,7 +235,7 @@ def _check_zeta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
 
 
 def _check_res_heat(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    t_order = _t_order(cfg["t_order"])
+    t_order = cfg["t_order"]
     details = {}
     ok = True
     witness = None
@@ -322,12 +290,17 @@ def _linear_in(a: AlgebraElement, bases: tuple[str, ...]) -> bool:
     return True
 
 
+def _net_flow(u, grid, cutoff, dim, kernel_shift=1e-9) -> tuple[int, int]:
+    """Net spectral flow of the commutator-shift family over the unit
+    interval, and its mode count; for the check and for ``ncps num flow``."""
+    spectra = nm.unitary_flow_spectra(u, nm.flow_grid(grid), cutoff, dim)
+    return nm.spectral_flow(spectra, kernel_shift=kernel_shift), len(spectra[0])
+
+
 def _check_flow_index(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    grid = nm.flow_grid(cfg["grid"])
-    spectra = nm.unitary_flow_spectra(cfg["u"], grid, cfg["cutoff"], cfg["dim"])
-    flow = nm.spectral_flow(spectra, kernel_shift=cfg.get("kernel_shift", 1e-9))
+    flow, modes = _net_flow(**cfg)
     ok = flow == 0
-    details = {"flow": flow, "modes": len(spectra[0])}
+    details = {"flow": flow, "modes": modes}
     return ("pass" if ok else "fail", "n-a", None if ok else str(flow), details)
 
 
@@ -416,23 +389,19 @@ def run_check(name: str, config: Optional[dict] = None) -> CheckReport:
     cfg = dict(spec.defaults)
     if config:
         cfg.update({k: v for k, v in config.items() if v is not None})
+    params = {**cfg, "conventions": CONVENTIONS}
     unread = sorted(set(cfg) - spec.reads())
     if unread:
         return CheckReport(
             name, "error", "n-a",
             f"check {name!r} does not read {', '.join(unread)}; "
             f"it reads: {', '.join(sorted(spec.reads())) or 'nothing'}",
-            {**cfg, "conventions": CONVENTIONS}, 0,
+            params, 0,
         )
     t0 = time.perf_counter()
     try:
         status, level, witness, details = spec.runner(_parsed(cfg))
     except DomainError as exc:
-        elapsed = int((time.perf_counter() - t0) * 1000)
-        return CheckReport(name, "error", "n-a", str(exc),
-                           {**cfg, "conventions": CONVENTIONS}, elapsed)
+        status, level, witness, details = "error", "n-a", str(exc), {}
     elapsed = int((time.perf_counter() - t0) * 1000)
-    return CheckReport(
-        name, status, level, witness,
-        {**cfg, "conventions": CONVENTIONS}, elapsed, details,
-    )
+    return CheckReport(name, status, level, witness, params, elapsed, details)

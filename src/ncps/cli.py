@@ -25,14 +25,13 @@ from .checks import (
     ALIASES,
     CHECKS,
     CONVENTIONS,
-    _bounded_floor,
-    _heat_orders,
+    PARSERS,
+    _net_flow,
     _parsed,
     _residue_floor,
-    _t_order,
     run_check,
 )
-from .scalars import DomainError
+from .scalars import DomainError, parse_int, parse_ints, parse_value
 
 
 def _emit(payload: dict, json_path: Optional[str]) -> None:
@@ -42,9 +41,25 @@ def _emit(payload: dict, json_path: Optional[str]) -> None:
     print(text)
 
 
-def _load_family(path: str) -> sy.OperatorFamily:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return sy.OperatorFamily.from_dict(data)
+def _given(args: argparse.Namespace, **more) -> dict:
+    """The values of ``more`` and of the flags in ``args`` that
+    ``checks.PARSERS`` reads, as given; an absent one (None) is left out."""
+    return {k: v for k, v in {**more, **vars(args)}.items() if k in PARSERS and v is not None}
+
+
+def _load_family(args: argparse.Namespace) -> tuple[sy.OperatorFamily, dict]:
+    """The family file of ``args`` and its flags, parsed and bounded as
+    ``verify`` bounds them, the file's ``t_cap`` as ``--t-order``.  A
+    ``--t-order`` overrides the cap of a conformal family and is an error for
+    any other, which has no cap to override."""
+    data = json.loads(Path(args.family).read_text(encoding="utf-8"))
+    fam = sy.OperatorFamily.from_dict(data)
+    cfg = _parsed(_given(args, t_cap=fam.t_cap))
+    if "t_order" in cfg:
+        if fam.kind != "conformal_dirac":
+            raise DomainError(f"--t-order sets the cap of a conformal_dirac family, not {fam.kind}")
+        fam = sy.OperatorFamily.conformal(fam.dim, t_cap=cfg["t_order"], weyl=fam.weyl)
+    return fam, cfg
 
 
 def _load_numeric_family(path: str) -> nm.NumericFamily:
@@ -53,21 +68,21 @@ def _load_numeric_family(path: str) -> nm.NumericFamily:
     def parse_modes(obj: dict) -> nm.ConcreteElement:
         modes = {}
         for key, val in obj.items():
-            k = tuple(int(x) for x in key.split(","))
+            k = parse_value("mode key", key, parse_ints, "comma-separated integers")
             modes[k] = complex(val[0], val[1])
         return nm.ConcreteElement(dim, modes)
 
     try:
-        dim = int(data["dim"])
+        dim = parse_int(data["dim"])
         return nm.NumericFamily(
             kind=data["kind"],
             dim=dim,
             theta=nm.theta_matrix(data["theta"]) if "theta" in data else None,
             weyl=parse_modes(data["weyl_modes"]) if "weyl_modes" in data else None,
             gauge=[parse_modes(g) for g in data.get("gauge_modes", [])] or None,
-            flow_k=tuple(int(x) for x in data.get("flow_k", ())),
+            flow_k=parse_value("flow_k", data.get("flow_k", ()), parse_ints, "a list of integers"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed numeric family file: {exc}") from None
 
 
@@ -78,44 +93,23 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = {
-        "t_order": args.t_order,
-        "floor": args.floor,
-        "dim": args.dim,
-        "cutoff": args.cutoff,
-        "grid": args.grid,
-        "u": args.u,
-    }
-    report = run_check(args.name, cfg)
+    report = run_check(args.name, _given(args))
     _emit(report.to_dict(), args.json)
     if report.status == "error":
         return 2
     return 0 if report.passed else 1
 
 
-def _override_t_order(fam: sy.OperatorFamily, t_order: Optional[int]) -> sy.OperatorFamily:
-    if t_order is None:
-        return fam
-    _t_order(t_order)  # the bound `verify` has, whatever the family
-    if fam.kind != "conformal_dirac":
-        return fam
-    return sy.OperatorFamily.conformal(fam.dim, t_cap=t_order, weyl=fam.weyl)
-
-
 def _cmd_wres(args: argparse.Namespace) -> int:
-    fam = _override_t_order(_load_family(args.family), args.t_order)
-    if args.floor is None:
-        floor = -fam.dim
-    elif args.compose == "none":
-        floor = _bounded_floor(args.floor)
-    else:
-        floor = _residue_floor(args.floor, fam.dim)
-    if args.compose == "sign":
-        symbol = sy.sign_symbol(fam, floor=floor)
-    elif args.compose == "abs-inverse":
-        symbol = sy.inverse_abs_symbol(fam, floor=floor)
-    else:
+    fam, cfg = _load_family(args)
+    floor = cfg.get("floor", -fam.dim)
+    if args.compose == "none":
+        if "floor" in cfg:
+            raise DomainError("--floor is not read with --compose none, whose symbol is exact")
         symbol, _ = sy.dirac_symbol(fam)
+    else:
+        make = sy.sign_symbol if args.compose == "sign" else sy.inverse_abs_symbol
+        symbol = make(fam, floor=_residue_floor(floor, fam.dim))
     density = fn.wres(symbol, fam.dim)
     payload = {
         "family": fam.to_dict(),
@@ -132,15 +126,15 @@ def _cmd_wres(args: argparse.Namespace) -> int:
 
 
 def _cmd_heat(args: argparse.Namespace) -> int:
-    fam = _override_t_order(_load_family(args.family), args.t_order)
+    fam, cfg = _load_family(args)
     _sd, sd2 = sy.dirac_symbol(fam)
     localizer = None
     if args.localizer:
         localizer = AlgebraElement.generator(gen(args.localizer, fam.dim))
-    coeffs = ht.heat_coefficients(sd2, _heat_orders(args.orders), localizer=localizer)
+    coeffs = ht.heat_coefficients(sd2, cfg["orders"], localizer=localizer)
     payload = {
         "family": fam.to_dict(),
-        "orders": args.orders,
+        "orders": cfg["orders"],
         "localizer": args.localizer,
         "coefficients": {
             f"beta_{c.index}": {
@@ -202,20 +196,9 @@ def _cmd_num_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_num_flow(args: argparse.Namespace) -> int:
-    cfg = _parsed({"u": args.u, "kernel_shift": args.kernel_shift})
-    u, shift = cfg["u"], cfg["kernel_shift"]
-    grid = nm.flow_grid(args.grid)
-    spectra = nm.unitary_flow_spectra(u, grid, args.cutoff, args.dim)
-    flow = nm.spectral_flow(spectra, kernel_shift=shift)
-    payload = {
-        "u": list(u),
-        "grid": args.grid,
-        "cutoff": args.cutoff,
-        "dim": args.dim,
-        "kernel_shift": shift,
-        "flow": flow,
-    }
-    _emit(payload, args.json)
+    cfg = _parsed(_given(args))
+    flow, _modes = _net_flow(**cfg)  # what the flow-index check computes
+    _emit({**cfg, "u": list(cfg["u"]), "flow": flow}, args.json)
     return 0
 
 
@@ -257,18 +240,18 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("wres", help="residue density of a family symbol")
     w.add_argument("--family", required=True)
     w.add_argument("--compose", choices=["sign", "abs-inverse", "none"], default="sign")
-    w.add_argument("--floor", type=int, default=None)
-    w.add_argument("--t-order", dest="t_order", type=int, default=None,
+    w.add_argument("--t-order", dest="t_order", default=None,
                    help="override the deformation cap of a conformal family")
+    w.add_argument("--floor", default=None)
     w.add_argument("--json", type=str, default=None)
     w.set_defaults(fn=_cmd_wres)
 
     h = sub.add_parser("heat", help="heat coefficients of a family")
     h.add_argument("--family", required=True)
-    h.add_argument("--orders", type=int, default=4)
-    h.add_argument("--localizer", type=str, default=None)
-    h.add_argument("--t-order", dest="t_order", type=int, default=None,
+    h.add_argument("--t-order", dest="t_order", default=None,
                    help="override the deformation cap of a conformal family")
+    h.add_argument("--orders", default=4)
+    h.add_argument("--localizer", type=str, default=None)
     h.add_argument("--json", type=str, default=None)
     h.set_defaults(fn=_cmd_heat)
 
@@ -294,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     nf = nsub.add_parser("flow", help="spectral flow of the commutator-shift family")
     nf.add_argument("--u", type=str, default="1,0,0")
-    nf.add_argument("--grid", type=int, default=101)
-    nf.add_argument("--cutoff", type=int, default=6)
-    nf.add_argument("--dim", type=int, default=3)
+    nf.add_argument("--grid", default=101)
+    nf.add_argument("--cutoff", default=6)
+    nf.add_argument("--dim", default=3)
     nf.add_argument("--kernel-shift", dest="kernel_shift", type=str, default="1e-9")
     nf.add_argument("--json", type=str, default=None)
     nf.set_defaults(fn=_cmd_num_flow)

@@ -138,9 +138,7 @@ def laurent_residue(a: Symbol, q: int, n: int) -> TauClass:
     return tau_class(density.traced.scale_rational(Fraction(1, q)))
 
 
-def variation_residue(
-    f: OperatorFamily, direction: Symbol, floor: Optional[int] = None
-) -> ResidueDensity:
+def variation_residue(f: OperatorFamily, direction: Symbol) -> ResidueDensity:
     """First variation of the eta value at zero along ``direction``.
 
     Returns the residue density of ``-Wres(direction * |D_f|^{-1})``, with its
@@ -150,7 +148,7 @@ def variation_residue(
     n = f.dim
     if direction.components and direction.order > 1:
         raise DomainError("variation direction must have order <= 1")
-    inv = inverse_abs_symbol(f, floor=-n - 1 if floor is None else floor)
+    inv = inverse_abs_symbol(f, floor=-n - 1)
     return wres(star_product(direction.neg(), inv, -n), n)
 
 

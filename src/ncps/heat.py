@@ -143,7 +143,7 @@ def heat_coefficients(
 # -- localized densities ----------------------------------------------------------
 
 
-def anomaly_density(f: OperatorFamily, t_order: Optional[int] = None) -> dict[int, TauClass]:
+def anomaly_density(f: OperatorFamily) -> dict[int, TauClass]:
     """Conformal variation density of the log-determinant on the 2-torus.
 
     Returns ``-2 tr(h beta_2)`` per t grade for the squared conformal family;
@@ -151,12 +151,11 @@ def anomaly_density(f: OperatorFamily, t_order: Optional[int] = None) -> dict[in
     """
     if f.kind != "conformal_dirac" or f.dim != 2:
         raise DomainError("the anomaly density is defined for conformal families in dimension 2")
-    order = f.t_cap if t_order is None else t_order
     _sd, sd2 = dirac_symbol(f)
     h = AlgebraElement.generator(gen(f.weyl, f.dim))
     coeffs = heat_coefficients(sd2, 2, localizer=h)
     density = coeffs[2].traced.scale_rational(-2)
-    return {j: tau_class(density.t_grade(j)) for j in range(order + 1)}
+    return {j: tau_class(density.t_grade(j)) for j in range(f.t_cap + 1)}
 
 
 @dataclass

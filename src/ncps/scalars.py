@@ -50,6 +50,35 @@ class DomainError(ValueError):
     """Raised when an operation is applied outside its mathematical domain."""
 
 
+def parse_int(value) -> int:
+    """An ``int`` (not a bool), an integral float, or a string ``int()``
+    parses; anything else raises, so no value is truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"not an integer: {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def parse_ints(u) -> tuple[int, ...]:
+    """A comma-separated string, list or tuple of :func:`parse_int` entries."""
+    if not isinstance(u, (str, list, tuple)):
+        raise TypeError(f"not a list of integers: {u!r}")
+    return tuple(map(parse_int, u.split(",") if isinstance(u, str) else u))
+
+
+def parse_value(key: str, value, parse, what: str):
+    """``parse(value)`` for the config key or file field ``key``; a value it
+    cannot parse is a :class:`DomainError` that names the key, what a value
+    must be, and the value given."""
+    try:
+        return parse(value)
+    except DomainError:
+        raise
+    except (ArithmeticError, TypeError, ValueError):
+        raise DomainError(f"{key} must be {what}, got {value!r}") from None
+
+
 def _min_cap(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if a is None:
         return b

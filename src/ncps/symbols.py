@@ -73,7 +73,9 @@ from .algebra import (
     sqrt_perturbed_unit,
 )
 from .clifford import Mat2, _component_rows, _mul_into, gamma
-from .scalars import DomainError, ExactScalar, RationalLike, gamma_half_pair
+from .scalars import (
+    DomainError, ExactScalar, RationalLike, gamma_half_pair, parse_int, parse_ints, parse_value,
+)
 
 
 class EllipticityShapeError(DomainError):
@@ -933,22 +935,28 @@ class OperatorFamily:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OperatorFamily":
-        try:
-            kind = data["kind"]
-            dim = int(data["dim"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FamilyError(f"family file needs 'kind' and integer 'dim': {exc}")
-        t_cap = data.get("t_cap")
+        """The family a family file describes.  Integers parse as check
+        configs do (:func:`~ncps.scalars.parse_int`), so none is truncated; a
+        malformed field is a :class:`DomainError` naming it and the value."""
+        if not isinstance(data, dict) or not {"kind", "dim"} <= data.keys():
+            raise FamilyError("family file needs 'kind' and integer 'dim'")
+
+        def field(key, parse, what, default=None):
+            value = data.get(key)
+            return default if value is None else parse_value(key, value, parse, what)
+
+        kind = data["kind"]
+        dim = parse_value("dim", data["dim"], parse_int, "an integer")
         return cls(
             kind=kind,
             dim=dim,
-            t_cap=int(t_cap) if t_cap is not None else None,
-            weyl=data.get("weyl", "h"),
-            gauge=tuple(data.get("gauge", ())) or (
+            t_cap=field("t_cap", parse_int, "an integer"),
+            weyl=field("weyl", lambda v: _names([v])[0], "a generator name", "h"),
+            gauge=field("gauge", _names, "a list of generator names", ()) or (
                 tuple(f"A{m}" for m in range(1, dim + 1)) if kind == "coupled_dirac" else ()
             ),
-            flow_k=tuple(int(x) for x in data.get("flow_k", ())),
-            flow_t=Fraction(str(data.get("flow_t", 0))),
+            flow_k=field("flow_k", parse_ints, "a list of integers", ()),
+            flow_t=field("flow_t", lambda v: Fraction(str(v)), "a rational number", Fraction(0)),
         )
 
     def to_dict(self) -> dict:
@@ -963,6 +971,13 @@ class OperatorFamily:
             out["flow_k"] = list(self.flow_k)
             out["flow_t"] = str(self.flow_t)
         return out
+
+
+def _names(value) -> tuple[str, ...]:
+    """A list of generator names, as a family file gives them."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(value)
+    return tuple(value)
 
 
 def _slash_component(dim: int, coeffs: list[AlgebraElement]) -> Component:

@@ -1,11 +1,15 @@
 """Command-line surface: subcommands, exit codes, file outputs."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from ncps.checks import MAX_HEAT_ORDERS, run_check
-from ncps.cli import main
+from ncps import numeric as nm
+from ncps import symbols as sy
+from ncps.checks import CHECKS, MAX_HEAT_ORDERS, run_check
+from ncps.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -256,6 +260,17 @@ def test_num_flow_bad_input_exits_2_with_message(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert "broadcast" not in captured.err
+    # the flow-index check runs the same computation and gives the same
+    # message as an error report; `verify` has no --kernel-shift flag, so
+    # those flags reach the check through run_check
+    if any(a.startswith("--kernel-shift") for a in argv):
+        flags = vars(build_parser().parse_args(["num", "flow", *argv]))
+        report = run_check("flow-index", {k: flags[k] for k in CHECKS["flow-index"].reads()}).to_dict()
+    else:
+        code, out = run(capsys, "verify", "flow-index", *argv)
+        assert code == 2
+        report = json.loads(out)
+    assert report["status"] == "error" and report["witness"].startswith(message)
 
 
 def test_num_flow_echoes_the_parsed_shift(capsys):
@@ -342,9 +357,6 @@ def test_num_spectrum_flow_family(tmp_path, capsys):
 
 
 def test_installed_entry_point_subprocess():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "ncps.cli", "verify", "eta-invariance"],
         capture_output=True,
@@ -381,3 +393,85 @@ def test_verify_unparsable_u_prints_the_error_report(capsys):
     assert payload["status"] == "error"
     assert payload["witness"] == "u must be comma-separated integers, got '1,x'"
     assert payload["params"]["u"] == "1,x"
+
+
+T_CAP_9 = {"kind": "conformal_dirac", "dim": 3, "t_cap": 9}
+T_CAP_BOUND = "t_cap must be <= 6 (the cost grows about fivefold per grade), got 9"
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("wres", T_CAP_9, T_CAP_BOUND),
+        ("heat", T_CAP_9, T_CAP_BOUND),
+        ("wres", {"kind": "coupled_dirac", "dim": 3.9}, "dim must be an integer, got 3.9"),
+        ("wres", {"kind": "conformal_dirac", "dim": 3, "t_cap": 1.7}, "t_cap must be an integer, got 1.7"),
+        ("wres", {"kind": "unitary_flow", "dim": 3, "flow_k": [1.9, 0, 0]},
+         "flow_k must be a list of integers, got [1.9, 0, 0]"),
+        ("heat", {"kind": "conformal_dirac", "dim": 3, "t_cap": "x"}, "t_cap must be an integer, got 'x'"),
+        ("wres", {"kind": "unitary_flow", "dim": 3, "flow_k": [1, 0, 0], "flow_t": "abc"},
+         "flow_t must be a rational number, got 'abc'"),
+        ("wres", {"kind": "unitary_flow", "dim": 3, "flow_k": [1, 0, 0], "flow_t": "1/0"},
+         "flow_t must be a rational number, got '1/0'"),
+        ("wres", {"kind": "coupled_dirac", "dim": 3, "gauge": 5},
+         "gauge must be a list of generator names, got 5"),
+        ("wres", {"kind": "coupled_dirac", "dim": 3, "gauge": ["A1", 2, "A3"]},
+         "gauge must be a list of generator names, got ['A1', 2, 'A3']"),
+        ("num spectrum", {"kind": "free_dirac", "dim": 3.9},
+         "malformed numeric family file: not an integer: 3.9"),
+        ("num spectrum", {"kind": "conformal_dirac", "dim": 3, "weyl_modes": {"1.5,0,0": [0.1, 0.0]}},
+         "malformed numeric family file: mode key must be comma-separated integers, got '1.5,0,0'"),
+        # the rest of such a message is Python's own wording
+        ("num spectrum", {"kind": "conformal_dirac", "dim": 3, "weyl_modes": {"1,0,0": [0.1]}},
+         "malformed numeric family file: "),
+        ("num spectrum", {"kind": "conformal_dirac", "dim": 3, "weyl_modes": 5},
+         "malformed numeric family file: "),
+    ],
+)
+def test_malformed_family_file_exits_2_before_any_symbol(tmp_path, capsys, monkeypatch, command, data, message):
+    # integers in a family file parse as check configs do, and its t_cap has
+    # the bound of --t-order; all is refused before the engine is reached
+    for module, name in ((sy, "dirac_symbol"), (sy, "sign_symbol"), (nm, "build_operator")):
+        monkeypatch.setattr(module, name, None)
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(data))
+    code = main([*command.split(), "--family", str(fam)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+def test_malformed_family_file_through_the_entry_point_has_no_traceback(tmp_path):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"kind": "unitary_flow", "dim": 3, "flow_k": ["a", 0, 0]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncps.cli", "wres", "--family", str(fam)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: flow_k must be a list of integers, got ['a', 0, 0]\n"
+
+
+NOT_CONFORMAL = "--t-order sets the cap of a conformal_dirac family, not "
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["wres", "--compose", "none", "--floor", "0"], {"kind": "coupled_dirac", "dim": 3},
+         "--floor is not read with --compose none, whose symbol is exact"),
+        (["wres", "--t-order", "2"], {"kind": "coupled_dirac", "dim": 3}, NOT_CONFORMAL + "coupled_dirac"),
+        (["heat", "--t-order", "2"], {"kind": "free_dirac", "dim": 2}, NOT_CONFORMAL + "free_dirac"),
+        (["wres", "--t-order", "0"], {"kind": "unitary_flow", "dim": 3, "flow_k": [1, 0, 0]},
+         NOT_CONFORMAL + "unitary_flow"),
+    ],
+)
+def test_wres_and_heat_unread_flag_exits_2_naming_it(tmp_path, capsys, argv, data, message):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(data))
+    code = main([*argv, "--family", str(fam)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
