@@ -136,9 +136,11 @@ class TermMap:
 
     Subclasses fix what the powers mean: :meth:`_audit` checks a new key
     against the degree, :meth:`_join` gives the key of a product of two
-    terms, and ``render`` prints them."""
+    terms, and ``_powers`` prints them, one factor text per power (empty
+    where the factor is 1) after the ``xi^beta`` factors."""
 
     __slots__ = ("dim", "degree", "terms", "_keep")
+    _powers: tuple[Callable[[int], str], ...] = ()
 
     def __init__(self, dim: int, degree: Optional[int]):
         self.dim = dim
@@ -185,6 +187,19 @@ class TermMap:
     def reduced(self):
         """Canonical representative; the keys of a plain term map already are."""
         return self
+
+    def render(self) -> str:
+        """Terms sorted on (powers reversed, beta), as ``factors . matrix``."""
+        if not self.terms:
+            return "0"
+        parts = []
+        for key in sorted(self.terms, key=lambda k: (k[:0:-1], k[0])):
+            factors = [f"xi{i}" + (f"^{b}" if b > 1 else "") for i, b in enumerate(key[0], 1) if b]
+            factors += filter(None, (text(p) for text, p in zip(self._powers, key[1:])))
+            parts.append(f"{'*'.join(factors) or '1'} . {self.terms[key].render()}")
+        return "  +  ".join(parts)
+
+    __repr__ = render
 
     # -- linear structure ---------------------------------------------------
 
@@ -276,6 +291,7 @@ class Component(TermMap):
     """Homogeneous component of fixed degree: term map (beta, m) -> matrix."""
 
     __slots__ = ()
+    _powers = (lambda m: f"(xi^2)^{{-{m}/2}}" if m else "",)
 
     @classmethod
     def scalar(cls, dim: int, a: AlgebraElement) -> "Component":
@@ -352,26 +368,6 @@ class Component(TermMap):
 
     def equals(self, other: "Component") -> bool:
         return self.sub(other).is_zero()
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (beta, m) in sorted(self.terms, key=lambda k: (k[1], k[0])):
-            mat = self.terms[(beta, m)]
-            factors = []
-            for i, b in enumerate(beta, start=1):
-                if b == 1:
-                    factors.append(f"xi{i}")
-                elif b > 1:
-                    factors.append(f"xi{i}^{b}")
-            if m:
-                factors.append(f"(xi^2)^{{-{m}/2}}")
-            head = "*".join(factors) if factors else "1"
-            parts.append(f"{head} . {mat.render()}")
-        return "  +  ".join(parts)
-
-    __repr__ = render
 
 
 @lru_cache(maxsize=None)
@@ -517,8 +513,10 @@ class _Moyal:
 
         sum_{|alpha| = r} (1/alpha!) (d/dxi)^alpha a . delta^alpha b
 
-    of a product of two term maps.  One instance lives for one call and
-    memoizes two derivative ladders, keyed by the factor itself and alpha:
+    of a product of two term maps, and in :meth:`cross` the one loop that
+    picks, for the star product, the inverse layers and the square root, the
+    pairs of factors that meet at a degree.  One instance lives for one call
+    and memoizes two derivative ladders, keyed by the factor itself and alpha:
     Taylor coefficients ``(d/dxi)^alpha a / alpha!`` of left factors, so
     ``1/alpha!`` is applied once per (factor, alpha) and no product is
     scaled, and ``delta^alpha b`` of right factors.  Each rung is one step
@@ -544,6 +542,16 @@ class _Moyal:
             right = self._rung(_delta_step, b, alpha)
             if not right.is_empty():
                 out.add_product(left, right)
+
+    def cross(self, lefts: Iterable[Component], rights: Iterable[TermMap], out: TermMap) -> None:
+        """Merge into ``out`` the part of every product ``l * r`` at its
+        degree: the order ``deg l + deg r - deg out`` part, where that is >= 0."""
+        rights = list(rights)
+        for a in lefts:
+            for b in rights:
+                r = a.degree + b.degree - out.degree
+                if r >= 0:
+                    self.add(a, b, r, out)
 
     def _rung(self, step, c: TermMap, alpha: tuple[int, ...]) -> TermMap:
         if not any(alpha):
@@ -571,7 +579,9 @@ def star_product(a: Symbol, b: Symbol, floor: Optional[int] = None) -> Symbol:
 
     With ``floor=None`` the product is computed exactly, which requires the
     left factor to be polynomial in xi (finite derivative ladder) and both
-    factors to be exact finite sums.
+    factors to be exact finite sums; it reaches down to the lowest degree
+    that a derivative of the left factor leaves.  The Taylor rungs of a
+    polynomial component past its xi-degree are empty, which ends its sum.
     """
     if a.dim != b.dim:
         raise DomainError("symbols live on tori of different dimensions")
@@ -590,21 +600,14 @@ def star_product(a: Symbol, b: Symbol, floor: Optional[int] = None) -> Symbol:
         _require_known(a, floor - b.order, "star product")
         _require_known(b, floor - a.order, "star product")
 
+    lo = floor
+    if floor is None:
+        lo = min(d - c.max_xi_degree() for d, c in a.components.items()) + min(b.components)
+    out = [Component(a.dim, d) for d in range(a.order + b.order, lo - 1, -1)]
     moyal = _Moyal()
-    out: dict[int, Component] = {}
-    for da, ca in a.components.items():
-        rmax_a = ca.max_xi_degree() if ca.is_polynomial() else None
-        for db, cb in b.components.items():
-            if floor is None:
-                rmax = rmax_a
-            else:
-                rmax = da + db - floor
-                if rmax_a is not None:
-                    rmax = min(rmax, rmax_a)
-            for r in range((-1 if rmax is None else rmax) + 1):
-                d = da - r + db
-                moyal.add(ca, cb, r, out.setdefault(d, Component(a.dim, d)))
-    return Symbol.make(a.dim, out.values(), floor)
+    for comp in out:
+        moyal.cross(a.components.values(), b.components.values(), comp)
+    return Symbol.make(a.dim, out, floor)
 
 
 # -- leading-shape analysis -------------------------------------------------------
@@ -670,11 +673,7 @@ def _inverse_layers(a: Symbol, lead: TermMap, count: int, keep=None) -> list:
         cross = lead._like(-k)
         if k == count:
             cross._keep = keep
-        for d, ad in a.components.items():
-            for bj in layers:
-                order = d + bj.degree + k
-                if order >= 0:
-                    moyal.add(ad, bj, order, cross)
+        moyal.cross(a.components.values(), layers, cross)
         layers.append(minus_lead.mul(cross).reduced())
     return layers
 
@@ -717,11 +716,7 @@ def sqrt_symbol(a: Symbol, floor: int) -> Symbol:
     for k in range(1, kmax + 1):
         # the unknown degree r - k is not in b yet, so every pair is known
         cross = Component(a.dim, 2 * r - k)
-        for d, bd in b.items():
-            for e, be in b.items():
-                order = d + e - (2 * r - k)
-                if order >= 0:
-                    moyal.add(bd, be, order, cross)
+        moyal.cross(b.values(), b.values(), cross)
         # divide by the central scalar (xi^2)^{r/2}
         rhs = a.component(2 * r - k).sub(cross).mul_xi2(-r).reduced()
         comp = _solve_symmetric(v, rhs).reduced()
@@ -744,6 +739,10 @@ class ResolventComponent(TermMap):
     integrates it in closed form as a shift of the radial Gamma argument."""
 
     __slots__ = ()
+    _powers = (
+        lambda s: "(xi^2)" + (f"^{s}" if s > 1 else "") if s else "",
+        lambda m: f"(xi^2-lam)^{{-{m}}}",
+    )
 
     def __init__(self, dim: int, k: int):
         super().__init__(dim, -2 - k)
@@ -767,24 +766,6 @@ class ResolventComponent(TermMap):
         if len(k1) == 2:  # a polynomial symbol term xi^beta, key (beta, 0)
             k1 = (k1[0], 0, 0)
         return TermMap._join(k1, k2)
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (beta, s, m) in sorted(self.terms, key=lambda k: (k[2], k[1], k[0])):
-            mat = self.terms[(beta, s, m)]
-            factors = []
-            for i, b in enumerate(beta, start=1):
-                if b:
-                    factors.append(f"xi{i}" + (f"^{b}" if b > 1 else ""))
-            if s:
-                factors.append("(xi^2)" + (f"^{s}" if s > 1 else ""))
-            factors.append(f"(xi^2-lam)^{{-{m}}}")
-            parts.append("*".join(factors) + f" . {mat.render()}")
-        return "  +  ".join(parts)
-
-    __repr__ = render
 
 
 def _resolvent_leading(sd2: Symbol, count: int) -> ResolventComponent:
