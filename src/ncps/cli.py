@@ -63,6 +63,7 @@ def _load_family(args: argparse.Namespace) -> tuple[sy.OperatorFamily, dict]:
 
 
 def _load_numeric_family(path: str) -> nm.NumericFamily:
+    """The numeric family of a file; a field the loader does not read is refused."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
 
     def parse_modes(obj: dict) -> nm.ConcreteElement:
@@ -73,6 +74,10 @@ def _load_numeric_family(path: str) -> nm.NumericFamily:
         return nm.ConcreteElement(dim, modes)
 
     try:
+        reads = {"kind", "dim", "theta", "weyl_modes", "gauge_modes", "flow_k"}
+        unread = sorted(data.keys() - reads)
+        if unread:
+            raise ValueError(f"fields it does not read: {', '.join(map(repr, unread))}")
         dim = parse_int(data["dim"])
         return nm.NumericFamily(
             kind=data["kind"],

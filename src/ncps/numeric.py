@@ -255,8 +255,10 @@ def _dirac_blocks(f: NumericFamily, L: int, t: float) -> list[np.ndarray]:
 
 
 def build_operator(f: NumericFamily, L: int, t: float = 0.0) -> TruncatedOperator:
-    """Assemble the truncated family member at parameter ``t``."""
+    """Assemble the truncated family member at a finite parameter ``t``."""
     clifford.check_dim(f.dim)
+    if not math.isfinite(t):
+        raise DomainError(f"family parameter t must be finite, got {t}")
     if f.support_radius() > L:
         raise DomainError("mode support exceeds the truncation box")
     mat = _spinor_sum(_dirac_blocks(f, L, t))
@@ -309,6 +311,9 @@ def heat_trace_lattice(t: float, L: int, dim: int, weight: complex = 1.0) -> flo
     of a multiplication operator contributes for the flat family.
     """
     _check_heat_parameter(t)
+    clifford.check_dim(dim)
+    if L < 0:
+        raise DomainError(f"cutoff must be >= 0 (mode box |k|_inf <= cutoff), got {L}")
     js = np.arange(-L, L + 1)
     theta1 = np.exp(-t * js**2).sum()
     return float(2.0 * (weight.real if isinstance(weight, complex) else weight) * theta1**dim)

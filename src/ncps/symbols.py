@@ -61,7 +61,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from .algebra import (
     AlgebraElement,
@@ -345,9 +345,6 @@ class Component(TermMap):
                 out._merge((tuple(b), m + 2), mat.scale_rational(-m * q))
         return out
 
-    def max_xi_degree(self) -> int:
-        return max((sum(beta) for (beta, _m) in self.terms), default=-1)
-
     def is_polynomial(self) -> bool:
         return all(m == 0 for (_beta, m) in self.terms)
 
@@ -543,10 +540,9 @@ class _Moyal:
             if not right.is_empty():
                 out.add_product(left, right)
 
-    def cross(self, lefts: Iterable[Component], rights: Iterable[TermMap], out: TermMap) -> None:
+    def cross(self, lefts: Iterable[Component], rights: Collection[TermMap], out: TermMap) -> None:
         """Merge into ``out`` the part of every product ``l * r`` at its
         degree: the order ``deg l + deg r - deg out`` part, where that is >= 0."""
-        rights = list(rights)
         for a in lefts:
             for b in rights:
                 r = a.degree + b.degree - out.degree
@@ -579,9 +575,10 @@ def star_product(a: Symbol, b: Symbol, floor: Optional[int] = None) -> Symbol:
 
     With ``floor=None`` the product is computed exactly, which requires the
     left factor to be polynomial in xi (finite derivative ladder) and both
-    factors to be exact finite sums; it reaches down to the lowest degree
-    that a derivative of the left factor leaves.  The Taylor rungs of a
-    polynomial component past its xi-degree are empty, which ends its sum.
+    factors to be exact finite sums.  A polynomial component of degree
+    ``d`` is a sum of ``xi^beta`` with ``|beta| = d``, so its Taylor rungs
+    past order ``d`` are empty, which ends its sum, and the product reaches
+    down to the lowest degree of the right factor.
     """
     if a.dim != b.dim:
         raise DomainError("symbols live on tori of different dimensions")
@@ -600,9 +597,7 @@ def star_product(a: Symbol, b: Symbol, floor: Optional[int] = None) -> Symbol:
         _require_known(a, floor - b.order, "star product")
         _require_known(b, floor - a.order, "star product")
 
-    lo = floor
-    if floor is None:
-        lo = min(d - c.max_xi_degree() for d, c in a.components.items()) + min(b.components)
+    lo = min(b.components) if floor is None else floor
     out = [Component(a.dim, d) for d in range(a.order + b.order, lo - 1, -1)]
     moyal = _Moyal()
     for comp in out:
@@ -862,6 +857,16 @@ def _inverse_abs(sd2: Symbol, floor: int) -> Symbol:
 # -- operator families -------------------------------------------------------------
 
 
+# The fields each kind reads besides "kind" and "dim", with how a report echoes
+# each; a family file giving any other field is refused.
+FAMILY_FIELDS = {
+    "free_dirac": {},
+    "coupled_dirac": {"gauge": list},
+    "conformal_dirac": {"t_cap": int, "weyl": str},
+    "unitary_flow": {"flow_k": list, "flow_t": str},
+}
+
+
 @dataclass(frozen=True)
 class OperatorFamily:
     """Declarative recipe for a Dirac-type family on the dim-torus.
@@ -885,7 +890,7 @@ class OperatorFamily:
     flow_t: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if self.kind not in ("free_dirac", "coupled_dirac", "conformal_dirac", "unitary_flow"):
+        if not isinstance(self.kind, str) or self.kind not in FAMILY_FIELDS:
             raise FamilyError(f"unknown family kind {self.kind!r}")
         if self.dim not in (2, 3):
             raise FamilyError("families are modeled in dimensions 2 and 3")
@@ -918,7 +923,8 @@ class OperatorFamily:
     def from_dict(cls, data: dict) -> "OperatorFamily":
         """The family a family file describes.  Integers parse as check
         configs do (:func:`~ncps.scalars.parse_int`), so none is truncated; a
-        malformed field is a :class:`DomainError` naming it and the value."""
+        malformed field, or one the kind does not read (:data:`FAMILY_FIELDS`),
+        is a :class:`DomainError` naming it.  A ``null`` field is absent."""
         if not isinstance(data, dict) or not {"kind", "dim"} <= data.keys():
             raise FamilyError("family file needs 'kind' and integer 'dim'")
 
@@ -928,7 +934,7 @@ class OperatorFamily:
 
         kind = data["kind"]
         dim = parse_value("dim", data["dim"], parse_int, "an integer")
-        return cls(
+        fam = cls(
             kind=kind,
             dim=dim,
             t_cap=field("t_cap", parse_int, "an integer"),
@@ -939,18 +945,17 @@ class OperatorFamily:
             flow_k=field("flow_k", parse_ints, "a list of integers", ()),
             flow_t=field("flow_t", lambda v: Fraction(str(v)), "a rational number", Fraction(0)),
         )
+        reads = {"kind", "dim", *FAMILY_FIELDS[kind]}
+        unread = [k for k, v in data.items() if v is not None and k not in reads]
+        if unread:
+            raise FamilyError(f"a {kind} family does not read {', '.join(map(repr, unread))}")
+        return fam
 
     def to_dict(self) -> dict:
+        """``kind``, ``dim`` and the fields the kind reads."""
         out = {"kind": self.kind, "dim": self.dim}
-        if self.t_cap is not None:
-            out["t_cap"] = self.t_cap
-        if self.kind == "conformal_dirac":
-            out["weyl"] = self.weyl
-        if self.gauge:
-            out["gauge"] = list(self.gauge)
-        if self.kind == "unitary_flow":
-            out["flow_k"] = list(self.flow_k)
-            out["flow_t"] = str(self.flow_t)
+        for key, echo in FAMILY_FIELDS[self.kind].items():
+            out[key] = echo(getattr(self, key))
         return out
 
 

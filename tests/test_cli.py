@@ -135,7 +135,8 @@ def test_heat_command(tmp_path, capsys):
 )
 def test_wres_and_heat_bounds_exit_2_with_the_verify_message(tmp_path, capsys, argv, kind, check, config):
     fam = tmp_path / "fam.json"
-    fam.write_text(json.dumps({"kind": kind, "dim": 3, "t_cap": 1}))
+    cap = {"t_cap": 1} if kind == "conformal_dirac" else {}
+    fam.write_text(json.dumps({"kind": kind, "dim": 3, **cap}))
     code = main([*argv, "--family", str(fam)])
     captured = capsys.readouterr()
     assert code == 2
@@ -426,6 +427,12 @@ T_CAP_BOUND = "t_cap must be <= 6 (the cost grows about fivefold per grade), got
          "malformed numeric family file: "),
         ("num spectrum", {"kind": "conformal_dirac", "dim": 3, "weyl_modes": 5},
          "malformed numeric family file: "),
+        ("wres", {"kind": "coupled_dirac", "dim": 3, "t_cap": 1, "flow_k": [1, 2, 3]},
+         "a coupled_dirac family does not read 't_cap', 'flow_k'"),
+        ("wres", {"kind": "unitary_flow", "dim": 3, "flow_k": [1, 0, 0], "flowt": "1/2"},
+         "a unitary_flow family does not read 'flowt'"),
+        ("heat", {"kind": "free_dirac", "dim": 3, "weyl": "h", "gauge": None},
+         "a free_dirac family does not read 'weyl'"),
     ],
 )
 def test_malformed_family_file_exits_2_before_any_symbol(tmp_path, capsys, monkeypatch, command, data, message):
@@ -439,6 +446,32 @@ def test_malformed_family_file_exits_2_before_any_symbol(tmp_path, capsys, monke
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+CONFORMAL_NUMERIC = {"kind": "conformal_dirac", "dim": 3, "weyl_modes": {"1,0,0": [0.1, 0.0], "-1,0,0": [0.1, 0.0]}}
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["num", "spectrum", "--t", "nan"], CONFORMAL_NUMERIC, "family parameter t must be finite, got nan"),
+        (["num", "spectrum", "--t", "inf"], {"kind": "free_dirac", "dim": 3},
+         "family parameter t must be finite, got inf"),
+        (["num", "heat", "--cutoff", "-1"], None, "cutoff must be >= 0 (mode box |k|_inf <= cutoff), got -1"),
+        (["num", "heat", "--dim", "5"], None, "gamma algebra is modeled in dimensions 2 and 3"),
+        (["num", "spectrum"], {"kind": "free_dirac", "dim": 3, "Theta": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]},
+         "malformed numeric family file: fields it does not read: 'Theta'"),
+    ],
+)
+def test_numeric_input_outside_the_model_exits_2(tmp_path, capsys, argv, data, message):
+    if data is not None:
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(data))
+        argv = [*argv, "--family", str(fam), "--cutoff", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_malformed_family_file_through_the_entry_point_has_no_traceback(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ncps import clifford
+from ncps import functionals as fn
 from ncps import heat as ht
 from ncps import numeric as nm
 from ncps import symbols as sy
@@ -63,6 +64,27 @@ def test_resolvent_render_shows_xi2_factor():
     assert text.startswith("(xi^2-lam)^{-1} . ")
     assert "  +  (xi^2)*(xi^2-lam)^{-2} . " in text
     assert "  +  (xi^2)^2*(xi^2-lam)^{-3} . " in text
+
+
+# sha256 of render(), recorded before the term maps shared one render
+GOLDEN_RENDERS = {
+    "coupled r_1": "13ee7a8b3f17f420d1c9e3769049d7b0f622e7be139d2ec07fd7985fefb6489a",
+    "coupled r_2": "c56940c25ea1bc5a8097d0c78fe9228e245e173521ea2df4ddf75f2f5d63b3a8",
+    "conformal_t1 r_1": "de71ffefaf8a5533ad2def26f9a352c1f594a082295ce8436e7b76901847ec37",
+    "conformal_t1 r_2": "30dbbe7a81183dbec18725ea4ce0da5eada7dc36794e656a7cebb64a7cc271f2",
+    "coupled sign": "a79d23b4d478620613b342e030239e59e962a9b97dfa369d0398dad5d8cb8b9b",
+}
+
+
+def test_golden_layer_and_sign_renders():
+    import hashlib
+
+    texts = {}
+    for name, fam in (("coupled", OperatorFamily.coupled(3)), ("conformal_t1", OperatorFamily.conformal(3, 1))):
+        layers = ht.resolvent_symbols(dirac_symbol(fam)[1], 2)
+        texts.update({f"{name} r_{k}": layers[k].render() for k in (1, 2)})
+    texts["coupled sign"] = sy.sign_symbol(OperatorFamily.coupled(3), -3).render()
+    assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()} == GOLDEN_RENDERS
 
 
 def test_resolvent_homogeneity_audit():
@@ -421,6 +443,71 @@ def test_res_heat_all_shipped_combinations():
     for fam in shipped:
         pair = ht.res_heat_crosscheck(1, fam)
         assert pair.agree(), fam.kind
+
+
+# -- residues equal heat coefficients in dimension 3 -------------------------------
+#
+# Tr(a Delta^{-z}) has a pole at z = (3 - k)/2 with residue beta_k(a) / Gamma((3 - k)/2),
+# and by Wodzicki that residue is Wres(a Delta^{-(3-k)/2}) / 2 in the engine's
+# normalization.  Gamma(1/2) = sqrt(pi) and ExactScalar has no negative pi power,
+# so the residue side is multiplied by sqrt(pi).  |D|^{+-1} come from sqrt_symbol
+# and invert_symbol, never from the resolvent layers the heat side is built on.
+
+SQRT_PI = ExactScalar.pi_half(1)
+
+
+def sqrt_pi_wres(sym, localizer=None):
+    """sqrt(pi) times the traced residue density of ``localizer . sym`` in n = 3."""
+    if localizer is not None:
+        sym = sy.Symbol(DIM, {d: c.lmul_elem(localizer) for d, c in sym.components.items()}, sym.floor)
+    return fn.wres(sym, DIM).traced.scale(SQRT_PI)
+
+
+def inverse_abs_by_sqrt(sd2, floor):
+    return sy.invert_symbol(sy.sqrt_symbol(sd2, floor + 2), floor)
+
+
+def test_residue_of_localized_inverse_abs_is_twice_beta_2():
+    _, sd2 = dirac_symbol(OperatorFamily.conformal(3, t_cap=2))
+    h = AlgebraElement.generator(gen("h", DIM))
+    lhs = sqrt_pi_wres(inverse_abs_by_sqrt(sd2, -3), h)
+    rhs = ht.heat_coefficients(sd2, 2, localizer=h)[2].traced.scale_rational(2)
+    assert (lhs - rhs).is_zero()
+    assert [j for j in range(3) if not lhs.t_grade(j).is_zero()] == [1, 2]
+
+
+@pytest.mark.parametrize("localizer", [None, "A1"])
+def test_residue_of_localized_abs_is_minus_beta_4(localizer):
+    _, sd2 = dirac_symbol(OperatorFamily.coupled(3))
+    a = None if localizer is None else AlgebraElement.generator(gen(localizer, DIM))
+    lhs = sqrt_pi_wres(sy.sqrt_symbol(sd2, -3), a)
+    rhs = ht.heat_coefficients(sd2, 4, localizer=a)[4].traced.scale_rational(-1)
+    assert (lhs - rhs).is_zero()
+    assert not tau_class(lhs).is_zero()
+
+
+def test_residue_of_inverse_abs_cubed_is_four_beta_0():
+    _, sd2 = dirac_symbol(OperatorFamily.coupled(3))
+    cube = sy.star_product(sy.invert_symbol(sd2, -3), inverse_abs_by_sqrt(sd2, -3), -3)
+    lhs = sqrt_pi_wres(cube)
+    assert (lhs - ht.heat_coefficients(sd2, 0)[0].traced.scale_rational(4)).is_zero()
+    assert not lhs.is_zero()
+
+
+def test_coupled_beta_4_is_the_yang_mills_density():
+    # tau(beta_4) = -(pi^{3/2} / 3) sum_{mu != nu} tau(F_{mu nu}^2), with
+    # F_{mu nu} = delta_mu A_nu - delta_nu A_mu + [A_mu, A_nu]
+    fam = OperatorFamily.coupled(3)
+    A = [AlgebraElement.generator(gen(name, DIM)) for name in fam.gauge]
+    square = AlgebraElement.zero()
+    for mu in range(DIM):
+        for nu in range(DIM):
+            if mu != nu:
+                F = A[nu].delta(mu + 1) - A[mu].delta(nu + 1) + A[mu] * A[nu] - A[nu] * A[mu]
+                square = square + F * F
+    beta_4 = ht.heat_coefficients(dirac_symbol(fam)[1], 4)[4].traced
+    assert not tau_class(beta_4).is_zero()
+    assert tau_class(beta_4 - square.scale(ExactScalar.pi_half(3, Fraction(-1, 3)))).is_zero()
 
 
 def test_third_order_conformal_stress():

@@ -1,5 +1,6 @@
 """Symbol calculus: zero tests, star product, families, inversion, square root."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -333,6 +334,25 @@ def test_family_roundtrip_dict():
     fam = OperatorFamily.unitary(3, (1, 0, 0), Fraction(1, 2))
     again = OperatorFamily.from_dict(fam.to_dict())
     assert again == fam
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        OperatorFamily.free(2),
+        OperatorFamily.coupled(3),
+        OperatorFamily.conformal(3, t_cap=2, weyl="k"),
+        OperatorFamily.unitary(3, (1, 0, 2), Fraction(-1, 3)),
+    ],
+    ids=lambda fam: fam.kind,
+)
+def test_family_dict_holds_exactly_the_fields_of_its_kind(fam):
+    data = fam.to_dict()
+    assert set(data) == {"kind", "dim", *sy.FAMILY_FIELDS[fam.kind]}
+    assert OperatorFamily.from_dict(json.loads(json.dumps(data))) == fam
+    # a null field stands for an absent one, also where the kind reads none
+    nulls = {key: None for key in ("t_cap", "gauge", "flow_t", "x") if key not in data}
+    assert OperatorFamily.from_dict({**data, **nulls}) == fam
 
 
 # -- inversion --------------------------------------------------------------------
