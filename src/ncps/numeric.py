@@ -300,8 +300,9 @@ def hermitian_eigenvalues(T: TruncatedOperator | np.ndarray) -> np.ndarray:
 
 
 def _check_heat_parameter(t: float | np.ndarray) -> None:
-    if not np.all(np.asarray(t) > 0):
-        raise DomainError("heat parameter must be positive")
+    t = np.asarray(t)
+    if not np.all((t > 0) & np.isfinite(t)):
+        raise DomainError("heat parameter must be positive and finite")
 
 
 def heat_trace_lattice(t: float, L: int, dim: int, weight: complex = 1.0) -> float:

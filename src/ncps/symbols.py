@@ -137,10 +137,14 @@ class TermMap:
     Subclasses fix what the powers mean: :meth:`_audit` checks a new key
     against the degree, :meth:`_join` gives the key of a product of two
     terms, and ``_powers`` prints them, one factor text per power (empty
-    where the factor is 1) after the ``xi^beta`` factors."""
+    where the factor is 1) after the ``xi^beta`` factors.  A plain term map,
+    the momentum integrand of :mod:`ncps.heat`, is keyed ``(beta, s)`` for
+    ``xi^beta (xi^2)^s``."""
 
     __slots__ = ("dim", "degree", "terms", "_keep")
-    _powers: tuple[Callable[[int], str], ...] = ()
+    _powers: tuple[Callable[[int], str], ...] = (
+        lambda s: "(xi^2)" + (f"^{s}" if s > 1 else "") if s else "",
+    )
 
     def __init__(self, dim: int, degree: Optional[int]):
         self.dim = dim
@@ -734,10 +738,7 @@ class ResolventComponent(TermMap):
     integrates it in closed form as a shift of the radial Gamma argument."""
 
     __slots__ = ()
-    _powers = (
-        lambda s: "(xi^2)" + (f"^{s}" if s > 1 else "") if s else "",
-        lambda m: f"(xi^2-lam)^{{-{m}}}",
-    )
+    _powers = (TermMap._powers[0], lambda m: f"(xi^2-lam)^{{-{m}}}")
 
     def __init__(self, dim: int, k: int):
         super().__init__(dim, -2 - k)

@@ -459,6 +459,7 @@ CONFORMAL_NUMERIC = {"kind": "conformal_dirac", "dim": 3, "weyl_modes": {"1,0,0"
          "family parameter t must be finite, got inf"),
         (["num", "heat", "--cutoff", "-1"], None, "cutoff must be >= 0 (mode box |k|_inf <= cutoff), got -1"),
         (["num", "heat", "--dim", "5"], None, "gamma algebra is modeled in dimensions 2 and 3"),
+        (["num", "heat", "--t", "inf"], None, "heat parameter must be positive and finite"),
         (["num", "spectrum"], {"kind": "free_dirac", "dim": 3, "Theta": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]},
          "malformed numeric family file: fields it does not read: 'Theta'"),
     ],

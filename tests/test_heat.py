@@ -87,6 +87,12 @@ def test_golden_layer_and_sign_renders():
     assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()} == GOLDEN_RENDERS
 
 
+def test_momentum_integrand_render_shows_the_xi2_power():
+    _, sd2 = dirac_symbol(OperatorFamily.conformal(3, t_cap=1))
+    text = ht.lambda_contour_integral(ht.resolvent_symbols(sd2, 0)[0]).render()
+    assert text.startswith("1 . ") and "  +  (xi^2) . " in text
+
+
 def test_resolvent_homogeneity_audit():
     for fam in (OperatorFamily.coupled(3), OperatorFamily.conformal(3, t_cap=2)):
         _, sd2 = dirac_symbol(fam)
