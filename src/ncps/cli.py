@@ -63,7 +63,8 @@ def _load_family(args: argparse.Namespace) -> tuple[sy.OperatorFamily, dict]:
 
 
 def _load_numeric_family(path: str) -> nm.NumericFamily:
-    """The numeric family of a file; a field the loader does not read is refused."""
+    """The numeric family of a file; a field the loader does not read is
+    refused, and a ``null`` field is absent, as in symbolic family files."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
 
     def parse_modes(obj: dict) -> nm.ConcreteElement:
@@ -74,6 +75,7 @@ def _load_numeric_family(path: str) -> nm.NumericFamily:
         return nm.ConcreteElement(dim, modes)
 
     try:
+        data = {k: v for k, v in data.items() if v is not None}
         reads = {"kind", "dim", "theta", "weyl_modes", "gauge_modes", "flow_k"}
         unread = sorted(data.keys() - reads)
         if unread:

@@ -2,10 +2,10 @@
 
 Operators act on Fourier modes ``|k|_inf <= L`` tensored with a 2-spinor slot.
 Multiplication by a basic unitary of lattice vector ``m`` is the twisted shift
-``k -> k + m`` with phase ``exp(pi i Theta(m, k))``; conformal factors are
-matrix exponentials of truncated multiplication operators, which keeps the
-assembled family Hermitian exactly (up to symmetrization, whose defect is
-recorded).  Spectra and flows are taken over the whole truncated box.  Each
+``k -> k + m`` with phase ``exp(pi i Theta(m, k))``; one kernel applies
+``M(a)``, one slice add per Fourier mode of ``a`` over the mode box reshaped to
+``(2L + 1,) * dim``, and :func:`multiplication_matrix` is that kernel on the
+identity.  Spectra and flows are taken over the whole truncated box.  Each
 assembled operator records ``interior_cutoff``, the radius of the interior
 modes on which the twisted shifts are exact isometries, but no spectrum is
 restricted to it; only :func:`gauge_conjugation_deviation` compares on
@@ -15,7 +15,9 @@ Every family member is assembled blockwise as ``sum_mu B_mu (x) gamma_mu``
 from ``N x N`` mode blocks, so no ``2N x 2N`` product is formed: the
 conformal member ``(e (x) 1) D (e (x) 1)`` with ``e = exp(t h / 2)`` has
 blocks ``e diag(k_mu) e``, three ``N x N`` matrix products; at ``t = 0``
-they are ``diag(k_mu)``, with no exponential.  A localized heat trace
+they are ``diag(k_mu)``, with no exponential.  ``e`` is a scaled Taylor series
+of shift-kernel products (:func:`expm_multiplication`), so no eigensolver
+runs; the defect before symmetrization is recorded.  A localized heat trace
 ``Tr(a exp(-s D^2))`` of an operator whose diagonal spinor blocks are both
 exactly zero (every 2-d member, as gamma_1 and gamma_2 are off-diagonal) is
 read off one ``N x N`` SVD of its off-diagonal block ``X = U S V^*``: the
@@ -35,6 +37,7 @@ symbolic densities and finite-dimensional spectral data.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -73,11 +76,11 @@ class ConcreteElement:
     modes: dict[tuple[int, ...], complex]
 
     def __post_init__(self):
-        self.modes = {
-            tuple(int(x) for x in k): complex(v)
-            for k, v in self.modes.items()
-            if abs(v) > 0.0
-        }
+        modes = {tuple(int(x) for x in k): complex(v) for k, v in self.modes.items()}
+        for v in modes.values():
+            if not cmath.isfinite(v):
+                raise DomainError(f"Fourier coefficients must be finite, got {v}")
+        self.modes = {k: v for k, v in modes.items() if v}
         for k in self.modes:
             if len(k) != self.dim:
                 raise DomainError("mode vector length must match the dimension")
@@ -146,25 +149,60 @@ def gamma_num(dim: int, mu: int) -> np.ndarray:
     return out
 
 
+def _shift_apply(
+    a: ConcreteElement, L: int, theta: Optional[np.ndarray], x: np.ndarray
+) -> np.ndarray:
+    """``M(a) x`` for an array ``x`` of ``N`` rows: over the mode box reshaped
+    to ``(2L + 1,) * dim``, each mode ``m`` adds ``a_m exp(pi i (m Theta).k) x[k]``
+    into row ``k + m``, with ``k`` and ``k + m`` per-axis slices of the box."""
+    side = 2 * L + 1
+    xs = x.reshape((side,) * a.dim + (-1,))
+    out = np.zeros(xs.shape, dtype=complex)
+    js = np.arange(-L, L + 1)
+    th = np.zeros((a.dim, a.dim)) if theta is None else theta
+    for m, coeff in a.modes.items():
+        src = tuple(slice(max(0, -c), side - max(0, c)) for c in m)
+        tgt = tuple(slice(max(0, c), side - max(0, -c)) for c in m)
+        arg = sum(np.ix_(*(w * js[ax] for w, ax in zip(np.asarray(m) @ th, src))))
+        out[tgt] += (coeff * np.exp(1j * math.pi * arg))[..., None] * xs[src]
+    return out.reshape(x.shape)
+
+
 def multiplication_matrix(
     a: ConcreteElement, L: int, theta: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Matrix of left multiplication by ``a`` on the mode box (no spinor slot)."""
-    box = np.asarray(mode_box(L, a.dim))
-    n = len(box)
-    # flat position of a mode in the lexicographic box order of ``mode_box``
-    strides = (2 * L + 1) ** np.arange(a.dim - 1, -1, -1)
-    cols = np.arange(n)
-    out = np.zeros((n, n), dtype=complex)
-    th = np.zeros((a.dim, a.dim)) if theta is None else theta
-    for m, coeff in a.modes.items():
-        mv = np.asarray(m)
-        tgt = box + mv
-        inside = np.all(np.abs(tgt) <= L, axis=1)
-        rows = (tgt[inside] + L) @ strides
-        # the shift is injective, so no target repeats within one mode
-        out[rows, cols[inside]] += coeff * np.exp(1j * math.pi * (box[inside] @ (mv @ th)))
-    return out
+    return _shift_apply(a, L, theta, np.eye((2 * L + 1) ** a.dim, dtype=complex))
+
+
+def expm_multiplication(
+    a: ConcreteElement, L: int, theta: Optional[np.ndarray], s: float
+) -> np.ndarray:
+    """``exp(s M(a))`` for self-adjoint ``a``: the zero mode factors out as
+    ``exp(s a_0)``, and the shifts are partial isometries, so ``rho = |s|
+    sum_{m != 0} |a_m|`` bounds the rest.  Halved ``k`` times to ``rho <= 1/2``,
+    its Taylor series is summed by :func:`_shift_apply` until the tail bound
+    ``2 rho^(j+1) / (j+1)!`` is below 1e-17, squared ``k`` times, symmetrized."""
+    zero = (0,) * a.dim
+    rest = ConcreteElement(a.dim, {m: v for m, v in a.modes.items() if m != zero})
+    rho, k = abs(s) * sum(map(abs, rest.modes.values())), 0
+    if not math.isfinite(rho):
+        raise DomainError("exp(s M(a)) overflows: |s| sum |a_m| is not finite")
+    while rho > 0.5:
+        rho, k = rho / 2.0, k + 1
+    h = s / 2**k
+    e = term = np.eye((2 * L + 1) ** a.dim, dtype=complex)
+    j, tail = 0, 2.0 * rho
+    while tail > 1e-17:
+        j += 1
+        term = _shift_apply(rest, L, theta, term)
+        term *= h / j
+        e += term
+        tail *= rho / (j + 1)
+    for _ in range(k):
+        e = e @ e
+    e *= np.exp(s * a.modes.get(zero, 0.0).real) / 2.0
+    return e + e.conj().T
 
 
 def _box_coordinates(L: int, dim: int) -> np.ndarray:
@@ -181,11 +219,6 @@ def _spinor_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
         for s, r in zip(*np.nonzero(g)):
             out[:, s, :, r] += g[s, r] * b
     return out.reshape(2 * n, 2 * n)
-
-
-def expm_hermitian(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    return (vecs * np.exp(vals)) @ vecs.conj().T
 
 
 @dataclass
@@ -242,7 +275,7 @@ def _dirac_blocks(f: NumericFamily, L: int, t: float) -> list[np.ndarray]:
             raise DomainError("conformal family needs a self-adjoint Weyl element")
         if t == 0.0:
             return [np.diag(k) for k in ks]
-        e = expm_hermitian((t / 2.0) * multiplication_matrix(f.weyl, L, f.theta))
+        e = expm_multiplication(f.weyl, L, f.theta, t / 2.0)
         # (e (x) 1) D (e (x) 1) = sum_mu (e diag(k_mu) e) (x) gamma_mu
         return [(e * k) @ e for k in ks]
     if f.kind == "coupled_dirac":
@@ -259,10 +292,15 @@ def build_operator(f: NumericFamily, L: int, t: float = 0.0) -> TruncatedOperato
     clifford.check_dim(f.dim)
     if not math.isfinite(t):
         raise DomainError(f"family parameter t must be finite, got {t}")
+    if L < 0:
+        raise DomainError(f"cutoff must be >= 0 (mode box |k|_inf <= cutoff), got {L}")
     if f.support_radius() > L:
         raise DomainError("mode support exceeds the truncation box")
-    mat = _spinor_sum(_dirac_blocks(f, L, t))
-    defect = _defect_and_scale(mat)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mat = _spinor_sum(_dirac_blocks(f, L, t))
+        defect = _defect_and_scale(mat)[0]
+    if not math.isfinite(defect):
+        raise DomainError(f"the member at t = {t} overflows: exp(t h / 2) is not finite")
     mat += mat.conj().T  # symmetrize in place: _spinor_sum returns a fresh array
     mat /= 2.0
     return TruncatedOperator(
@@ -276,11 +314,12 @@ def build_operator(f: NumericFamily, L: int, t: float = 0.0) -> TruncatedOperato
 
 def _defect_and_scale(mat: np.ndarray) -> tuple[float, float]:
     """``max |mat - mat^*|`` and ``max |mat|`` entrywise, taken by row blocks
-    so that no full-size difference, adjoint or modulus is formed."""
+    so that no full-size difference, adjoint or modulus is formed; a
+    non-finite entry makes the defect NaN or infinite."""
     defect = scale = 0.0
     for i in range(0, len(mat), 64):
         rows = mat[i : i + 64]
-        defect = max(defect, float(np.max(np.abs(rows - mat[:, i : i + 64].conj().T))))
+        defect = float(np.maximum(defect, np.max(np.abs(rows - mat[:, i : i + 64].conj().T))))
         scale = max(scale, float(np.max(np.abs(rows))))
     return defect, scale
 
@@ -291,7 +330,7 @@ def hermitian_eigenvalues(T: TruncatedOperator | np.ndarray) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError("matrix must be square")
     defect, scale = _defect_and_scale(mat)
-    if defect > 1e-10 * max(1.0, scale):
+    if not defect <= 1e-10 * max(1.0, scale):  # a NaN entry is refused too
         raise DomainError("matrix is not Hermitian")
     return np.linalg.eigvalsh(mat)
 
@@ -502,20 +541,10 @@ def gauge_conjugation_deviation(
     conj = _spinor_sum([(u.conj().T * k) @ u for k in _box_coordinates(L, dim)])
     box = mode_box(L, dim)
     keep = [i for i, k in enumerate(box) if max(abs(x) for x in k) <= L - r]
-    idx = np.array(
-        [2 * i + s for i in keep for s in (0, 1)], dtype=int
-    )
-    inner = conj[np.ix_(idx, idx)]
-    got = np.linalg.eigvalsh(inner)
-    expect = np.sort(
-        np.concatenate(
-            [
-                [vv, -vv]
-                for k in (np.asarray(box)[keep] + np.asarray(m))
-                for vv in [float(np.linalg.norm(k))]
-            ]
-        )
-    )
+    idx = np.array([2 * i + s for i in keep for s in (0, 1)])
+    got = np.linalg.eigvalsh(conj[np.ix_(idx, idx)])
+    r = np.linalg.norm(np.asarray(box, dtype=float)[keep] + m, axis=1)
+    expect = np.sort(np.concatenate([r, -r]))
     return float(np.max(np.abs(got - expect)))
 
 

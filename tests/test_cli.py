@@ -312,6 +312,14 @@ def test_num_spectrum_malformed_family_file_exits_2(tmp_path, capsys, data, mess
     assert captured.err.startswith(f"error: {message}")
 
 
+def test_num_spectrum_reads_a_null_field_as_absent(tmp_path, capsys):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"kind": "free_dirac", "dim": 3, "theta": None, "flow_k": None}))
+    code, out = run(capsys, "num", "spectrum", "--family", str(fam), "--cutoff", "1")
+    assert code == 0
+    assert json.loads(out)["size"] == 54
+
+
 def test_num_spectrum_coupled_modes(tmp_path, capsys):
     fam = tmp_path / "fam.json"
     fam.write_text(
@@ -462,13 +470,26 @@ CONFORMAL_NUMERIC = {"kind": "conformal_dirac", "dim": 3, "weyl_modes": {"1,0,0"
         (["num", "heat", "--t", "inf"], None, "heat parameter must be positive and finite"),
         (["num", "spectrum"], {"kind": "free_dirac", "dim": 3, "Theta": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]},
          "malformed numeric family file: fields it does not read: 'Theta'"),
+        # the cutoff is checked before the support of the Weyl element
+        (["num", "spectrum", "--cutoff", "-1"], CONFORMAL_NUMERIC,
+         "cutoff must be >= 0 (mode box |k|_inf <= cutoff), got -1"),
+        # JSON NaN and Infinity parse, and are refused as coefficients
+        (["num", "spectrum", "--t", "0.5"],
+         {**CONFORMAL_NUMERIC, "weyl_modes": {"0,0,0": [float("nan"), 0.0]}},
+         "malformed numeric family file: Fourier coefficients must be finite, got (nan+0j)"),
+        (["num", "spectrum"],
+         {"kind": "coupled_dirac", "dim": 2, "gauge_modes": [{"0,0": [float("inf"), 0.0]}, {}]},
+         "malformed numeric family file: Fourier coefficients must be finite, got (inf+0j)"),
+        (["num", "spectrum", "--t", "20000"], CONFORMAL_NUMERIC,
+         "the member at t = 20000.0 overflows: exp(t h / 2) is not finite"),
     ],
 )
 def test_numeric_input_outside_the_model_exits_2(tmp_path, capsys, argv, data, message):
     if data is not None:
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps(data))
-        argv = [*argv, "--family", str(fam), "--cutoff", "1"]
+        # the default cutoff 1 goes first, so a cutoff in argv overrides it
+        argv = [*argv[:2], "--family", str(fam), "--cutoff", "1", *argv[2:]]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

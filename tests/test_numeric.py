@@ -110,7 +110,8 @@ def test_blockwise_assembly_matches_kron_reference(dim, L):
     theta, h = THETAS[dim], _weyl(dim)
     d = nm.build_operator(nm.NumericFamily("free_dirac", dim), L).matrix
     assert np.array_equal(d, _kron_dirac(L, dim))
-    e = np.kron(nm.expm_hermitian(0.35 * nm.multiplication_matrix(h, L, theta)), np.eye(2))
+    expm = pytest.importorskip("scipy.linalg").expm
+    e = np.kron(expm(0.35 * nm.multiplication_matrix(h, L, theta)), np.eye(2))
     top = nm.build_operator(nm.NumericFamily("conformal_dirac", dim, theta=theta, weyl=h), L, t=0.7)
     assert np.max(np.abs(top.matrix - _symmetrized(e @ d @ e))) <= 1e-12
     gauge = [_weyl(dim) for _ in range(dim)]
@@ -120,6 +121,37 @@ def test_blockwise_assembly_matches_kron_reference(dim, L):
         for mu, a in enumerate(gauge, start=1)
     )
     assert np.max(np.abs(top.matrix - _symmetrized(ref))) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [0.35, 4.0, 16.0])  # 0, 3 and 5 squarings
+@pytest.mark.parametrize("twisted", [True, False])
+@pytest.mark.parametrize("dim, L", [(2, 3), (3, 2)])
+def test_expm_multiplication_matches_scipy_expm(dim, L, twisted, t):
+    expm = pytest.importorskip("scipy.linalg").expm
+    theta, h = (THETAS[dim] if twisted else np.zeros((dim, dim))), _weyl(dim)
+    ref = expm(t * nm.multiplication_matrix(h, L, theta))
+    got = nm.expm_multiplication(h, L, theta, t)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(got, got.conj().T)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_conformal_member_takes_no_eigensolver(dim, monkeypatch):
+    fam = nm.NumericFamily("conformal_dirac", dim, theta=THETAS[dim], weyl=_weyl(dim))
+
+    def no_eigensolver(*_a, **_k):
+        raise AssertionError("exp(t h / 2) is a Taylor series of shift products")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    top = nm.build_operator(fam, 2, t=4.0)
+    # the member is symmetrized; before that its defect is the rounding of e diag(k) e
+    assert top.hermiticity_defect <= 1e-13
+    with pytest.raises(DomainError, match="overflows"):
+        nm.build_operator(fam, 2, t=3000.0)
+    huge = nm.ConcreteElement.cosine(dim, (1,) + (0,) * (dim - 1), 1e10)
+    with pytest.raises(DomainError, match=r"\|s\| sum \|a_m\| is not finite"):
+        nm.build_operator(nm.NumericFamily("conformal_dirac", dim, weyl=huge), 2, t=1e300)
 
 
 def test_shift_matrix_unitarity_on_columns():
@@ -379,10 +411,11 @@ def test_conformal_member_at_zero_is_the_free_operator(dim, monkeypatch):
     L = 2
     fam = nm.NumericFamily("conformal_dirac", dim, theta=THETAS[dim], weyl=_weyl(dim))
 
-    def no_exponential(_m):
+    def no_exponential(*_args):
         raise AssertionError("exp(0 h / 2) is the identity")
 
-    monkeypatch.setattr(nm, "expm_hermitian", no_exponential)
+    monkeypatch.setattr(nm, "expm_multiplication", no_exponential)
+    monkeypatch.setattr(nm, "_shift_apply", no_exponential)
     top = nm.build_operator(fam, L, t=0.0)
     free = nm.build_operator(nm.NumericFamily("free_dirac", dim), L)
     assert np.array_equal(top.matrix, free.matrix)
@@ -398,6 +431,14 @@ def test_conformal_member_at_zero_is_the_free_operator(dim, monkeypatch):
 def test_hermitian_eigenvalues_rejects_non_square(shape):
     with pytest.raises(DomainError, match="matrix must be square"):
         nm.hermitian_eigenvalues(np.zeros(shape))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_hermitian_eigenvalues_rejects_a_non_finite_entry(entry):
+    mat = np.eye(70)  # past the first 64-row block of the defect scan
+    mat[66, 3] = mat[3, 66] = entry
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="matrix is not Hermitian"):
+        nm.hermitian_eigenvalues(mat)
 
 
 def test_gauge_conjugation_deviation():
