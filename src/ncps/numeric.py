@@ -2,22 +2,20 @@
 
 Operators act on Fourier modes ``|k|_inf <= L`` tensored with a 2-spinor slot.
 Multiplication by a basic unitary of lattice vector ``m`` is the twisted shift
-``k -> k + m`` with phase ``exp(pi i Theta(m, k))``; one kernel applies
-``M(a)``, one slice add per Fourier mode of ``a`` over the mode box reshaped to
-``(2L + 1,) * dim``, and :func:`multiplication_matrix` is that kernel on the
-identity.  Spectra and flows are taken over the whole truncated box.  Each
-assembled operator records ``interior_cutoff``, the radius of the interior
-modes on which the twisted shifts are exact isometries, but no spectrum is
-restricted to it; only :func:`gauge_conjugation_deviation` compares on
-interior modes.
+``k -> k + m`` with phase ``exp(pi i Theta(m, k))``, a slice of the mode box
+reshaped to ``(2L + 1,) * dim`` per Fourier mode (:func:`_shifts`).  Spectra
+and flows are taken over the whole truncated box.  Each assembled operator
+records ``interior_cutoff``, the radius of the interior modes on which the
+twisted shifts are exact isometries, but no spectrum is restricted to it; only
+:func:`gauge_conjugation_deviation` compares on interior modes.
 
 Every family member is assembled blockwise as ``sum_mu B_mu (x) gamma_mu``
 from ``N x N`` mode blocks, so no ``2N x 2N`` product is formed: the
 conformal member ``(e (x) 1) D (e (x) 1)`` with ``e = exp(t h / 2)`` has
 blocks ``e diag(k_mu) e``, three ``N x N`` matrix products; at ``t = 0``
 they are ``diag(k_mu)``, with no exponential.  ``e`` is a scaled Taylor series
-of shift-kernel products (:func:`expm_multiplication`), so no eigensolver
-runs; the defect before symmetrization is recorded.  A localized heat trace
+of slice adds, or one ``eigh`` where that costs fewer ``N x N`` products (many
+modes or a large ``|t| sum |h_m|``).  A localized heat trace
 ``Tr(a exp(-s D^2))`` of an operator whose diagonal spinor blocks are both
 exactly zero (every 2-d member, as gamma_1 and gamma_2 are off-diagonal) is
 read off one ``N x N`` SVD of its off-diagonal block ``X = U S V^*``: the
@@ -149,60 +147,77 @@ def gamma_num(dim: int, mu: int) -> np.ndarray:
     return out
 
 
-def _shift_apply(
-    a: ConcreteElement, L: int, theta: Optional[np.ndarray], x: np.ndarray
-) -> np.ndarray:
-    """``M(a) x`` for an array ``x`` of ``N`` rows: over the mode box reshaped
-    to ``(2L + 1,) * dim``, each mode ``m`` adds ``a_m exp(pi i (m Theta).k) x[k]``
-    into row ``k + m``, with ``k`` and ``k + m`` per-axis slices of the box."""
-    side = 2 * L + 1
-    xs = x.reshape((side,) * a.dim + (-1,))
-    out = np.zeros(xs.shape, dtype=complex)
-    js = np.arange(-L, L + 1)
+def _shifts(a: ConcreteElement, L: int, theta: Optional[np.ndarray]):
+    """Per Fourier mode ``m`` of ``a``: the source and target slices ``k`` and
+    ``k + m`` of the mode box reshaped to ``(2L + 1,) * dim``, and the weights
+    ``a_m exp(pi i (m Theta).k)`` over the source."""
+    side, js = 2 * L + 1, np.arange(-L, L + 1)
     th = np.zeros((a.dim, a.dim)) if theta is None else theta
     for m, coeff in a.modes.items():
         src = tuple(slice(max(0, -c), side - max(0, c)) for c in m)
         tgt = tuple(slice(max(0, c), side - max(0, -c)) for c in m)
         arg = sum(np.ix_(*(w * js[ax] for w, ax in zip(np.asarray(m) @ th, src))))
-        out[tgt] += (coeff * np.exp(1j * math.pi * arg))[..., None] * xs[src]
-    return out.reshape(x.shape)
+        yield src, tgt, coeff * np.exp(1j * math.pi * arg)
 
 
 def multiplication_matrix(
     a: ConcreteElement, L: int, theta: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Matrix of left multiplication by ``a`` on the mode box (no spinor slot)."""
-    return _shift_apply(a, L, theta, np.eye((2 * L + 1) ** a.dim, dtype=complex))
+    flat = np.arange((2 * L + 1) ** a.dim).reshape((2 * L + 1,) * a.dim)
+    out = np.zeros((flat.size, flat.size), dtype=complex)
+    for src, tgt, w in _shifts(a, L, theta):
+        out[flat[tgt], flat[src]] += w  # the shift is injective: no entry repeats
+    return out
+
+
+# an eigh plus the rebuild of exp from it cost about 12 N x N products, and a
+# slice add about 40 / N of one (one BLAS thread, N = 343 to 1,331)
+_EIGH_PRODUCTS, _SLICE_ADD_N = 12.0, 40.0
 
 
 def expm_multiplication(
     a: ConcreteElement, L: int, theta: Optional[np.ndarray], s: float
 ) -> np.ndarray:
-    """``exp(s M(a))`` for self-adjoint ``a``: the zero mode factors out as
-    ``exp(s a_0)``, and the shifts are partial isometries, so ``rho = |s|
-    sum_{m != 0} |a_m|`` bounds the rest.  Halved ``k`` times to ``rho <= 1/2``,
-    its Taylor series is summed by :func:`_shift_apply` until the tail bound
-    ``2 rho^(j+1) / (j+1)!`` is below 1e-17, squared ``k`` times, symmetrized."""
-    zero = (0,) * a.dim
+    """``exp(s M(a))`` for self-adjoint ``a``.  The shifts are partial
+    isometries, so ``rho = |s| sum_{m != 0} |a_m|`` bounds the non-zero modes;
+    halved ``k`` times to ``rho <= 1/2``, their Taylor series is summed by
+    slice adds until the tail bound ``2 rho^(j+1) / (j+1)!`` is below 1e-17,
+    scaled by ``exp(s a_0 / 2^k)``, squared ``k`` times up to the first
+    overflow, and symmetrized.  Where that costs more ``N x N`` products than
+    ``_EIGH_PRODUCTS``, one ``eigh`` of ``s M(a)`` is taken instead."""
+    side, zero = 2 * L + 1, (0,) * a.dim
+    n, box = side**a.dim, (side,) * a.dim + (side**a.dim,)
     rest = ConcreteElement(a.dim, {m: v for m, v in a.modes.items() if m != zero})
     rho, k = abs(s) * sum(map(abs, rest.modes.values())), 0
     if not math.isfinite(rho):
         raise DomainError("exp(s M(a)) overflows: |s| sum |a_m| is not finite")
     while rho > 0.5:
         rho, k = rho / 2.0, k + 1
-    h = s / 2**k
-    e = term = np.eye((2 * L + 1) ** a.dim, dtype=complex)
     j, tail = 0, 2.0 * rho
     while tail > 1e-17:
-        j += 1
-        term = _shift_apply(rest, L, theta, term)
-        term *= h / j
-        e += term
-        tail *= rho / (j + 1)
-    for _ in range(k):
-        e = e @ e
-    e *= np.exp(s * a.modes.get(zero, 0.0).real) / 2.0
-    return e + e.conj().T
+        j, tail = j + 1, tail * rho / (j + 2)
+    if j * len(rest.modes) * _SLICE_ADD_N / n + k > _EIGH_PRODUCTS:
+        vals, vecs = np.linalg.eigh(s * multiplication_matrix(a, L, theta))
+        e = (vecs * np.exp(vals)) @ vecs.conj().T
+    else:
+        h, shifts = s / 2**k, list(_shifts(rest, L, theta))
+        e, term = np.eye(n, dtype=complex), np.eye(n, dtype=complex).reshape(box)
+        for i in range(1, j + 1):  # term <- (h / i) M(rest) term
+            term, x = np.zeros(box, dtype=complex), term
+            for src, tgt, w in shifts:
+                term[tgt] += (h / i * w)[..., None] * x[src]
+            e += term.reshape(n, n)
+        e *= np.exp(h * a.modes.get(zero, 0.0).real)
+        for _ in range(k):
+            if not np.isfinite(e).all():
+                break
+            e = e @ e
+        e *= 0.5
+        e = e + e.conj().T
+    if not np.isfinite(e).all():
+        raise DomainError(f"exp(s h) overflows at s = {s}")
+    return e
 
 
 def _box_coordinates(L: int, dim: int) -> np.ndarray:
@@ -296,11 +311,11 @@ def build_operator(f: NumericFamily, L: int, t: float = 0.0) -> TruncatedOperato
         raise DomainError(f"cutoff must be >= 0 (mode box |k|_inf <= cutoff), got {L}")
     if f.support_radius() > L:
         raise DomainError("mode support exceeds the truncation box")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are refused
         mat = _spinor_sum(_dirac_blocks(f, L, t))
         defect = _defect_and_scale(mat)[0]
     if not math.isfinite(defect):
-        raise DomainError(f"the member at t = {t} overflows: exp(t h / 2) is not finite")
+        raise DomainError(f"the member at t = {t} overflows")
     mat += mat.conj().T  # symmetrize in place: _spinor_sum returns a fresh array
     mat /= 2.0
     return TruncatedOperator(
@@ -541,10 +556,20 @@ def gauge_conjugation_deviation(
     conj = _spinor_sum([(u.conj().T * k) @ u for k in _box_coordinates(L, dim)])
     box = mode_box(L, dim)
     keep = [i for i, k in enumerate(box) if max(abs(x) for x in k) <= L - r]
-    idx = np.array([2 * i + s for i in keep for s in (0, 1)])
-    got = np.linalg.eigvalsh(conj[np.ix_(idx, idx)])
-    r = np.linalg.norm(np.asarray(box, dtype=float)[keep] + m, axis=1)
-    expect = np.sort(np.concatenate([r, -r]))
+    idx = np.array(
+        [2 * i + s for i in keep for s in (0, 1)], dtype=int
+    )
+    inner = conj[np.ix_(idx, idx)]
+    got = np.linalg.eigvalsh(inner)
+    expect = np.sort(
+        np.concatenate(
+            [
+                [vv, -vv]
+                for k in (np.asarray(box)[keep] + np.asarray(m))
+                for vv in [float(np.linalg.norm(k))]
+            ]
+        )
+    )
     return float(np.max(np.abs(got - expect)))
 
 

@@ -481,7 +481,7 @@ CONFORMAL_NUMERIC = {"kind": "conformal_dirac", "dim": 3, "weyl_modes": {"1,0,0"
          {"kind": "coupled_dirac", "dim": 2, "gauge_modes": [{"0,0": [float("inf"), 0.0]}, {}]},
          "malformed numeric family file: Fourier coefficients must be finite, got (inf+0j)"),
         (["num", "spectrum", "--t", "20000"], CONFORMAL_NUMERIC,
-         "the member at t = 20000.0 overflows: exp(t h / 2) is not finite"),
+         "exp(s h) overflows at s = 10000.0"),
     ],
 )
 def test_numeric_input_outside_the_model_exits_2(tmp_path, capsys, argv, data, message):

@@ -1,6 +1,7 @@
 """Numerical harness: truncations, spectra, heat traces, flow, evaluation."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -95,6 +96,11 @@ def _symmetrized(m):
     return (m + m.conj().T) / 2.0
 
 
+def _expm_hermitian(m):
+    vals, vecs = np.linalg.eigh(m)
+    return (vecs * np.exp(vals)) @ vecs.conj().T
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_multiplication_matrix_matches_loop_reference(dim, L):
@@ -110,8 +116,7 @@ def test_blockwise_assembly_matches_kron_reference(dim, L):
     theta, h = THETAS[dim], _weyl(dim)
     d = nm.build_operator(nm.NumericFamily("free_dirac", dim), L).matrix
     assert np.array_equal(d, _kron_dirac(L, dim))
-    expm = pytest.importorskip("scipy.linalg").expm
-    e = np.kron(expm(0.35 * nm.multiplication_matrix(h, L, theta)), np.eye(2))
+    e = np.kron(_expm_hermitian(0.35 * nm.multiplication_matrix(h, L, theta)), np.eye(2))
     top = nm.build_operator(nm.NumericFamily("conformal_dirac", dim, theta=theta, weyl=h), L, t=0.7)
     assert np.max(np.abs(top.matrix - _symmetrized(e @ d @ e))) <= 1e-12
     gauge = [_weyl(dim) for _ in range(dim)]
@@ -123,35 +128,82 @@ def test_blockwise_assembly_matches_kron_reference(dim, L):
     assert np.max(np.abs(top.matrix - _symmetrized(ref))) <= 1e-12
 
 
+ROUTES = {"taylor": math.inf, "eigh": 0.0}  # values of nm._EIGH_PRODUCTS that force a route
+
+
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("t", [0.35, 4.0, 16.0])  # 0, 3 and 5 squarings
 @pytest.mark.parametrize("twisted", [True, False])
 @pytest.mark.parametrize("dim, L", [(2, 3), (3, 2)])
-def test_expm_multiplication_matches_scipy_expm(dim, L, twisted, t):
+def test_expm_multiplication_matches_scipy_expm(dim, L, twisted, t, route, monkeypatch):
     expm = pytest.importorskip("scipy.linalg").expm
+    monkeypatch.setattr(nm, "_EIGH_PRODUCTS", ROUTES[route])
     theta, h = (THETAS[dim] if twisted else np.zeros((dim, dim))), _weyl(dim)
     ref = expm(t * nm.multiplication_matrix(h, L, theta))
     got = nm.expm_multiplication(h, L, theta, t)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.array_equal(got, got.conj().T)
+    if route == "taylor":  # symmetrized
+        assert np.array_equal(got, got.conj().T)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_conformal_member_takes_no_eigensolver(dim, monkeypatch):
+@pytest.mark.parametrize("dim, L", [(2, 8), (3, 3)])
+def test_few_mode_conformal_member_takes_no_eigensolver(dim, L, monkeypatch):
     fam = nm.NumericFamily("conformal_dirac", dim, theta=THETAS[dim], weyl=_weyl(dim))
 
     def no_eigensolver(*_a, **_k):
-        raise AssertionError("exp(t h / 2) is a Taylor series of shift products")
+        raise AssertionError("exp(t h / 2) of four non-zero modes is a Taylor series")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
-    top = nm.build_operator(fam, 2, t=4.0)
+    top = nm.build_operator(fam, L, t=4.0)
     # the member is symmetrized; before that its defect is the rounding of e diag(k) e
     assert top.hermiticity_defect <= 1e-13
-    with pytest.raises(DomainError, match="overflows"):
-        nm.build_operator(fam, 2, t=3000.0)
-    huge = nm.ConcreteElement.cosine(dim, (1,) + (0,) * (dim - 1), 1e10)
+
+
+def test_many_mode_exponential_takes_one_eigh(monkeypatch):
+    # every mode of radius 1 (27 of them): the Taylor series would cost more products
+    h = nm.ConcreteElement(3, {m: 0.05 if any(m) else 0.4 for m in nm.mode_box(1, 3)})
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    got = nm.expm_multiplication(h, 3, THETA3, 0.25)
+    assert calls == [(343, 343)]
+    monkeypatch.setattr(nm, "_EIGH_PRODUCTS", math.inf)
+    ref = nm.expm_multiplication(h, 3, THETA3, 0.25)
+    assert calls == [(343, 343)]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_exponential_with_a_large_zero_mode_stays_finite(route, monkeypatch):
+    # h = 5 + 5 cos x_1 >= 0, so exp(-200 M(h)) has norm at most 1, while
+    # exp(-200 M(h - 5)) alone reaches e^866 at L = 2
+    monkeypatch.setattr(nm, "_EIGH_PRODUCTS", ROUTES[route])
+    h = nm.ConcreteElement(3, {(0, 0, 0): 5.0, (1, 0, 0): 2.5, (-1, 0, 0): 2.5})
+    top = nm.build_operator(nm.NumericFamily("conformal_dirac", 3, theta=THETA3, weyl=h), 2, t=-400.0)
+    assert np.all(np.isfinite(top.matrix))
+    ref = _expm_hermitian(-200.0 * nm.multiplication_matrix(h, 2, THETA3))
+    got = nm.expm_multiplication(h, 2, THETA3, -200.0)
+    # either route rounds the exponent 200 M(h), of norm 2,000, to about 2e-13
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_overflowing_exponential_is_refused_at_once(route, monkeypatch):
+    monkeypatch.setattr(nm, "_EIGH_PRODUCTS", ROUTES[route])
+    fam = nm.NumericFamily("conformal_dirac", 2, theta=THETAS[2], weyl=_weyl(2))
+    start = time.perf_counter()
+    # about 1,000 squarings of a 289 x 289 matrix if they ran on past the overflow
+    with pytest.raises(DomainError, match="exp\\(s h\\) overflows at s = 5e\\+299"):
+        nm.build_operator(fam, 8, t=1e300)
+    assert time.perf_counter() - start < 1.0
+    huge = nm.ConcreteElement.cosine(2, (1, 0), 1e10)
     with pytest.raises(DomainError, match=r"\|s\| sum \|a_m\| is not finite"):
-        nm.build_operator(nm.NumericFamily("conformal_dirac", dim, weyl=huge), 2, t=1e300)
+        nm.build_operator(nm.NumericFamily("conformal_dirac", 2, weyl=huge), 2, t=1e300)
+    # e = e^500 is finite; the blocks e diag(k) e are not
+    flat = nm.NumericFamily("conformal_dirac", 2, weyl=nm.ConcreteElement(2, {(0, 0): 1.0}))
+    with pytest.raises(DomainError, match="the member at t = 1000.0 overflows"):
+        nm.build_operator(flat, 2, t=1000.0)
 
 
 def test_shift_matrix_unitarity_on_columns():
@@ -415,7 +467,7 @@ def test_conformal_member_at_zero_is_the_free_operator(dim, monkeypatch):
         raise AssertionError("exp(0 h / 2) is the identity")
 
     monkeypatch.setattr(nm, "expm_multiplication", no_exponential)
-    monkeypatch.setattr(nm, "_shift_apply", no_exponential)
+    monkeypatch.setattr(nm, "_shifts", no_exponential)
     top = nm.build_operator(fam, L, t=0.0)
     free = nm.build_operator(nm.NumericFamily("free_dirac", dim), L)
     assert np.array_equal(top.matrix, free.matrix)
