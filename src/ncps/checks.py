@@ -21,7 +21,6 @@ from . import heat as ht
 from . import numeric as nm
 from . import symbols as sy
 from .algebra import AlgebraElement, exp_expand, gen
-from .clifford import gamma
 from .scalars import DomainError, parse_int, parse_ints, parse_value
 
 CONVENTIONS = {
@@ -80,6 +79,7 @@ def _kernel_shift(value) -> float:
 MIN_FLOOR = -5
 MAX_T_ORDER = 6
 MAX_HEAT_ORDERS = 6
+MAX_ANOMALY_T_ORDER = 11
 
 
 class Key(NamedTuple):
@@ -102,6 +102,9 @@ PARSERS = {
     # heat_coefficients of coupled(3): 1.1 s at 6 orders, over 60 s at 8; of
     # conformal(3, t_cap=2): 0.5 s at 6, 6.0 s at 8
     "orders": Key(*_INT, hi=MAX_HEAT_ORDERS, why="the cost grows at least fivefold per two orders"),
+    # `ncps anomaly --t-order` on a 2-core VM, CPython 3.11: 0.56 s and 95 MB at
+    # 9, 1.8 s and 206 MB at 11, 3.5 s and 302 MB at 12
+    "anomaly_t_order": Key(*_INT, hi=MAX_ANOMALY_T_ORDER, why="the memory grows about 1.5-fold per grade"),
     "grid": Key(*_INT), "cutoff": Key(*_INT), "dim": Key(*_INT),
     "u": Key(parse_ints, "comma-separated integers"),
     "kernel_shift": Key(_kernel_shift, "a number"),
@@ -137,61 +140,55 @@ def _residue_floor(floor: int, dim: int) -> int:
     return floor
 
 
+def _residue_verdict(
+    density: fn.ResidueDensity, grades: Optional[dict[str, str]] = None
+) -> tuple[str, str, Optional[str]]:
+    """Status, level and witness of a residue that must vanish, and with it
+    every level in ``grades``.  The level is the weakest of them all; the
+    witness on failure is the residue's trace class."""
+    levels = [density.vanishing_level(), *(grades or {}).values()]
+    level = max(levels, key=("density", "trace", "tau", "none").index)
+    if level == "none":
+        return "fail", level, density.tau_value.render()
+    return "pass", level, None
+
+
 def _check_eta_coupled(cfg: dict) -> tuple[str, str, Optional[str], dict]:
     floor = _residue_floor(cfg["floor"], 3)
     fam = sy.OperatorFamily.coupled(3)
     # an insufficient floor is reported as an error, never silently deepened
     sgn = sy.sign_symbol(fam, floor=floor)
-    density = fn.wres(sgn, 3)
-    level = density.vanishing_level()
-    ok = level != "none"
-    witness = None if ok else density.tau_value.render()
-    return ("pass" if ok else "fail", level, witness, {})
+    return (*_residue_verdict(fn.wres(sgn, 3)), {})
 
 
 def _check_eta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
     t_order = cfg["t_order"]
     floor = _residue_floor(cfg["floor"], 3)
     fam = sy.OperatorFamily.conformal(3, t_cap=t_order)
-    _sd, sd2 = sy.dirac_symbol(fam)
-    absd = sy.sqrt_symbol(sd2, 0)
+    sigma0 = _one_sided_sigma0_comparison(fam)
     sgn = sy.sign_symbol(fam, floor=floor)
     density = fn.wres(sgn, 3)
-    level = density.vanishing_level()
     grades = {f"t^{j}": density.t_grade(j).vanishing_level() for j in range(t_order + 1)}
-    ok = all(v != "none" for v in grades.values())
-    witness = None if ok else density.tau_value.render()
-    details = {
-        "per_grade": grades,
-        "sigma0_one_sided_matches": _one_sided_sigma0_comparison(absd, t_order),
-    }
-    return ("pass" if ok else "fail", level, witness, details)
+    details = {"per_grade": grades, "sigma0_one_sided_matches": sigma0}
+    return (*_residue_verdict(density, grades), details)
 
 
-def _one_sided_sigma0_comparison(absd: sy.Symbol, t_order: int) -> dict[str, bool]:
-    """Compare the engine's order-0 component of the absolute value against
-    the one-sided closed form (division by the conformal factor on the right).
-    The closed form presumes a commutation the free algebra does not grant, so
-    the comparison is reported per grade rather than assumed."""
-    dim = 3
-    h = gen("h", dim)
-    e_half = exp_expand(h, Fraction(1, 2), t_order)
-    e_3half = exp_expand(h, Fraction(3, 2), t_order)
-    e_minus = exp_expand(h, -1, t_order)
-    comp = sy.Component(dim, 0)
-    for lam in range(1, dim + 1):
-        for mu in range(1, dim + 1):
-            gmat = gamma(dim, lam).mul(gamma(dim, mu))
-            c1 = e_3half * e_half.delta(mu) * e_minus
-            beta = tuple(1 if i == lam - 1 else 0 for i in range(dim))
-            comp.add_term(beta, 1, gmat.map(lambda v, c=c1: c * v).scale_rational(Fraction(1, 2)))
-            c2 = e_half * e_3half.delta(lam) * e_minus
-            beta2 = tuple(1 if i == mu - 1 else 0 for i in range(dim))
-            comp.add_term(beta2, 1, gmat.map(lambda v, c=c2: c * v).scale_rational(Fraction(1, 2)))
-    diff = absd.component(0).sub(comp)
-    return {
-        f"t^{j}": diff.t_grade(j).is_zero() for j in range(t_order + 1)
-    }
+def _one_sided_sigma0_comparison(fam: sy.OperatorFamily) -> dict[str, bool]:
+    """Compare the order-0 component of ``|D|`` of the 3-d conformal ``fam``
+    against the one-sided closed form (division by the conformal factor on the
+    right).  The closed form presumes a commutation the free algebra does not
+    grant, so the comparison is reported per grade rather than assumed."""
+    h = gen(fam.weyl, 3)
+    e_half = exp_expand(h, Fraction(1, 2), fam.t_cap)
+    e_3half = exp_expand(h, Fraction(3, 2), fam.t_cap)
+    e_minus = exp_expand(h, -1, fam.t_cap)
+    # (S C1 + C2 S) / 2, with S = xi-slash / |xi| and C1, C2 slashes of coefficients
+    s = sy._xi_slash(3).mul_xi2(-1)
+    c1 = sy._slash_component(3, [e_3half * e_half.delta(mu) * e_minus for mu in (1, 2, 3)])
+    c2 = sy._slash_component(3, [e_half * e_3half.delta(mu) * e_minus for mu in (1, 2, 3)])
+    comp = s.mul(c1).add(c2.mul(s)).scale_rational(Fraction(1, 2))
+    diff = sy.sqrt_symbol(sy.dirac_symbol(fam)[1], 0).component(0).sub(comp)
+    return {f"t^{j}": diff.t_grade(j).is_zero() for j in range(fam.t_cap + 1)}
 
 
 def _check_eta_invariance(cfg: dict) -> tuple[str, str, Optional[str], dict]:
@@ -203,64 +200,48 @@ def _check_eta_invariance(cfg: dict) -> tuple[str, str, Optional[str], dict]:
     h = AlgebraElement.generator(gen("h", 3))
     hsym = sy.Symbol.make(3, [sy.Component.scalar(3, h)])
     reduced = fn.wres(sy.star_product(hsym, sy.sign_symbol(free, -3), -3), 3)
-    lvl_a, lvl_b = direct.vanishing_level(), reduced.vanishing_level()
-    ok = lvl_a != "none" and lvl_b != "none"
-    witness = None if ok else direct.tau_value.render()
-    details = {"direct_path": lvl_a, "cyclic_path": lvl_b}
-    ranking = ("density", "trace", "tau", "none")
-    level = max(lvl_a, lvl_b, key=ranking.index)  # report the weaker of the two
-    return ("pass" if ok else "fail", level, witness, details)
+    details = {"direct_path": direct.vanishing_level(), "cyclic_path": reduced.vanishing_level()}
+    # the weaker of the two levels; a failure is witnessed by the direct path
+    return (*_residue_verdict(direct, {"cyclic_path": details["cyclic_path"]}), details)
 
 
 def _check_zeta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    t_order = cfg["t_order"]
-    details = {}
-    witness = None
-    ok = True
+    details, nonzero = {}, []
     for name, fam in (
         ("flat", sy.OperatorFamily.free(3)),
-        ("conformal", sy.OperatorFamily.conformal(3, t_cap=t_order)),
+        ("conformal", sy.OperatorFamily.conformal(3, t_cap=cfg["t_order"])),
     ):
         _sd, sd2 = sy.dirac_symbol(fam)
         coeffs = ht.heat_coefficients(sd2, 3)
-        odd = {}
+        details[name] = {}
         for i in (1, 3):
             zero = coeffs[i].traced.is_zero()
-            odd[f"beta_{i}"] = "zero" if zero else "nonzero"
+            details[name][f"beta_{i}"] = "zero" if zero else "nonzero"
             if not zero:
-                ok = False
-                witness = coeffs[i].traced.render()
-        details[name] = odd
-    return ("pass" if ok else "fail", "trace" if ok else "none", witness, details)
+                nonzero.append(coeffs[i].traced)
+    if nonzero:  # the last one found is the witness
+        return "fail", "none", nonzero[-1].render(), details
+    return "pass", "trace", None, details
 
 
 def _check_res_heat(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    t_order = cfg["t_order"]
-    details = {}
-    ok = True
-    witness = None
-    pair_free = ht.res_heat_crosscheck(1, sy.OperatorFamily.free(2))
+    flat = ht.res_heat_crosscheck(1, sy.OperatorFamily.free(2))
+    conf = ht.res_heat_crosscheck(1, sy.OperatorFamily.conformal(2, t_cap=cfg["t_order"]))
     four_pi = AlgebraElement.scalar(fn.sphere_integral((0, 0), 2).scale(2))
-    free_value_ok = (pair_free.lhs_traced - four_pi).is_zero()
-    details["flat"] = {
-        "agree": pair_free.agree(),
-        "value": pair_free.lhs_traced.render(),
-        "equals_4pi": free_value_ok,
+    equals_4pi = (flat.lhs_traced - four_pi).is_zero()
+    details = {
+        "flat": {"agree": flat.agree(), "value": flat.lhs_traced.render(), "equals_4pi": equals_4pi},
+        "conformal": {"agree": conf.agree(), "value": conf.lhs_traced.render()},
     }
-    if not free_value_ok:
-        witness = pair_free.lhs_traced.render()
-    ok = ok and pair_free.agree() and free_value_ok
-    pair_conf = ht.res_heat_crosscheck(1, sy.OperatorFamily.conformal(2, t_cap=t_order))
-    details["conformal"] = {
-        "agree": pair_conf.agree(),
-        "value": pair_conf.lhs_traced.render(),
-    }
-    if not pair_conf.agree():
-        witness = (pair_conf.lhs_traced - pair_conf.rhs_traced).render()
-    ok = ok and pair_conf.agree()
-    if not pair_free.agree():
-        witness = (pair_free.lhs_traced - pair_free.rhs_traced).render()
-    return ("pass" if ok else "fail", "n-a", witness, details)
+    # the first failure, in this order, is the witness
+    for ok, witness in (
+        (details["flat"]["agree"], flat.lhs_traced - flat.rhs_traced),
+        (details["conformal"]["agree"], conf.lhs_traced - conf.rhs_traced),
+        (equals_4pi, flat.lhs_traced),
+    ):
+        if not ok:
+            return "fail", "n-a", witness.render(), details
+    return "pass", "n-a", None, details
 
 
 def _check_cs_density(cfg: dict) -> tuple[str, str, Optional[str], dict]:
@@ -271,23 +252,20 @@ def _check_cs_density(cfg: dict) -> tuple[str, str, Optional[str], dict]:
     agree_full = (full.representative - capped.representative).is_zero()
     trunc = full.representative.filter_base_degree(fam.gauge, 1)
     agree_lin = (linear.representative - trunc).is_zero()
-    ok = agree_full and agree_lin
     details = {
         "density": full.render(),
         "gauge_cap_2_matches_full": agree_full,
         "linearized_matches_truncation": agree_lin,
         "linear_in_variation": _linear_in(full.representative, ("dA1", "dA2", "dA3")),
     }
-    witness = None if ok else (full.representative - capped.representative).render()
-    return ("pass" if ok else "fail", "n-a", witness, details)
+    if agree_full and agree_lin:
+        return "pass", "n-a", None, details
+    return "fail", "n-a", (full.representative - capped.representative).render(), details
 
 
 def _linear_in(a: AlgebraElement, bases: tuple[str, ...]) -> bool:
-    names = set(bases)
-    for word, _s in a.terms():
-        if sum(1 for g in word if g.base in names) != 1:
-            return False
-    return True
+    """Whether every word of ``a`` has exactly one letter with a base in ``bases``."""
+    return all(sum(g.base in bases for g in word) == 1 for word, _s in a.terms())
 
 
 def _net_flow(u, grid, cutoff, dim, kernel_shift=1e-9) -> tuple[int, int]:

@@ -62,9 +62,22 @@ def _load_family(args: argparse.Namespace) -> tuple[sy.OperatorFamily, dict]:
     return fam, cfg
 
 
+# The fields of a numeric family file each kind reads besides "kind" and
+# "dim": what numeric._dirac_blocks uses of the family
+NUMERIC_FIELDS = {
+    "free_dirac": (),
+    "coupled_dirac": ("theta", "gauge_modes"),
+    "conformal_dirac": ("theta", "weyl_modes"),
+    "unitary_flow": ("flow_k",),
+}
+_ANY_NUMERIC_FIELD = set().union(*NUMERIC_FIELDS.values())
+
+
 def _load_numeric_family(path: str) -> nm.NumericFamily:
-    """The numeric family of a file; a field the loader does not read is
-    refused, and a ``null`` field is absent, as in symbolic family files."""
+    """The numeric family of a file.  A field no kind reads is refused, then
+    every field is parsed, then one the family's kind does not read
+    (:data:`NUMERIC_FIELDS`) is refused; a ``null`` field is absent, as in
+    symbolic family files."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
 
     def parse_modes(obj: dict) -> nm.ConcreteElement:
@@ -76,12 +89,11 @@ def _load_numeric_family(path: str) -> nm.NumericFamily:
 
     try:
         data = {k: v for k, v in data.items() if v is not None}
-        reads = {"kind", "dim", "theta", "weyl_modes", "gauge_modes", "flow_k"}
-        unread = sorted(data.keys() - reads)
+        unread = sorted(data.keys() - {"kind", "dim", *_ANY_NUMERIC_FIELD})
         if unread:
             raise ValueError(f"fields it does not read: {', '.join(map(repr, unread))}")
         dim = parse_int(data["dim"])
-        return nm.NumericFamily(
+        fam = nm.NumericFamily(
             kind=data["kind"],
             dim=dim,
             theta=nm.theta_matrix(data["theta"]) if "theta" in data else None,
@@ -91,6 +103,14 @@ def _load_numeric_family(path: str) -> nm.NumericFamily:
         )
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed numeric family file: {exc}") from None
+    # a kind no family has reads every field, and is refused where it is built
+    reads = _ANY_NUMERIC_FIELD
+    if isinstance(fam.kind, str):
+        reads = NUMERIC_FIELDS.get(fam.kind, reads)
+    unread = sorted(data.keys() - {"kind", "dim", *reads})
+    if unread:
+        raise DomainError(f"a {fam.kind} family does not read {', '.join(map(repr, unread))}")
+    return fam
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -157,11 +177,11 @@ def _cmd_heat(args: argparse.Namespace) -> int:
 
 
 def _cmd_anomaly(args: argparse.Namespace) -> int:
-    fam = sy.OperatorFamily.conformal(2, t_cap=args.t_order)
-    grades = ht.anomaly_density(fam)
+    t_order = _parsed(_given(args))["anomaly_t_order"]
+    grades = ht.anomaly_density(sy.OperatorFamily.conformal(2, t_cap=t_order))
     payload = {
         "dim": 2,
-        "t_order": args.t_order,
+        "t_order": t_order,
         "density_per_grade": {f"t^{j}": v.render() for j, v in grades.items()},
         "conventions": CONVENTIONS,
     }
@@ -263,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.set_defaults(fn=_cmd_heat)
 
     a = sub.add_parser("anomaly", help="conformal anomaly density, dimension 2")
-    a.add_argument("--t-order", dest="t_order", type=int, default=1)
+    a.add_argument("--t-order", dest="anomaly_t_order", metavar="T_ORDER", default=1)
     a.add_argument("--json", type=str, default=None)
     a.set_defaults(fn=_cmd_anomaly)
 

@@ -164,8 +164,6 @@ class ResHeatPair:
 
     lhs_traced: AlgebraElement
     rhs_traced: AlgebraElement
-    lhs_tau: TauClass
-    rhs_tau: TauClass
 
     def agree(self) -> bool:
         return (self.lhs_traced - self.rhs_traced).is_zero()
@@ -186,4 +184,4 @@ def res_heat_crosscheck(k: int, f: OperatorFamily) -> ResHeatPair:
     lhs = lhs_mat.trace()
     beta = heat_coefficients(sd2, n - 2 * k)[n - 2 * k]
     rhs = beta.traced.scale_rational(Fraction(2, math.factorial(k - 1)))
-    return ResHeatPair(lhs, rhs, tau_class(lhs), tau_class(rhs))
+    return ResHeatPair(lhs, rhs)

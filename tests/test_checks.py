@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from ncps import heat as ht
 from ncps import numeric as nm
 from ncps import symbols as sy
-from ncps.checks import CHECKS, run_check
+from ncps.algebra import AlgebraElement
+from ncps.checks import CHECKS, _residue_verdict, run_check
 from ncps.scalars import DomainError
 
 
@@ -211,6 +213,76 @@ def test_flow_index_unmodeled_dimension_is_error_report(dim, u):
     report = run_check("flow-index", {"dim": dim, "u": u, "grid": 11, "cutoff": 2})
     assert report.status == "error"
     assert report.witness == "gamma algebra is modeled in dimensions 2 and 3"
+
+
+class _Density:
+    """A residue density that vanishes at a given level, as the verdict reads it."""
+
+    def __init__(self, level):
+        self.level = level
+        self.tau_value = AlgebraElement.rational(5)
+
+    def vanishing_level(self):
+        return self.level
+
+
+@pytest.mark.parametrize(
+    "level, grades, verdict",
+    [
+        ("trace", None, ("pass", "trace", None)),
+        ("density", {"t^0": "density", "t^1": "tau"}, ("pass", "tau", None)),
+        ("none", None, ("fail", "none", "5")),
+        # a grade that does not vanish fails the residue, witnessed by its trace class
+        ("trace", {"t^0": "trace", "t^1": "none"}, ("fail", "none", "5")),
+    ],
+)
+def test_residue_verdict_takes_the_weakest_level(level, grades, verdict):
+    assert _residue_verdict(_Density(level), grades) == verdict
+
+
+class _Pair:
+    """Both sides of the residue / heat identity, as the res-heat check reads them."""
+
+    def __init__(self, lhs, rhs):
+        self.lhs_traced, self.rhs_traced = lhs, rhs
+
+    def agree(self):
+        return (self.lhs_traced - self.rhs_traced).is_zero()
+
+
+@pytest.mark.parametrize(
+    "broken, witness",
+    [
+        ({"flat pair"}, "1"),
+        ({"conformal pair"}, "2"),
+        ({"flat value"}, "(3 + 4 * pi)"),
+        # the flat pair wins over the conformal pair, which wins over the flat value
+        ({"flat pair", "conformal pair", "flat value"}, "1"),
+        ({"conformal pair", "flat value"}, "2"),
+        ({"flat pair", "flat value"}, "1"),
+    ],
+)
+def test_res_heat_failure_witness(monkeypatch, broken, witness):
+    # the flat pair's sides differ by 1, the conformal pair's by 2, and a
+    # flat value off 4 pi is 3 more on both sides, so each failure renders apart
+    crosscheck = ht.res_heat_crosscheck
+
+    def broken_crosscheck(k, fam):
+        pair = crosscheck(k, fam)
+        lhs, rhs = pair.lhs_traced, pair.rhs_traced
+        name = "flat" if fam.kind == "free_dirac" else "conformal"
+        if f"{name} value" in broken:
+            lhs, rhs = lhs + AlgebraElement.rational(3), rhs + AlgebraElement.rational(3)
+        if f"{name} pair" in broken:
+            rhs = rhs - AlgebraElement.rational(1 if name == "flat" else 2)
+        return _Pair(lhs, rhs)
+
+    monkeypatch.setattr(ht, "res_heat_crosscheck", broken_crosscheck)
+    report = run_check("res-heat")
+    assert (report.status, report.vanishing_level, report.witness) == ("fail", "n-a", witness)
+    assert report.details["flat"]["agree"] is ("flat pair" not in broken)
+    assert report.details["flat"]["equals_4pi"] is ("flat value" not in broken)
+    assert report.details["conformal"]["agree"] is ("conformal pair" not in broken)
 
 
 PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"

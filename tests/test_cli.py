@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
+from ncps import heat as ht
 from ncps import numeric as nm
 from ncps import symbols as sy
-from ncps.checks import CHECKS, MAX_HEAT_ORDERS, run_check
+from ncps.checks import CHECKS, MAX_ANOMALY_T_ORDER, MAX_HEAT_ORDERS, run_check
 from ncps.cli import build_parser, main
 
 
@@ -186,6 +187,23 @@ def test_anomaly_command(capsys):
     payload = json.loads(out)
     assert payload["density_per_grade"]["t^0"] == "0"
     assert "d(1,1)(h)" in payload["density_per_grade"]["t^1"]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (str(MAX_ANOMALY_T_ORDER + 1),
+         f"anomaly_t_order must be <= {MAX_ANOMALY_T_ORDER} (the memory grows about 1.5-fold "
+         f"per grade), got {MAX_ANOMALY_T_ORDER + 1}"),
+        ("2.5", "anomaly_t_order must be an integer, got '2.5'"),
+    ],
+)
+def test_anomaly_t_order_outside_its_bound_exits_2_before_any_symbol(capsys, monkeypatch, value, message):
+    monkeypatch.setattr(ht, "anomaly_density", None)
+    code = main(["anomaly", "--t-order", value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cs_density_command(capsys):
@@ -482,6 +500,18 @@ CONFORMAL_NUMERIC = {"kind": "conformal_dirac", "dim": 3, "weyl_modes": {"1,0,0"
          "malformed numeric family file: Fourier coefficients must be finite, got (inf+0j)"),
         (["num", "spectrum", "--t", "20000"], CONFORMAL_NUMERIC,
          "exp(s h) overflows at s = 10000.0"),
+        # a field the kind does not read is parsed, then refused
+        (["num", "spectrum"],
+         {"kind": "coupled_dirac", "dim": 3, "flow_k": [1, 0, 0],
+          "weyl_modes": CONFORMAL_NUMERIC["weyl_modes"], "gauge_modes": [{}, {}, {}]},
+         "a coupled_dirac family does not read 'flow_k', 'weyl_modes'"),
+        (["num", "spectrum"], {"kind": "free_dirac", "dim": 2, "theta": [[0, 0.3], [-0.3, 0]]},
+         "a free_dirac family does not read 'theta'"),
+        (["num", "spectrum"], {**CONFORMAL_NUMERIC, "gauge_modes": [{}, {}, {}], "flow_k": None},
+         "a conformal_dirac family does not read 'gauge_modes'"),
+        (["num", "spectrum"],
+         {"kind": "unitary_flow", "dim": 3, "flow_k": [1, 0, 0], "theta": [[0, 0, 0]] * 3},
+         "a unitary_flow family does not read 'theta'"),
     ],
 )
 def test_numeric_input_outside_the_model_exits_2(tmp_path, capsys, argv, data, message):

@@ -516,6 +516,56 @@ def test_coupled_beta_4_is_the_yang_mills_density():
     assert tau_class(beta_4 - square.scale(ExactScalar.pi_half(3, Fraction(-1, 3)))).is_zero()
 
 
+# -- conformal variation of the heat coefficients ---------------------------------
+#
+# D_t = e^{th/2} D e^{th/2} gives d/dt D_t = (h D_t + D_t h)/2, so by cyclicity of
+# tau alone d/dt Tr e^{-s D_t^2} = 2s d/ds Tr(h e^{-s D_t^2}), hence
+# d/dt beta_k = (k - n) beta_k(h); per grade, j [tau beta_k]_j = (k - n) t
+# [tau beta_k(h)]_{j-1}.  The commutative form is Branson-Orsted, "Conformal
+# indices of Riemannian manifolds" (Compositio Math. 1986).  For n = k = 2 it is
+# Gauss-Bonnet; for n = 3, k = 3 the conformal invariance of zeta'(0).
+
+
+def traced_beta_and_its_variation_gaps(n, k, t_cap):
+    """The traced beta_k of conformal(n, t_cap), and per grade j >= 1 the
+    trace class of j [beta_k]_j - (k - n) t [beta_k(h)]_{j-1}."""
+    _, sd2 = dirac_symbol(OperatorFamily.conformal(n, t_cap=t_cap))
+    beta = ht.heat_coefficients(sd2, k)[k]
+    # beta_k(h) is the momentum integral localized by h on the left, then traced
+    beta_h = beta.matrix.lmul(AlgebraElement.generator(gen("h", n))).trace()
+    t = ExactScalar.t_power(1, t_cap=t_cap)
+    gaps = []
+    for j in range(1, t_cap + 1):
+        lhs = beta.traced.t_grade(j).scale_rational(j)
+        rhs = beta_h.t_grade(j - 1).scale(t).scale_rational(k - n)
+        gaps.append(tau_class(lhs - rhs))
+    return beta.traced, gaps
+
+
+@pytest.mark.parametrize(
+    "n, k, t_cap, nonzero_from",
+    [
+        (3, 0, 5, 0),
+        (3, 2, 5, 2),
+        (3, 4, 3, 2),
+        pytest.param(3, 4, 4, 2, marks=pytest.mark.stress),
+        pytest.param(3, 2, 6, 2, marks=pytest.mark.stress),
+    ],
+)
+def test_conformal_variation_of_heat_coefficients(n, k, t_cap, nonzero_from):
+    traced, gaps = traced_beta_and_its_variation_gaps(n, k, t_cap)
+    assert all(gap.is_zero() for gap in gaps)
+    # the identity relates classes that do not vanish from grade nonzero_from on
+    assert all(not tau_class(traced.t_grade(j)).is_zero() for j in range(nonzero_from, t_cap + 1))
+
+
+def test_gauss_bonnet_is_the_variation_identity_at_n_equal_k_equal_2():
+    traced, gaps = traced_beta_and_its_variation_gaps(2, 2, 6)
+    assert all(gap.is_zero() for gap in gaps)
+    assert all(tau_class(traced.t_grade(j)).is_zero() for j in range(7))
+    assert [j for j in range(7) if not traced.t_grade(j).is_zero()] == [1, 3, 5]
+
+
 def test_third_order_conformal_stress():
     # the vanishing statements keep holding one grade beyond the acceptance
     fam = OperatorFamily.conformal(3, t_cap=3)
