@@ -79,7 +79,6 @@ def _kernel_shift(value) -> float:
 MIN_FLOOR = -5
 MAX_T_ORDER = 6
 MAX_HEAT_ORDERS = 6
-MAX_ANOMALY_T_ORDER = 11
 
 
 class Key(NamedTuple):
@@ -102,9 +101,7 @@ PARSERS = {
     # heat_coefficients of coupled(3): 1.1 s at 6 orders, over 60 s at 8; of
     # conformal(3, t_cap=2): 0.5 s at 6, 6.0 s at 8
     "orders": Key(*_INT, hi=MAX_HEAT_ORDERS, why="the cost grows at least fivefold per two orders"),
-    # `ncps anomaly --t-order` on a 2-core VM, CPython 3.11: 0.56 s and 95 MB at
-    # 9, 1.8 s and 206 MB at 11, 3.5 s and 302 MB at 12
-    "anomaly_t_order": Key(*_INT, hi=MAX_ANOMALY_T_ORDER, why="the memory grows about 1.5-fold per grade"),
+    "anomaly_t_order": Key(*_INT, hi=11, why="the memory grows about 1.5-fold per grade"),
     "grid": Key(*_INT), "cutoff": Key(*_INT), "dim": Key(*_INT),
     "u": Key(parse_ints, "comma-separated integers"),
     "kernel_shift": Key(_kernel_shift, "a number"),
@@ -162,13 +159,12 @@ def _check_eta_coupled(cfg: dict) -> tuple[str, str, Optional[str], dict]:
 
 
 def _check_eta_conformal(cfg: dict) -> tuple[str, str, Optional[str], dict]:
-    t_order = cfg["t_order"]
     floor = _residue_floor(cfg["floor"], 3)
-    fam = sy.OperatorFamily.conformal(3, t_cap=t_order)
+    fam = sy.OperatorFamily.conformal(3, t_cap=cfg["t_order"])
     sigma0 = _one_sided_sigma0_comparison(fam)
     sgn = sy.sign_symbol(fam, floor=floor)
     density = fn.wres(sgn, 3)
-    grades = {f"t^{j}": density.t_grade(j).vanishing_level() for j in range(t_order + 1)}
+    grades = {f"t^{j}": density.t_grade(j).vanishing_level() for j in range(fam.t_cap + 1)}
     details = {"per_grade": grades, "sigma0_one_sided_matches": sigma0}
     return (*_residue_verdict(density, grades), details)
 

@@ -9,7 +9,7 @@ import pytest
 from ncps import heat as ht
 from ncps import numeric as nm
 from ncps import symbols as sy
-from ncps.checks import CHECKS, MAX_ANOMALY_T_ORDER, MAX_HEAT_ORDERS, run_check
+from ncps.checks import CHECKS, MAX_HEAT_ORDERS, PARSERS, run_check
 from ncps.cli import build_parser, main
 
 
@@ -189,12 +189,15 @@ def test_anomaly_command(capsys):
     assert "d(1,1)(h)" in payload["density_per_grade"]["t^1"]
 
 
+ANOMALY_BOUND = PARSERS["anomaly_t_order"].hi
+
+
 @pytest.mark.parametrize(
     "value, message",
     [
-        (str(MAX_ANOMALY_T_ORDER + 1),
-         f"anomaly_t_order must be <= {MAX_ANOMALY_T_ORDER} (the memory grows about 1.5-fold "
-         f"per grade), got {MAX_ANOMALY_T_ORDER + 1}"),
+        (str(ANOMALY_BOUND + 1),
+         f"anomaly_t_order must be <= {ANOMALY_BOUND} (the memory grows about 1.5-fold "
+         f"per grade), got {ANOMALY_BOUND + 1}"),
         ("2.5", "anomaly_t_order must be an integer, got '2.5'"),
     ],
 )
