@@ -240,16 +240,6 @@ def test_residue_verdict_takes_the_weakest_level(level, grades, verdict):
     assert _residue_verdict(_Density(level), grades) == verdict
 
 
-class _Pair:
-    """Both sides of the residue / heat identity, as the res-heat check reads them."""
-
-    def __init__(self, lhs, rhs):
-        self.lhs_traced, self.rhs_traced = lhs, rhs
-
-    def agree(self):
-        return (self.lhs_traced - self.rhs_traced).is_zero()
-
-
 @pytest.mark.parametrize(
     "broken, witness",
     [
@@ -275,7 +265,7 @@ def test_res_heat_failure_witness(monkeypatch, broken, witness):
             lhs, rhs = lhs + AlgebraElement.rational(3), rhs + AlgebraElement.rational(3)
         if f"{name} pair" in broken:
             rhs = rhs - AlgebraElement.rational(1 if name == "flat" else 2)
-        return _Pair(lhs, rhs)
+        return ht.ResHeatPair(lhs, rhs)
 
     monkeypatch.setattr(ht, "res_heat_crosscheck", broken_crosscheck)
     report = run_check("res-heat")
