@@ -64,21 +64,12 @@ class CheckReport:
 # -- individual checks ---------------------------------------------------------------
 
 
-def _kernel_shift(value) -> float:
-    """A number (not a bool) below 1, the smallest nonzero |n| at the flow's
-    endpoints, which a larger shift would swallow; a negative or NaN shift is
-    refused by :func:`ncps.numeric.spectral_flow` itself."""
-    if isinstance(value, bool):
-        raise TypeError(value)
-    if float(value) >= 1.0:
-        what = "< 1 (the smallest nonzero |n| at the endpoints)"
-        raise DomainError(f"kernel_shift must be {what}, got {value!r}")
-    return float(value)
-
-
 MIN_FLOOR = -5
 MAX_T_ORDER = 6
 MAX_HEAT_ORDERS = 6
+# t_cap plus the last even heat order (an odd last order builds no layer); a
+# 3-d conformal family took 2.6 s at 8, 6.4-7.3 s at 9 and 40 s at 10
+MAX_HEAT_DEPTH = 8
 
 
 class Key(NamedTuple):
@@ -104,7 +95,6 @@ PARSERS = {
     "anomaly_t_order": Key(*_INT, hi=11, why="the memory grows about 1.5-fold per grade"),
     "grid": Key(*_INT), "cutoff": Key(*_INT), "dim": Key(*_INT),
     "u": Key(parse_ints, "comma-separated integers"),
-    "kernel_shift": Key(_kernel_shift, "a number"),
 }
 PARSERS["t_cap"] = PARSERS["t_order"]  # the deformation cap of a family file
 
@@ -264,11 +254,11 @@ def _linear_in(a: AlgebraElement, bases: tuple[str, ...]) -> bool:
     return all(sum(g.base in bases for g in word) == 1 for word, _s in a.terms())
 
 
-def _net_flow(u, grid, cutoff, dim, kernel_shift=1e-9) -> tuple[int, int]:
+def _net_flow(u, grid, cutoff, dim) -> tuple[int, int]:
     """Net spectral flow of the commutator-shift family over the unit
     interval, and its mode count; for the check and for ``ncps num flow``."""
     spectra = nm.unitary_flow_spectra(u, nm.flow_grid(grid), cutoff, dim)
-    return nm.spectral_flow(spectra, kernel_shift=kernel_shift), len(spectra[0])
+    return nm.spectral_flow(spectra), len(spectra[0])
 
 
 def _check_flow_index(cfg: dict) -> tuple[str, str, Optional[str], dict]:
@@ -283,12 +273,7 @@ class CheckSpec:
     name: str
     description: str
     runner: Callable[[dict], tuple[str, str, Optional[str], dict]]
-    defaults: dict
-    # keys the runner reads besides those of ``defaults``
-    optional: tuple[str, ...] = ()
-
-    def reads(self) -> set[str]:
-        return set(self.defaults) | set(self.optional)
+    defaults: dict  # every key the runner reads
 
 
 CHECKS: dict[str, CheckSpec] = {
@@ -343,18 +328,12 @@ CHECKS: dict[str, CheckSpec] = {
             "interval, matching the integrated index pairing (zero)",
             _check_flow_index,
             {"u": (1, 0, 0), "grid": 101, "cutoff": 6, "dim": 3},
-            ("kernel_shift",),
         ),
     ]
 }
 
 
-# secondary names kept for the heat-module command surface
-ALIASES = {"odd-heat-vanishing": "zeta-conformal"}
-
-
 def run_check(name: str, config: Optional[dict] = None) -> CheckReport:
-    name = ALIASES.get(name, name)
     if name not in CHECKS:
         raise KeyError(
             f"unknown check {name!r}; available: {', '.join(sorted(CHECKS))}"
@@ -364,12 +343,12 @@ def run_check(name: str, config: Optional[dict] = None) -> CheckReport:
     if config:
         cfg.update({k: v for k, v in config.items() if v is not None})
     params = {**cfg, "conventions": CONVENTIONS}
-    unread = sorted(set(cfg) - spec.reads())
+    unread = sorted(set(cfg) - set(spec.defaults))
     if unread:
         return CheckReport(
             name, "error", "n-a",
             f"check {name!r} does not read {', '.join(unread)}; "
-            f"it reads: {', '.join(sorted(spec.reads())) or 'nothing'}",
+            f"it reads: {', '.join(sorted(spec.defaults)) or 'nothing'}",
             params, 0,
         )
     t0 = time.perf_counter()

@@ -22,9 +22,9 @@ from . import numeric as nm
 from . import symbols as sy
 from .algebra import AlgebraElement, gen
 from .checks import (
-    ALIASES,
     CHECKS,
     CONVENTIONS,
+    MAX_HEAT_DEPTH,
     PARSERS,
     _net_flow,
     _parsed,
@@ -70,46 +70,48 @@ NUMERIC_FIELDS = {
     "conformal_dirac": ("theta", "weyl_modes"),
     "unitary_flow": ("flow_k",),
 }
-_ANY_NUMERIC_FIELD = set().union(*NUMERIC_FIELDS.values())
+MODES = "comma-separated integer keys to [re, im] pairs"
 
 
 def _load_numeric_family(path: str) -> nm.NumericFamily:
-    """The numeric family of a file.  A field no kind reads is refused, then
-    every field is parsed, then one the family's kind does not read
-    (:data:`NUMERIC_FIELDS`) is refused; a ``null`` field is absent, as in
-    symbolic family files."""
+    """The numeric family of a file, read as a symbolic family file is
+    (:meth:`~ncps.symbols.OperatorFamily.from_dict`): every field through
+    :func:`~ncps.scalars.parse_value`, so a malformed one is named, then a
+    field the kind does not read (:data:`NUMERIC_FIELDS`) is refused.  A
+    ``null`` field is absent."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-
-    def parse_modes(obj: dict) -> nm.ConcreteElement:
-        modes = {}
-        for key, val in obj.items():
-            k = parse_value("mode key", key, parse_ints, "comma-separated integers")
-            modes[k] = complex(val[0], val[1])
-        return nm.ConcreteElement(dim, modes)
-
     try:
+        if not isinstance(data, dict) or not {"kind", "dim"} <= data.keys():
+            raise DomainError("family file needs 'kind' and integer 'dim'")
+        kind = data["kind"]
+        if not isinstance(kind, str) or kind not in NUMERIC_FIELDS:
+            raise DomainError(f"unknown family kind {kind!r}")
         data = {k: v for k, v in data.items() if v is not None}
-        unread = sorted(data.keys() - {"kind", "dim", *_ANY_NUMERIC_FIELD})
-        if unread:
-            raise ValueError(f"fields it does not read: {', '.join(map(repr, unread))}")
-        dim = parse_int(data["dim"])
+        dim = parse_value("dim", data.get("dim"), parse_int, "an integer")
+
+        def field(key, parse, what, default=None):
+            return parse_value(key, data[key], parse, what) if key in data else default
+
+        def modes(obj) -> nm.ConcreteElement:
+            # dict.items refuses a non-dict, the unpacking a value that is no
+            # pair and complex a string, each naming the field
+            pairs = {parse_ints(k): complex(re, im) for k, (re, im) in dict.items(obj)}
+            return nm.ConcreteElement(dim, pairs)
+
         fam = nm.NumericFamily(
-            kind=data["kind"],
+            kind=kind,
             dim=dim,
-            theta=nm.theta_matrix(data["theta"]) if "theta" in data else None,
-            weyl=parse_modes(data["weyl_modes"]) if "weyl_modes" in data else None,
-            gauge=[parse_modes(g) for g in data.get("gauge_modes", [])] or None,
-            flow_k=parse_value("flow_k", data.get("flow_k", ()), parse_ints, "a list of integers"),
+            theta=field("theta", nm.theta_matrix, "a skew-symmetric matrix"),
+            weyl=field("weyl_modes", modes, f"a map of {MODES}"),
+            gauge=field("gauge_modes", lambda v: [modes(g) for g in v] or None,
+                        f"a list of maps of {MODES}"),
+            flow_k=field("flow_k", parse_ints, "a list of integers", ()),
         )
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+    except DomainError as exc:
         raise DomainError(f"malformed numeric family file: {exc}") from None
-    # a kind no family has reads every field, and is refused where it is built
-    reads = _ANY_NUMERIC_FIELD
-    if isinstance(fam.kind, str):
-        reads = NUMERIC_FIELDS.get(fam.kind, reads)
-    unread = sorted(data.keys() - {"kind", "dim", *reads})
+    unread = sorted(data.keys() - {"kind", "dim", *NUMERIC_FIELDS[kind]})
     if unread:
-        raise DomainError(f"a {fam.kind} family does not read {', '.join(map(repr, unread))}")
+        raise DomainError(f"a {kind} family does not read {', '.join(map(repr, unread))}")
     return fam
 
 
@@ -154,6 +156,10 @@ def _cmd_wres(args: argparse.Namespace) -> int:
 
 def _cmd_heat(args: argparse.Namespace) -> int:
     fam, cfg = _load_family(args)
+    if (fam.t_cap or 0) + cfg["orders"] // 2 * 2 > MAX_HEAT_DEPTH:
+        what = f"t_cap plus the last even order must be <= {MAX_HEAT_DEPTH}"
+        why = "the cost grows three- to sixfold per step"
+        raise DomainError(f"{what} ({why}), got t_cap {fam.t_cap} and orders {cfg['orders']}")
     _sd, sd2 = sy.dirac_symbol(fam)
     localizer = None
     if args.localizer:
@@ -254,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list named verifications").set_defaults(fn=_cmd_list)
 
     v = sub.add_parser("verify", help="run a named verification")
-    v.add_argument("name", choices=sorted(CHECKS) + sorted(ALIASES))
+    v.add_argument("name", choices=sorted(CHECKS))
     v.add_argument("--t-order", dest="t_order", type=int, default=None)
     v.add_argument("--floor", type=int, default=None)
     v.add_argument("--dim", type=int, default=None)
@@ -307,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     nf.add_argument("--grid", default=101)
     nf.add_argument("--cutoff", default=6)
     nf.add_argument("--dim", default=3)
-    nf.add_argument("--kernel-shift", dest="kernel_shift", type=str, default="1e-9")
     nf.add_argument("--json", type=str, default=None)
     nf.set_defaults(fn=_cmd_num_flow)
 

@@ -53,10 +53,6 @@ class GridTooCoarseError(DomainError):
     """Eigenvalue movement between samples is too large to count crossings."""
 
 
-class ZeroEigenvalueError(DomainError):
-    """An endpoint spectrum touches zero exactly; the flow count is ambiguous."""
-
-
 def theta_matrix(data: Sequence[Sequence[float]]) -> np.ndarray:
     th = np.asarray(data, dtype=float)
     if th.ndim != 2 or th.shape[0] != th.shape[1]:
@@ -426,42 +422,32 @@ def heat_trace_operator(
 # -- spectral flow -------------------------------------------------------------------
 
 
-def spectral_flow(
-    spectra: Sequence[np.ndarray],
-    kernel_shift: float = 0.0,
-) -> int:
-    """Net signed count of eigenvalue crossings through zero along the grid.
+# Eigenvalues with |lambda| <= KERNEL_TOL count as positive (the kernel
+# projection): the commutator-shift family has a kernel at both ends, and its
+# other endpoint eigenvalues are +-|n| >= 1, so any tolerance in (0, 1) gives
+# the same flow; this one lies far above the round-off of its spectra.
+KERNEL_TOL = 1e-9
 
-    Matching is by sorted index.  With ``kernel_shift > 0`` eigenvalues within
-    the shift of zero are counted as positive (the kernel-projection
-    convention for families that touch zero at the ends); with a zero shift an
-    exact zero anywhere raises, and a step whose operator movement could hide
-    a double crossing raises.  A negative or NaN shift is rejected.
-    """
-    if not kernel_shift >= 0.0:
-        raise DomainError(f"kernel shift must be >= 0, got {kernel_shift}")
+
+def spectral_flow(spectra: Sequence[np.ndarray]) -> int:
+    """Net signed count of eigenvalue crossings through zero along the grid,
+    matched by sorted index, eigenvalues within :data:`KERNEL_TOL` of zero
+    counting as positive.  A step whose movement could hide a double crossing
+    raises :class:`GridTooCoarseError`."""
     if len(spectra) < 2:
         raise DomainError("need at least two grid points")
     arrs = [np.asarray(s, dtype=float) for s in spectra]
     n = len(arrs[0])
     if any(len(a) != n for a in arrs):
         raise DomainError("all spectra must have the same size")
-    if kernel_shift == 0.0:
-        for i, a in enumerate(arrs):
-            if np.any(a == 0.0):
-                raise ZeroEigenvalueError(
-                    f"exact zero eigenvalue at grid point {i}; the family must be "
-                    "invertible at the ends (or pass a kernel shift)"
-                )
 
     def prepared(a: np.ndarray) -> tuple[np.ndarray, bool]:
-        """``a`` ascending, with values within the shift moved onto it."""
+        """``a`` ascending, with values within the tolerance moved onto it."""
         if not np.all(a[:-1] <= a[1:]):
             a = np.sort(a)
-        if kernel_shift > 0.0:
-            near = np.abs(a) <= kernel_shift
-            if near.any():
-                return np.where(near, kernel_shift, a), True
+        near = np.abs(a) <= KERNEL_TOL
+        if near.any():
+            return np.where(near, KERNEL_TOL, a), True
         return a, False
 
     flow = 0

@@ -148,41 +148,6 @@ def test_flow_index_cutoff_below_the_shift_is_error_report(config, message, cuto
     assert run_check("flow-index", {**config, "cutoff": cutoff}).passed
 
 
-SHIFT_BOUND = "kernel_shift must be < 1 (the smallest nonzero |n| at the endpoints), got "
-
-
-@pytest.mark.parametrize(
-    "shift, message",
-    [
-        ("inf", SHIFT_BOUND + "'inf'"),
-        (1e300, SHIFT_BOUND + "1e+300"),
-        (1, SHIFT_BOUND + "1"),
-        (float("inf"), SHIFT_BOUND + "inf"),
-        (True, "kernel_shift must be a number, got True"),
-        (float("nan"), "kernel shift must be >= 0, got nan"),
-        ("-inf", "kernel shift must be >= 0, got -inf"),
-        (-0.5, "kernel shift must be >= 0, got -0.5"),
-    ],
-)
-def test_flow_index_kernel_shift_is_a_number_in_the_unit_interval(shift, message):
-    report = run_check("flow-index", {"grid": 11, "cutoff": 2, "kernel_shift": shift})
-    assert report.status == "error"
-    assert report.witness == message
-    assert report.params["kernel_shift"] is shift
-
-
-@pytest.mark.parametrize("shift", ["inf", 1e300])
-def test_huge_kernel_shift_no_longer_passes_a_small_cutoff(shift):
-    # inf and 1e300 once turned the false fail of u outside the box into a pass
-    config = {"grid": 11, "cutoff": 2, "u": (5, 0, 0), "kernel_shift": shift}
-    assert run_check("flow-index", config).status == "error"
-
-
-def test_flow_index_kernel_shift_admits_the_unit_interval():
-    for shift in (1e-6, "0.5", 0.999):
-        assert run_check("flow-index", {"grid": 11, "cutoff": 2, "kernel_shift": shift}).passed
-
-
 @pytest.mark.parametrize("name", ["eta-coupled", "eta-conformal"])
 @pytest.mark.parametrize("floor", [-6, "-9"])
 def test_residue_floor_is_bounded_below(name, floor, monkeypatch):
@@ -195,10 +160,13 @@ def test_residue_floor_is_bounded_below(name, floor, monkeypatch):
     assert report.params["floor"] == floor
 
 
-def test_declared_optional_key_is_read():
-    report = run_check("flow-index", {"grid": 11, "cutoff": 2, "kernel_shift": 1e-6})
-    assert report.passed
-    assert CHECKS["flow-index"].reads() == {"u", "grid", "cutoff", "dim", "kernel_shift"}
+def test_kernel_shift_is_not_read():
+    # spectral flow has one kernel convention, numeric.KERNEL_TOL
+    report = run_check("flow-index", {"kernel_shift": 1e-6})
+    assert report.status == "error"
+    assert report.witness == (
+        "check 'flow-index' does not read kernel_shift; it reads: cutoff, dim, grid, u"
+    )
 
 
 def test_json_roundtrip():
@@ -322,7 +290,7 @@ def test_zeta_conformal_at_the_t_order_limit():
     "name, config, message",
     [
         ("flow-index", {"u": "1,x"}, "u must be comma-separated integers, got '1,x'"),
-        ("flow-index", {"kernel_shift": "abc"}, "kernel_shift must be a number, got 'abc'"),
+        ("flow-index", {"dim": "three"}, "dim must be an integer, got 'three'"),
         ("flow-index", {"grid": "many"}, "grid must be an integer, got 'many'"),
         ("eta-coupled", {"floor": "abc"}, "floor must be an integer, got 'abc'"),
         ("eta-conformal", {"floor": "abc"}, "floor must be an integer, got 'abc'"),
@@ -370,7 +338,7 @@ def test_integral_floats_and_integer_strings_are_integers():
 @pytest.mark.parametrize(
     "cls",
     [sy.FamilyError, sy.InsufficientFloorError, sy.EllipticityShapeError,
-     nm.GridTooCoarseError, nm.ZeroEigenvalueError],
+     nm.GridTooCoarseError],
 )
 def test_every_engine_error_is_a_domain_error(cls, monkeypatch):
     assert issubclass(cls, DomainError)

@@ -9,8 +9,8 @@ import pytest
 from ncps import heat as ht
 from ncps import numeric as nm
 from ncps import symbols as sy
-from ncps.checks import CHECKS, MAX_HEAT_ORDERS, PARSERS, run_check
-from ncps.cli import build_parser, main
+from ncps.checks import MAX_HEAT_DEPTH, MAX_HEAT_ORDERS, PARSERS, run_check
+from ncps.cli import main
 
 
 def run(capsys, *argv):
@@ -84,6 +84,8 @@ def test_verify_has_no_theta_flag(capsys):
     [
         (["num", "flow", "--theta", "theta.json"], "--theta"),
         (["anomaly", "--dim", "2"], "--dim"),
+        # spectral flow has one kernel convention, numeric.KERNEL_TOL
+        (["num", "flow", "--kernel-shift", "0.5"], "--kernel-shift 0.5"),
     ],
 )
 def test_removed_flags_exit_2(capsys, argv, flag):
@@ -171,6 +173,41 @@ def test_heat_orders_above_the_bound_exit_2_naming_the_value(tmp_path, capsys):
     assert captured.err.endswith(f", got {MAX_HEAT_ORDERS + 1}\n")
 
 
+@pytest.mark.parametrize("t_cap, orders", [(6, 4), (3, 6), (5, 5), (6, 5)])
+def test_heat_t_cap_and_orders_are_bounded_jointly(tmp_path, capsys, monkeypatch, t_cap, orders):
+    # (6, 4) took 40 s and 986 MB; refused before any symbol is built
+    monkeypatch.setattr(sy, "dirac_symbol", None)
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"kind": "conformal_dirac", "dim": 3, "t_cap": 2}))
+    code = main(["heat", "--family", str(fam), "--t-order", str(t_cap), "--orders", str(orders)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: t_cap plus the last even order must be <= {MAX_HEAT_DEPTH} (the cost grows "
+        f"three- to sixfold per step), got t_cap {t_cap} and orders {orders}\n"
+    )
+
+
+@pytest.mark.parametrize("t_cap, orders", [(2, 6), (4, 4), (6, 3), (4, 5)])
+def test_heat_joint_bound_admits(tmp_path, capsys, monkeypatch, t_cap, orders):
+    # an odd last order builds no layer, so it costs nothing past the even one
+    seen = []
+    monkeypatch.setattr(ht, "heat_coefficients", lambda sd2, n, localizer: seen.append(n) or [])
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"kind": "conformal_dirac", "dim": 3, "t_cap": t_cap}))
+    code, out = run(capsys, "heat", "--family", str(fam), "--orders", str(orders))
+    assert code == 0 and seen == [orders]
+    assert json.loads(out)["family"]["t_cap"] == t_cap
+
+
+def test_heat_at_the_joint_bound_runs(tmp_path, capsys):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"kind": "conformal_dirac", "dim": 3, "t_cap": 6}))
+    code, out = run(capsys, "heat", "--family", str(fam), "--orders", "3")
+    assert code == 0
+    assert set(json.loads(out)["coefficients"]) == {"beta_0", "beta_1", "beta_2", "beta_3"}
+
+
 def test_heat_command_negative_orders_is_clean_error(tmp_path, capsys):
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps({"kind": "free_dirac", "dim": 2}))
@@ -251,9 +288,6 @@ def test_num_flow_command(capsys):
     assert json.loads(out)["flow"] == 0
 
 
-SHIFT_BOUND = "kernel_shift must be < 1 (the smallest nonzero |n| at the endpoints), got "
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -261,18 +295,13 @@ SHIFT_BOUND = "kernel_shift must be < 1 (the smallest nonzero |n| at the endpoin
         (["--cutoff", "-1"], "cutoff must be >= 1 (mode box |k|_inf <= cutoff), got -1"),
         (["--u", "1,0"], "lattice vector u has 2 entries but dim is 3"),
         (["--grid", "1"], "grid must be >= 2 points on [0, 1], got 1"),
-        (["--kernel-shift", "-1"], "kernel shift must be >= 0, got -1.0"),
-        (["--kernel-shift", "nan"], "kernel shift must be >= 0, got nan"),
-        (["--kernel-shift", "0", "--grid", "11", "--cutoff", "2"], "exact zero eigenvalue at grid point 0"),
+        (["--dim", "2"], "lattice vector u has 3 entries but dim is 2"),
+        (["--dim", "4", "--u", "1,0,0,0"], "gamma algebra is modeled in dimensions 2 and 3"),
+        (["--u", ""], "u must be comma-separated integers, got ''"),
         (["--u", "1,-8,-7", "--grid", "5", "--cutoff", "8"], "step 1: movement 2.5 exceeds half the zero window"),
         (["--u", "1,x,0"], "u must be comma-separated integers, got '1,x,0'"),
         (["--u", "5,0,0", "--grid", "11", "--cutoff", "2"], "cutoff must be >= max|u_i| = 5, got 2"),
         (["--u", "2,1,0", "--cutoff", "1"], "cutoff must be >= max|u_i| = 2, got 1"),
-        (["--kernel-shift", "inf"], f"{SHIFT_BOUND}'inf'"),
-        (["--kernel-shift", "1e300"], f"{SHIFT_BOUND}'1e300'"),
-        (["--kernel-shift", "1"], f"{SHIFT_BOUND}'1'"),
-        (["--kernel-shift=-inf"], "kernel shift must be >= 0, got -inf"),
-        (["--kernel-shift", "x"], "kernel_shift must be a number, got 'x'"),
     ],
 )
 def test_num_flow_bad_input_exits_2_with_message(capsys, argv, message):
@@ -283,23 +312,17 @@ def test_num_flow_bad_input_exits_2_with_message(capsys, argv, message):
     assert captured.err.startswith(f"error: {message}")
     assert "broadcast" not in captured.err
     # the flow-index check runs the same computation and gives the same
-    # message as an error report; `verify` has no --kernel-shift flag, so
-    # those flags reach the check through run_check
-    if any(a.startswith("--kernel-shift") for a in argv):
-        flags = vars(build_parser().parse_args(["num", "flow", *argv]))
-        report = run_check("flow-index", {k: flags[k] for k in CHECKS["flow-index"].reads()}).to_dict()
-    else:
-        code, out = run(capsys, "verify", "flow-index", *argv)
-        assert code == 2
-        report = json.loads(out)
+    # message as an error report
+    code, out = run(capsys, "verify", "flow-index", *argv)
+    assert code == 2
+    report = json.loads(out)
     assert report["status"] == "error" and report["witness"].startswith(message)
 
 
-def test_num_flow_echoes_the_parsed_shift(capsys):
-    code, out = run(capsys, "num", "flow", "--grid", "11", "--cutoff", "2", "--kernel-shift", "0.5")
+def test_num_flow_echoes_the_parsed_values(capsys):
+    code, out = run(capsys, "num", "flow", "--grid", "11", "--cutoff", "2", "--u", "0,1,0")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["kernel_shift"] == 0.5 and payload["flow"] == 0
+    assert json.loads(out) == {"cutoff": 2, "dim": 3, "flow": 0, "grid": 11, "u": [0, 1, 0]}
 
 
 def test_num_heat_command(capsys):
@@ -314,13 +337,30 @@ def test_missing_family_file(capsys):
     assert code == 2
 
 
+BAD_WEYL = (
+    "malformed numeric family file: weyl_modes must be a map of comma-separated integer keys "
+    "to [re, im] pairs, got "
+)
+NEEDS_KIND_AND_DIM = "malformed numeric family file: family file needs 'kind' and integer 'dim'"
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
-        ({"kind": "free_dirac"}, "malformed numeric family file: 'dim'"),
-        ({"kind": "free_dirac", "dim": "x"}, "malformed numeric family file: invalid literal"),
+        ({"kind": "free_dirac"}, NEEDS_KIND_AND_DIM),
+        ({"kind": "free_dirac", "dim": "x"}, "malformed numeric family file: dim must be an integer, got 'x'"),
         ({"kind": "free_dirac", "dim": 2, "theta": [[0, 1], [1, 0]]},
          "malformed numeric family file: deformation matrix must be skew-symmetric"),
+        # each field is named, never in Python's own wording
+        ([{"kind": "free_dirac", "dim": 2}], NEEDS_KIND_AND_DIM),
+        ({"kind": "mystery", "dim": 2}, "malformed numeric family file: unknown family kind 'mystery'"),
+        ({"kind": "coupled_dirac", "dim": 2, "theta": "x"},
+         "malformed numeric family file: theta must be a skew-symmetric matrix, got 'x'"),
+        ({"kind": "conformal_dirac", "dim": 3, "weyl_modes": {"1,0,0": ["0.1", 0]}},
+         BAD_WEYL + "{'1,0,0': ['0.1', 0]}"),
+        ({"kind": "coupled_dirac", "dim": 2, "gauge_modes": [{"1,0": [0.1, 0]}, 5]},
+         "malformed numeric family file: gauge_modes must be a list of maps of comma-separated "
+         "integer keys to [re, im] pairs, got [{'1,0': [0.1, 0]}, 5]"),
     ],
 )
 def test_num_spectrum_malformed_family_file_exits_2(tmp_path, capsys, data, message):
@@ -448,14 +488,12 @@ T_CAP_BOUND = "t_cap must be <= 6 (the cost grows about fivefold per grade), got
         ("wres", {"kind": "coupled_dirac", "dim": 3, "gauge": ["A1", 2, "A3"]},
          "gauge must be a list of generator names, got ['A1', 2, 'A3']"),
         ("num spectrum", {"kind": "free_dirac", "dim": 3.9},
-         "malformed numeric family file: not an integer: 3.9"),
+         "malformed numeric family file: dim must be an integer, got 3.9"),
         ("num spectrum", {"kind": "conformal_dirac", "dim": 3, "weyl_modes": {"1.5,0,0": [0.1, 0.0]}},
-         "malformed numeric family file: mode key must be comma-separated integers, got '1.5,0,0'"),
-        # the rest of such a message is Python's own wording
+         f"{BAD_WEYL}{{'1.5,0,0': [0.1, 0.0]}}"),
         ("num spectrum", {"kind": "conformal_dirac", "dim": 3, "weyl_modes": {"1,0,0": [0.1]}},
-         "malformed numeric family file: "),
-        ("num spectrum", {"kind": "conformal_dirac", "dim": 3, "weyl_modes": 5},
-         "malformed numeric family file: "),
+         f"{BAD_WEYL}{{'1,0,0': [0.1]}}"),
+        ("num spectrum", {"kind": "conformal_dirac", "dim": 3, "weyl_modes": 5}, f"{BAD_WEYL}5"),
         ("wres", {"kind": "coupled_dirac", "dim": 3, "t_cap": 1, "flow_k": [1, 2, 3]},
          "a coupled_dirac family does not read 't_cap', 'flow_k'"),
         ("wres", {"kind": "unitary_flow", "dim": 3, "flow_k": [1, 0, 0], "flowt": "1/2"},
@@ -490,7 +528,7 @@ CONFORMAL_NUMERIC = {"kind": "conformal_dirac", "dim": 3, "weyl_modes": {"1,0,0"
         (["num", "heat", "--dim", "5"], None, "gamma algebra is modeled in dimensions 2 and 3"),
         (["num", "heat", "--t", "inf"], None, "heat parameter must be positive and finite"),
         (["num", "spectrum"], {"kind": "free_dirac", "dim": 3, "Theta": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]},
-         "malformed numeric family file: fields it does not read: 'Theta'"),
+         "a free_dirac family does not read 'Theta'"),
         # the cutoff is checked before the support of the Weyl element
         (["num", "spectrum", "--cutoff", "-1"], CONFORMAL_NUMERIC,
          "cutoff must be >= 0 (mode box |k|_inf <= cutoff), got -1"),

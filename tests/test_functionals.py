@@ -290,6 +290,47 @@ def test_cs_density_is_gauge_invariant_in_tau(phase, invariant):
     assert tau_class(density).is_zero() is invariant
 
 
+def _letters(base):
+    return [AlgebraElement.generator(gen(f"{base}{m}", DIM)) for m in (1, 2, 3)]
+
+
+def _cs_variation(omega, B, X):
+    """D_B omega_A(X): the t^1 part of ``omega`` after A_mu -> A_mu + t B_mu
+    and dA_mu -> X_mu; a derived letter d(nu)(A_mu) becomes delta_nu of the
+    shifted A_mu."""
+    t = AlgebraElement.scalar(ExactScalar.t_power(1, t_cap=1))
+    for m, (A, b) in enumerate(zip(_letters("A"), B), start=1):
+        omega = omega.substitute(f"A{m}", A + t * b)
+    for m, x in enumerate(X, start=1):
+        omega = omega.substitute(f"dA{m}", x)
+    return omega.t_grade(1)
+
+
+def _cs_closed(omega) -> bool:
+    """Whether the one-form omega_A(X) is closed in tau:
+    D_B omega_A(X) = D_X omega_A(B)."""
+    B, X = _letters("B"), _letters("X")
+    return tau_class(_cs_variation(omega, B, X) - _cs_variation(omega, X, B)).is_zero()
+
+
+def test_cs_density_is_closed_in_tau():
+    # the induced CS density is the variation of a functional, so as a
+    # one-form on gauge fields it is closed.  Closedness does not fix the
+    # ratio of the A dA part to the A A dA part, since each part is closed on
+    # its own; the gauge-invariance test above fixes it.
+    omega = fn.induced_cs_density(OperatorFamily.coupled(3)).representative
+    assert not tau_class(_cs_variation(omega, _letters("B"), _letters("X"))).is_zero()
+    assert _cs_closed(omega)
+    terms = list(omega.terms())
+    assert len(terms) == 12
+    for length in (2, 3):
+        assert _cs_closed(AlgebraElement({w: s for w, s in terms if len(w) == length}))
+    # every single-term sign flip breaks it
+    for i in range(len(terms)):
+        flipped = AlgebraElement({w: -s if j == i else s for j, (w, s) in enumerate(terms)})
+        assert not _cs_closed(flipped), terms[i][0]
+
+
 def test_cs_density_rejects_other_families():
     with pytest.raises(DomainError):
         fn.induced_cs_density(OperatorFamily.free(3))

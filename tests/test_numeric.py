@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncps import numeric as nm
 from ncps.algebra import AlgebraElement, gen, tau_class
@@ -502,7 +504,7 @@ def test_gauge_conjugation_deviation():
 
 def test_spectral_flow_unitary_family():
     spectra = nm.unitary_flow_spectra((1, 0, 0), np.linspace(0, 1, 101), 6, 3)
-    assert nm.spectral_flow(spectra, kernel_shift=1e-9) == 0
+    assert nm.spectral_flow(spectra) == 0
 
 
 def test_spectral_flow_artificial_crossing():
@@ -510,12 +512,6 @@ def test_spectral_flow_artificial_crossing():
     assert nm.spectral_flow(base) == 1
     down = [np.array([0.487 - t, -2.0, 2.0]) for t in np.linspace(0, 1, 21)]
     assert nm.spectral_flow(down) == -1
-
-
-def test_spectral_flow_strict_zero_rejection():
-    spectra = nm.unitary_flow_spectra((1, 0, 0), np.linspace(0, 1, 11), 2, 3)
-    with pytest.raises(nm.ZeroEigenvalueError):
-        nm.spectral_flow(spectra)
 
 
 def test_spectral_flow_coarse_grid_rejection():
@@ -556,10 +552,10 @@ def test_unitary_flow_spectra_are_the_closed_form_block_spectra(dim, k, monkeypa
         assert np.all(np.diff(vals) >= 0.0)
         assert np.max(np.abs(vals - ref)) < 1e-12
         assert np.max(np.abs(vals - ref2)) < 1e-12
-    # at t = 1 the mode n = -k is an exact zero mode, which strict counting must see
+    # at t = 1 the mode n = -k is an exact zero mode, counted as positive:
+    # from t = 0.37, where one of its eigenvalues is negative, the flow is 1
     assert np.count_nonzero(got[-1] == 0.0) == 2
-    with pytest.raises(nm.ZeroEigenvalueError, match="grid point 1"):
-        nm.spectral_flow(got[1:])
+    assert nm.spectral_flow(got[1:]) == 1 and nm.spectral_flow(got) == 0
 
 
 @pytest.mark.parametrize(
@@ -589,15 +585,6 @@ def test_flow_grid_needs_two_points(n):
     assert str(err.value) == f"grid must be >= 2 points on [0, 1], got {n}"
 
 
-@pytest.mark.parametrize("shift", [-1e-9, -1.0, float("nan")])
-def test_spectral_flow_rejects_negative_or_nan_kernel_shift(shift):
-    spectra = [np.array([-1.0, 1.0]), np.array([-1.0, 1.0])]
-    with pytest.raises(DomainError) as err:
-        nm.spectral_flow(spectra, kernel_shift=shift)
-    assert str(err.value) == f"kernel shift must be >= 0, got {shift}"
-    assert nm.spectral_flow(spectra, kernel_shift=0.0) == 0
-
-
 def test_spectral_flow_conformal_family():
     h = nm.ConcreteElement.cosine(3, (1, 0, 0), amplitude=0.3)
     fam = nm.NumericFamily("conformal_dirac", 3, theta=THETA3, weyl=h)
@@ -605,7 +592,7 @@ def test_spectral_flow_conformal_family():
         nm.hermitian_eigenvalues(nm.build_operator(fam, L=2, t=t))
         for t in np.linspace(0, 1, 41)
     ]
-    assert nm.spectral_flow(spectra, kernel_shift=1e-9) == 0
+    assert nm.spectral_flow(spectra) == 0
 
 
 def test_evaluate_tau_products():
@@ -709,28 +696,17 @@ def test_mode_box_covers_every_dimension(dim):
     assert box == sorted(box) and all(len(k) == dim for k in box)
 
 
-def _reference_spectral_flow(spectra, kernel_shift=0.0):
+def _reference_spectral_flow(spectra):
     """The sort-everything formulation: every spectrum sorted again and a
-    mask built at every grid point, in either mode."""
-    if not kernel_shift >= 0.0:
-        raise DomainError(f"kernel shift must be >= 0, got {kernel_shift}")
+    mask built at every grid point."""
     if len(spectra) < 2:
         raise DomainError("need at least two grid points")
     arrs = [np.sort(np.asarray(s, dtype=float)) for s in spectra]
     n = len(arrs[0])
     if any(len(a) != n for a in arrs):
         raise DomainError("all spectra must have the same size")
-    if kernel_shift > 0.0:
-        shifted = [np.abs(a) <= kernel_shift for a in arrs]
-        arrs = [np.where(s, kernel_shift, a) for a, s in zip(arrs, shifted)]
-    else:
-        shifted = [np.zeros(n, dtype=bool) for _ in arrs]
-        for i, a in enumerate(arrs):
-            if np.any(a == 0.0):
-                raise nm.ZeroEigenvalueError(
-                    f"exact zero eigenvalue at grid point {i}; the family must be "
-                    "invertible at the ends (or pass a kernel shift)"
-                )
+    shifted = [np.abs(a) <= nm.KERNEL_TOL for a in arrs]
+    arrs = [np.where(s, nm.KERNEL_TOL, a) for a, s in zip(arrs, shifted)]
     flow = 0
     for j in range(len(arrs) - 1):
         a, b = arrs[j], arrs[j + 1]
@@ -749,10 +725,10 @@ def _reference_spectral_flow(spectra, kernel_shift=0.0):
     return flow
 
 
-def _outcome(fn, *args, **kwargs):
+def _outcome(fn, *args):
     try:
-        return fn(*args, **kwargs)
-    except (DomainError, nm.ZeroEigenvalueError, nm.GridTooCoarseError) as exc:
+        return fn(*args)
+    except DomainError as exc:
         return type(exc), str(exc)
 
 
@@ -771,17 +747,43 @@ def test_spectral_flow_matches_the_sort_everything_reference():
         cases.append(list(walk))
     for spectra in cases:
         shuffled = [rng.permutation(s) for s in spectra]
-        for shift in (0.0, 1e-9, 1e-6, 0.2):
-            expect = _outcome(_reference_spectral_flow, spectra, shift)
-            assert _outcome(nm.spectral_flow, spectra, shift) == expect
-            assert _outcome(nm.spectral_flow, shuffled, shift) == expect
+        expect = _outcome(_reference_spectral_flow, spectra)
+        assert _outcome(nm.spectral_flow, spectra) == expect
+        assert _outcome(nm.spectral_flow, shuffled) == expect
+
+
+_EIGENVALUE = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 1e-9, -1e-9, 2e-9, -2e-9]),
+)
+_SPECTRA = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_EIGENVALUE, min_size=n, max_size=n), min_size=2, max_size=6)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPECTRA, st.randoms(use_true_random=False))
+def test_spectral_flow_is_the_endpoint_difference_of_negative_counts(spectra, rnd):
+    # the walk telescopes: with |lambda| <= KERNEL_TOL counted as positive,
+    # every sorted index contributes its sign change between the two ends
+    def negatives(vals):
+        return sum(v < -nm.KERNEL_TOL for v in vals)
+
+    expect = negatives(spectra[0]) - negatives(spectra[-1])
+    shuffled = [rnd.sample(vals, len(vals)) for vals in spectra]
+    for given_spectra in (sorted(vals) for vals in spectra), shuffled:
+        try:
+            flow = nm.spectral_flow([np.array(v) for v in given_spectra])
+        except nm.GridTooCoarseError:
+            continue
+        assert flow == expect
 
 
 def test_spectral_flow_sorts_only_unsorted_spectra_and_spans_no_grid(monkeypatch):
     import tracemalloc
 
     spectra = nm.unitary_flow_spectra((1, 0, 0), nm.flow_grid(101), 6, 3)
-    expect = nm.spectral_flow(spectra, kernel_shift=1e-9)
+    expect = nm.spectral_flow(spectra)
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("spectral_flow did work its input does not need")
@@ -789,13 +791,13 @@ def test_spectral_flow_sorts_only_unsorted_spectra_and_spans_no_grid(monkeypatch
     monkeypatch.setattr(np, "sort", forbidden)
     tracemalloc.start()
     try:
-        assert nm.spectral_flow(spectra, kernel_shift=1e-9) == expect
+        assert nm.spectral_flow(spectra) == expect
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # a few arrays the size of one spectrum, none the size of the grid
     assert peak < 10 * spectra[0].nbytes < len(spectra) * spectra[0].nbytes
-    # strict mode builds no mask at all
+    # a spectrum with no eigenvalue within KERNEL_TOL of zero is not copied
     monkeypatch.setattr(np, "where", forbidden)
     monkeypatch.setattr(np, "zeros", forbidden)
     assert nm.spectral_flow([np.array([-1.0, 1.0]), np.array([-1.0, 2.0])]) == 0
