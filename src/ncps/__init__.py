@@ -25,6 +25,8 @@ from .symbols import (
     dirac_symbol,
     inverse_abs_symbol,
     invert_symbol,
+    mellin_inverse_power,
+    resolvent_symbols,
     sign_symbol,
     sqrt_symbol,
     star_product,
@@ -44,9 +46,7 @@ from .heat import (
     gaussian_moment,
     heat_coefficients,
     lambda_contour_integral,
-    mellin_inverse_power,
     res_heat_crosscheck,
-    resolvent_symbols,
 )
 from .numeric import (
     ConcreteElement,

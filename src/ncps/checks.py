@@ -3,9 +3,9 @@
 Each check runs one spectral statement end to end and reports a structured
 result: pass/fail status, the strongest level at which a vanishing holds
 (density, after matrix trace, or in the trace class), a witness expression on
-failure, and a full echo of the parameters and conventions that pin the run.
-Identical configurations produce byte-identical reports apart from the
-timing field.
+failure, and a full echo of the parameters, as parsed, and the conventions
+that pin the run.  Identical configurations, however spelled, produce
+byte-identical reports apart from the timing field.
 """
 
 from __future__ import annotations
@@ -85,7 +85,8 @@ class Key(NamedTuple):
 
 
 _INT = (parse_int, "an integer")
-# every value run_check, `wres`, `heat` and `num flow` are given is read here
+# every value a check config, a subcommand flag or a family file gives is read
+# here; numeric refuses a t it cannot use and the sizes past its bounds
 PARSERS = {
     "floor": Key(*_INT, lo=MIN_FLOOR, why="the word-terms grow about sevenfold per degree"),
     "t_order": Key(*_INT, hi=MAX_T_ORDER, why="the cost grows about fivefold per grade"),
@@ -95,16 +96,22 @@ PARSERS = {
     "anomaly_t_order": Key(*_INT, hi=11, why="the memory grows about 1.5-fold per grade"),
     "grid": Key(*_INT), "cutoff": Key(*_INT), "dim": Key(*_INT),
     "u": Key(parse_ints, "comma-separated integers"),
+    "t": Key(float, "a number"),
 }
 PARSERS["t_cap"] = PARSERS["t_order"]  # the deformation cap of a family file
 
 
+def _values(cfg: dict) -> dict:
+    """``cfg`` with every value parsed.  An unparsable value is a
+    :class:`DomainError` that names the key and the value given."""
+    return {key: parse_value(key, value, *PARSERS[key][:2]) for key, value in cfg.items()}
+
+
 def _parsed(cfg: dict) -> dict:
     """``cfg`` with every value parsed, then bounded, before any symbol is
-    built.  An unparsable value is a :class:`DomainError` that names the key
-    and the value given; one out of its range names the range, the reason
-    and the parsed value."""
-    out = {key: parse_value(key, value, *PARSERS[key][:2]) for key, value in cfg.items()}
+    built.  A value out of its range is a :class:`DomainError` that names the
+    range, the reason and the parsed value."""
+    out = _values(cfg)
     for key, value in out.items():
         lo, hi, why = PARSERS[key][2:]
         if lo is not None and value < lo:
@@ -353,6 +360,7 @@ def run_check(name: str, config: Optional[dict] = None) -> CheckReport:
         )
     t0 = time.perf_counter()
     try:
+        params.update(_values(cfg))  # the values that ran; as given if one does not parse
         status, level, witness, details = spec.runner(_parsed(cfg))
     except DomainError as exc:
         status, level, witness, details = "error", "n-a", str(exc), {}

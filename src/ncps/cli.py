@@ -115,21 +115,17 @@ def _load_numeric_family(path: str) -> nm.NumericFamily:
     return fam
 
 
-def _cmd_list(_args: argparse.Namespace) -> int:
+def _cmd_list(_args: argparse.Namespace) -> None:
     for name in sorted(CHECKS):
         print(f"{name:15s} {CHECKS[name].description}")
-    return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     report = run_check(args.name, _given(args))
-    _emit(report.to_dict(), args.json)
-    if report.status == "error":
-        return 2
-    return 0 if report.passed else 1
+    return report.to_dict(), {"pass": 0, "fail": 1}.get(report.status, 2)
 
 
-def _cmd_wres(args: argparse.Namespace) -> int:
+def _cmd_wres(args: argparse.Namespace) -> dict:
     fam, cfg = _load_family(args)
     floor = cfg.get("floor", -fam.dim)
     if args.compose == "none":
@@ -140,7 +136,7 @@ def _cmd_wres(args: argparse.Namespace) -> int:
         make = sy.sign_symbol if args.compose == "sign" else sy.inverse_abs_symbol
         symbol = make(fam, floor=_residue_floor(floor, fam.dim))
     density = fn.wres(symbol, fam.dim)
-    payload = {
+    return {
         "family": fam.to_dict(),
         "compose": args.compose,
         "floor": floor,
@@ -150,11 +146,9 @@ def _cmd_wres(args: argparse.Namespace) -> int:
         "tau_class": density.tau_value.render(),
         "conventions": CONVENTIONS,
     }
-    _emit(payload, args.json)
-    return 0
 
 
-def _cmd_heat(args: argparse.Namespace) -> int:
+def _cmd_heat(args: argparse.Namespace) -> dict:
     fam, cfg = _load_family(args)
     if (fam.t_cap or 0) + cfg["orders"] // 2 * 2 > MAX_HEAT_DEPTH:
         what = f"t_cap plus the last even order must be <= {MAX_HEAT_DEPTH}"
@@ -165,7 +159,7 @@ def _cmd_heat(args: argparse.Namespace) -> int:
     if args.localizer:
         localizer = AlgebraElement.generator(gen(args.localizer, fam.dim))
     coeffs = ht.heat_coefficients(sd2, cfg["orders"], localizer=localizer)
-    payload = {
+    return {
         "family": fam.to_dict(),
         "orders": cfg["orders"],
         "localizer": args.localizer,
@@ -178,75 +172,62 @@ def _cmd_heat(args: argparse.Namespace) -> int:
         },
         "conventions": CONVENTIONS,
     }
-    _emit(payload, args.json)
-    return 0
 
 
-def _cmd_anomaly(args: argparse.Namespace) -> int:
+def _cmd_anomaly(args: argparse.Namespace) -> dict:
     t_order = _parsed(_given(args))["anomaly_t_order"]
     grades = ht.anomaly_density(sy.OperatorFamily.conformal(2, t_cap=t_order))
-    payload = {
+    return {
         "dim": 2,
         "t_order": t_order,
         "density_per_grade": {f"t^{j}": v.render() for j, v in grades.items()},
         "conventions": CONVENTIONS,
     }
-    _emit(payload, args.json)
-    return 0
 
 
-def _cmd_cs_density(args: argparse.Namespace) -> int:
+def _cmd_cs_density(_args: argparse.Namespace) -> dict:
     fam = sy.OperatorFamily.coupled(3)
     density = fn.induced_cs_density(fam)
-    payload = {
+    return {
         "family": fam.to_dict(),
         "variation_generators": ["dA1", "dA2", "dA3"],
         "tau_class": density.render(),
         "conventions": CONVENTIONS,
     }
-    _emit(payload, args.json)
-    return 0
 
 
-def _cmd_num_spectrum(args: argparse.Namespace) -> int:
+def _cmd_num_spectrum(args: argparse.Namespace) -> dict:
+    cfg = _parsed(_given(args))  # cutoff and t
     fam = _load_numeric_family(args.family)
-    top = nm.build_operator(fam, args.cutoff, t=args.t)
+    top = nm.build_operator(fam, cfg["cutoff"], t=cfg["t"])
     vals = nm.hermitian_eigenvalues(top)
     if args.csv:
         Path(args.csv).write_text(
             "\n".join(f"{v:.15g}" for v in vals) + "\n", encoding="utf-8"
         )
-    payload = {
+    return {
         "kind": fam.kind,
-        "cutoff": args.cutoff,
-        "t": args.t,
+        **cfg,
         "size": int(top.size),
         "hermiticity_defect": top.hermiticity_defect,
         "eigenvalues": [float(v) for v in vals],
     }
-    _emit(payload, args.json)
-    return 0
 
 
-def _cmd_num_flow(args: argparse.Namespace) -> int:
+def _cmd_num_flow(args: argparse.Namespace) -> dict:
     cfg = _parsed(_given(args))
     flow, _modes = _net_flow(**cfg)  # what the flow-index check computes
-    _emit({**cfg, "u": list(cfg["u"]), "flow": flow}, args.json)
-    return 0
+    return {**cfg, "flow": flow}
 
 
-def _cmd_num_heat(args: argparse.Namespace) -> int:
-    value = nm.heat_trace_lattice(args.t, args.cutoff, args.dim)
-    scaled = args.t ** (args.dim / 2.0) * value
-    payload = {
-        "t": args.t,
-        "cutoff": args.cutoff,
-        "dim": args.dim,
+def _cmd_num_heat(args: argparse.Namespace) -> dict:
+    cfg = _parsed(_given(args))  # t, cutoff and dim
+    value = nm.heat_trace_lattice(cfg["t"], cfg["cutoff"], cfg["dim"])
+    return {
+        **cfg,
         "trace": value,
-        "scaled_trace": scaled,
+        "scaled_trace": cfg["t"] ** (cfg["dim"] / 2.0) * value,
     }
-    _emit(payload, args.json)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,81 +237,77 @@ def build_parser() -> argparse.ArgumentParser:
         "families on noncommutative tori",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    # flags shared by subcommands; every value a PARSERS key names is given
+    # as typed and parsed by checks.PARSERS, never by argparse
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--json", help="also write the JSON output to this file")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True)
+    family.add_argument("--t-order", dest="t_order",
+                        help="override the deformation cap of a conformal family")
 
     sub.add_parser("list", help="list named verifications").set_defaults(fn=_cmd_list)
 
-    v = sub.add_parser("verify", help="run a named verification")
+    v = sub.add_parser("verify", parents=[out], help="run a named verification")
     v.add_argument("name", choices=sorted(CHECKS))
-    v.add_argument("--t-order", dest="t_order", type=int, default=None)
-    v.add_argument("--floor", type=int, default=None)
-    v.add_argument("--dim", type=int, default=None)
-    v.add_argument("--cutoff", type=int, default=None)
-    v.add_argument("--grid", type=int, default=None)
-    v.add_argument("--u", type=str, default=None)
-    v.add_argument("--json", type=str, default=None)
+    for flag in ("--t-order", "--floor", "--dim", "--cutoff", "--grid", "--u"):
+        v.add_argument(flag)
     v.set_defaults(fn=_cmd_verify)
 
-    w = sub.add_parser("wres", help="residue density of a family symbol")
-    w.add_argument("--family", required=True)
+    w = sub.add_parser("wres", parents=[out, family], help="residue density of a family symbol")
     w.add_argument("--compose", choices=["sign", "abs-inverse", "none"], default="sign")
-    w.add_argument("--t-order", dest="t_order", default=None,
-                   help="override the deformation cap of a conformal family")
-    w.add_argument("--floor", default=None)
-    w.add_argument("--json", type=str, default=None)
+    w.add_argument("--floor")
     w.set_defaults(fn=_cmd_wres)
 
-    h = sub.add_parser("heat", help="heat coefficients of a family")
-    h.add_argument("--family", required=True)
-    h.add_argument("--t-order", dest="t_order", default=None,
-                   help="override the deformation cap of a conformal family")
+    h = sub.add_parser("heat", parents=[out, family], help="heat coefficients of a family")
     h.add_argument("--orders", default=4)
-    h.add_argument("--localizer", type=str, default=None)
-    h.add_argument("--json", type=str, default=None)
+    h.add_argument("--localizer")
     h.set_defaults(fn=_cmd_heat)
 
-    a = sub.add_parser("anomaly", help="conformal anomaly density, dimension 2")
+    a = sub.add_parser("anomaly", parents=[out], help="conformal anomaly density, dimension 2")
     a.add_argument("--t-order", dest="anomaly_t_order", metavar="T_ORDER", default=1)
-    a.add_argument("--json", type=str, default=None)
     a.set_defaults(fn=_cmd_anomaly)
 
-    c = sub.add_parser("cs-density", help="gauge variation density of the coupled eta value")
-    c.add_argument("--json", type=str, default=None)
+    c = sub.add_parser("cs-density", parents=[out],
+                       help="gauge variation density of the coupled eta value")
     c.set_defaults(fn=_cmd_cs_density)
 
     n = sub.add_parser("num", help="numerical harness")
     nsub = n.add_subparsers(dest="num_command", required=True)
 
-    ns = nsub.add_parser("spectrum", help="eigenvalues of a truncated family member")
+    ns = nsub.add_parser("spectrum", parents=[out], help="eigenvalues of a truncated family member")
     ns.add_argument("--family", required=True)
-    ns.add_argument("--cutoff", type=int, default=4)
-    ns.add_argument("--t", type=float, default=0.0)
-    ns.add_argument("--csv", type=str, default=None)
-    ns.add_argument("--json", type=str, default=None)
+    ns.add_argument("--cutoff", default=4)
+    ns.add_argument("--t", default=0.0)
+    ns.add_argument("--csv")
     ns.set_defaults(fn=_cmd_num_spectrum)
 
-    nf = nsub.add_parser("flow", help="spectral flow of the commutator-shift family")
-    nf.add_argument("--u", type=str, default="1,0,0")
+    nf = nsub.add_parser("flow", parents=[out], help="spectral flow of the commutator-shift family")
+    nf.add_argument("--u", default="1,0,0")
     nf.add_argument("--grid", default=101)
     nf.add_argument("--cutoff", default=6)
     nf.add_argument("--dim", default=3)
-    nf.add_argument("--json", type=str, default=None)
     nf.set_defaults(fn=_cmd_num_flow)
 
-    nh = nsub.add_parser("heat", help="lattice heat trace of the flat family")
-    nh.add_argument("--t", type=float, default=0.05)
-    nh.add_argument("--cutoff", type=int, default=40)
-    nh.add_argument("--dim", type=int, default=3)
-    nh.add_argument("--json", type=str, default=None)
+    nh = nsub.add_parser("heat", parents=[out], help="lattice heat trace of the flat family")
+    nh.add_argument("--t", default=0.05)
+    nh.add_argument("--cutoff", default=40)
+    nh.add_argument("--dim", default=3)
     nh.set_defaults(fn=_cmd_num_heat)
 
     return p
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run a subcommand: a JSON command returns its payload, written here,
+    and ``verify`` its exit code with it; ``list`` prints a table."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        result = args.fn(args)
+        payload, code = result if isinstance(result, tuple) else (result, 0)
+        if payload is not None:
+            _emit(payload, args.json)
+        return code
     except (DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,8 @@
 
 The resolvent layers ``r_k`` of ``sigma(D^2) - lambda``, their leading layer
 and the Mellin route to ``|D|^{-1}`` live in :mod:`ncps.symbols`, which the
-sign and inverse-absolute-value symbols need; they are re-exported here.  A
-layer term is ``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}`` times a matrix, keyed
+sign and inverse-absolute-value symbols need.  A layer term is
+``xi^beta (xi^2)^s (xi^2 - lambda)^{-m}`` times a matrix, keyed
 ``(beta, s, m)``, with joint degree ``-2 - k``.  This module closes the
 layers into heat coefficients.  All analytic steps are exact:
 
@@ -34,7 +34,7 @@ from typing import Optional
 from .algebra import AlgebraElement, TauClass, gen, tau_class
 from .functionals import sphere_integral, sphere_integral_component
 from .scalars import DomainError, ExactScalar, gamma_half_pair
-from .symbols import (  # the resolvent layers and the Mellin route are re-exported here
+from .symbols import (
     Mat2,
     OperatorFamily,
     ResolventComponent,
@@ -44,8 +44,8 @@ from .symbols import (  # the resolvent layers and the Mellin route are re-expor
     _resolvent_leading,
     dirac_symbol,
     invert_symbol,
+    # re-exported: the benchmark times and calls it as heat.mellin_inverse_power
     mellin_inverse_power,
-    resolvent_symbols,
 )
 
 

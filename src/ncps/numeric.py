@@ -53,6 +53,24 @@ class GridTooCoarseError(DomainError):
     """Eigenvalue movement between samples is too large to count crossings."""
 
 
+# Sizes refused before anything is allocated, each with the cost that sets it
+# (fresh interpreter, one BLAS thread, 2-core VM).  Assembly and eigensolve of a
+# 2(2L+1)^dim member: 1,458 (3-d, L = 4) took 1.0 s and 105 MB, 2,662 (L = 5)
+# 5.8 s and 276 MB, 2,738 (2-d, L = 18) 5.5 s and 290 MB
+MAX_OPERATOR_SIZE = 3000
+# grid points x eigenvalues of a flow, linear in both: 10 million (3-d, cutoff
+# 6, 2,275 points) took 0.36 s and 117 MB; a flow grid holds its points too
+MAX_FLOW_VALUES = 10_000_000
+# the flat lattice heat trace holds a few floats per point of [-L, L]: 0.02 s
+# and 75 MB at the bound
+MAX_HEAT_CUTOFF = 1_000_000
+
+
+def _check_size(what: str, size: int, bound: int, why: str) -> None:
+    if size > bound:
+        raise DomainError(f"{what} must be <= {bound} ({why}), got {size}")
+
+
 def theta_matrix(data: Sequence[Sequence[float]]) -> np.ndarray:
     th = np.asarray(data, dtype=float)
     if th.ndim != 2 or th.shape[0] != th.shape[1]:
@@ -305,6 +323,8 @@ def build_operator(f: NumericFamily, L: int, t: float = 0.0) -> TruncatedOperato
         raise DomainError(f"family parameter t must be finite, got {t}")
     if L < 0:
         raise DomainError(f"cutoff must be >= 0 (mode box |k|_inf <= cutoff), got {L}")
+    _check_size("the matrix size 2(2 cutoff + 1)^dim", 2 * (2 * L + 1) ** f.dim,
+                MAX_OPERATOR_SIZE, "a dense eigensolve grows with its cube: 5.8 s at 2662")
     if f.support_radius() > L:
         raise DomainError("mode support exceeds the truncation box")
     with np.errstate(over="ignore", invalid="ignore"):  # overflows are refused
@@ -365,6 +385,7 @@ def heat_trace_lattice(t: float, L: int, dim: int, weight: complex = 1.0) -> flo
     clifford.check_dim(dim)
     if L < 0:
         raise DomainError(f"cutoff must be >= 0 (mode box |k|_inf <= cutoff), got {L}")
+    _check_size("cutoff", L, MAX_HEAT_CUTOFF, "a few floats per point of [-cutoff, cutoff]")
     js = np.arange(-L, L + 1)
     theta1 = np.exp(-t * js**2).sum()
     return float(2.0 * (weight.real if isinstance(weight, complex) else weight) * theta1**dim)
@@ -484,6 +505,7 @@ def flow_grid(n: int) -> np.ndarray:
     """``n >= 2`` equally spaced parameters on the unit interval."""
     if n < 2:
         raise DomainError(f"grid must be >= 2 points on [0, 1], got {n}")
+    _check_size("grid", n, MAX_FLOW_VALUES, "a flow holds grid points x eigenvalues floats")
     return np.linspace(0.0, 1.0, n)
 
 
@@ -511,6 +533,8 @@ def unitary_flow_spectra(
     # has no partner and the flow reads nonzero
     if max(map(abs, k), default=0) > L:
         raise DomainError(f"cutoff must be >= max|u_i| = {max(map(abs, k))}, got {L}")
+    _check_size("grid points x eigenvalues", len(grid) * 2 * (2 * L + 1) ** dim, MAX_FLOW_VALUES,
+                "the cost is linear in it: 0.36 s and 117 MB at the bound")
     box = np.asarray(mode_box(L, dim), dtype=float)
     kvec = np.asarray(k, dtype=float)
     gammas = np.stack([gamma_num(dim, mu) for mu in range(1, dim + 1)])
@@ -582,12 +606,11 @@ def evaluate_tau(
             base = assign.get(g.base)
             if base is None:
                 raise DomainError(f"no concrete data bound to generator {g.base!r}")
-            x = base
+            # the letter d^alpha(g*) is delta^alpha of g*, as the algebra reads it
+            x = base.star() if g.star else base
             for mu, order in enumerate(g.deriv, start=1):
                 for _ in range(order):
                     x = x.delta(mu)
-            if g.star:
-                x = x.star()
             val = x if val is None else val.twisted_mul(x, theta)
         wtau = 1.0 + 0j if val is None else val.tau()
         total += coeff.to_complex(t) * wtau

@@ -358,7 +358,7 @@ def test_linear_sums_do_not_accumulate_by_copy(monkeypatch):
 
     _sd, sd2 = sy.dirac_symbol(sy.OperatorFamily.conformal(3, t_cap=1))
     comp = sy.invert_symbol(sy.sqrt_symbol(sd2, -2), -3).component(-3)
-    layer = ht.lambda_contour_integral(ht.resolvent_symbols(sd2, 2)[2])
+    layer = ht.lambda_contour_integral(sy.resolvent_symbols(sd2, 2)[2])
     # both words rotate to one necklace, where their coefficients add
     x = (elem(H) * elem(D1H)).scale(ExactScalar.rational(2, 1)) + elem(D1H) * elem(H)
     expect = (

@@ -157,7 +157,7 @@ def test_residue_floor_is_bounded_below(name, floor, monkeypatch):
     assert report.witness == (
         f"floor must be >= -5 (the word-terms grow about sevenfold per degree), got {int(floor)}"
     )
-    assert report.params["floor"] == floor
+    assert report.params["floor"] == int(floor)  # it parsed, so the echo is parsed
 
 
 def test_kernel_shift_is_not_read():
@@ -322,17 +322,33 @@ def test_unparsable_config_is_error_report(name, config, message, monkeypatch):
     json.loads(report.to_json())
 
 
-def test_parsed_values_reach_the_runner_and_the_echo_keeps_the_given_value():
+def test_parsed_values_reach_the_runner_and_the_echo():
     report = run_check("flow-index", {"u": "0,1,0", "grid": "21", "cutoff": 2})
     assert report.passed
-    assert report.params["u"] == "0,1,0" and report.params["grid"] == "21"
+    assert report.params["u"] == (0, 1, 0) and report.params["grid"] == 21
 
 
 def test_integral_floats_and_integer_strings_are_integers():
     given = run_check("flow-index", {"grid": 21.0, "cutoff": "2", "u": [0, 1.0, "0"]})
     plain = run_check("flow-index", {"grid": 21, "cutoff": 2, "u": (0, 1, 0)})
     assert given.passed and given.details == plain.details
-    assert given.params["grid"] == 21.0 and given.params["u"] == [0, 1.0, "0"]
+    # identical configurations, however spelled, echo the same values
+    assert given.params == plain.params
+
+
+def test_a_config_however_spelled_gives_the_default_report():
+    def text(report):
+        return [line for line in report.to_json().splitlines() if '"elapsed_ms"' not in line]
+
+    spelled = run_check("eta-conformal", {"t_order": "2", "floor": "-3"})
+    assert spelled.passed and text(spelled) == text(run_check("eta-conformal"))
+
+
+def test_a_flow_past_its_size_bound_is_an_error_report(monkeypatch):
+    monkeypatch.setattr(nm.np, "linspace", None)  # refused before the grid is built
+    report = run_check("flow-index", {"grid": 10**12})
+    assert report.status == "error" and report.details == {}
+    assert report.witness.startswith("grid must be <= 10000000 (") and report.params["grid"] == 10**12
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,18 @@
 """Command-line surface: subcommands, exit codes, file outputs."""
 
+import argparse
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ncps import heat as ht
 from ncps import numeric as nm
 from ncps import symbols as sy
-from ncps.checks import MAX_HEAT_DEPTH, MAX_HEAT_ORDERS, PARSERS, run_check
-from ncps.cli import main
+from ncps.checks import CHECKS, MAX_HEAT_DEPTH, MAX_HEAT_ORDERS, PARSERS, run_check
+from ncps.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -601,3 +603,97 @@ def test_wres_and_heat_unread_flag_exits_2_naming_it(tmp_path, capsys, argv, dat
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _subcommands(parser, path=()):
+    """Each leaf subcommand of ``parser``, with the argv that selects it."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _subcommands(sub, (*path, name))
+
+
+# every flag whose value checks.PARSERS reads: (argv of its subcommand, flag, key)
+PARSED_FLAGS = [
+    (path, action.option_strings[0], action.dest)
+    for path, sub in _subcommands(build_parser())
+    for action in sub._actions
+    if action.dest in PARSERS
+]
+
+
+def test_no_flag_a_parsers_key_reads_has_an_argparse_type():
+    # verify 6, wres 2, heat 2, anomaly 1, num spectrum 2, num flow 4, num heat 3
+    assert len(PARSED_FLAGS) == 20
+    for path, sub in _subcommands(build_parser()):
+        for action in sub._actions:
+            assert action.dest not in PARSERS or action.type is None, (path, action.dest)
+
+
+def _flag_id(value):
+    return " ".join(value) if isinstance(value, tuple) else value
+
+
+@pytest.mark.parametrize("path, flag, key", PARSED_FLAGS, ids=_flag_id)
+def test_an_unparsable_flag_exits_2_naming_its_key(tmp_path, capsys, path, flag, key):
+    argv = [*path, flag, "x"]
+    conformal = {"kind": "conformal_dirac", "dim": 2, "t_cap": 1}
+    family = {("num", "spectrum"): {"kind": "free_dirac", "dim": 2},
+              ("wres",): conformal, ("heat",): conformal}.get(path)
+    if family:
+        (tmp_path / "fam.json").write_text(json.dumps(family))
+        argv += ["--family", str(tmp_path / "fam.json")]
+    if path == ("verify",):  # a check that reads the key
+        argv.insert(1, next(name for name, spec in CHECKS.items() if key in spec.defaults))
+    code = main(argv)
+    captured = capsys.readouterr()
+    message = f"{key} must be {PARSERS[key].what}, got 'x'"
+    assert code == 2 and "usage:" not in captured.err
+    if path == ("verify",):
+        report = json.loads(captured.out)
+        assert captured.err == "" and report["status"] == "error" and report["witness"] == message
+    else:
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_flow_index_at_its_defaults_and_spelled_out_gives_one_report(capsys):
+    def report(*argv):
+        code, out = run(capsys, "verify", "flow-index", *argv)
+        return code, [line for line in out.splitlines() if '"elapsed_ms"' not in line]
+
+    spelled = report("--u", "1,0,0", "--grid", "101", "--cutoff", "6", "--dim", "3")
+    assert report() == spelled and spelled[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["num", "spectrum", "--cutoff", "40"], "the matrix size 2(2 cutoff + 1)^dim must be <= 3000 ("),
+        (["num", "heat", "--cutoff", "2000000000"], "cutoff must be <= 1000000 ("),
+        (["num", "flow", "--grid", "1000000000000"], "grid must be <= 10000000 ("),
+        (["num", "flow", "--grid", "100000"], "grid points x eigenvalues must be <= 10000000 ("),
+        (["num", "flow", "--cutoff", "1000000"], "grid points x eigenvalues must be <= 10000000 ("),
+    ],
+)
+def test_numeric_sizes_past_their_bounds_exit_2_before_any_allocation(tmp_path, capsys, monkeypatch, argv, message):
+    if argv[1] == "spectrum":
+        (tmp_path / "fam.json").write_text(json.dumps({"kind": "free_dirac", "dim": 3}))
+        argv = [*argv, "--family", str(tmp_path / "fam.json")]
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("allocated before the size was checked")
+
+    for module, name in ((nm, "_dirac_blocks"), (nm, "mode_box"), (np, "arange")):
+        monkeypatch.setattr(module, name, forbidden)
+    linspace = np.linspace  # a flow grid within its bound is built
+    monkeypatch.setattr(np, "linspace", lambda a, b, n: forbidden() if n > nm.MAX_FLOW_VALUES else linspace(a, b, n))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    if argv[1] == "flow":  # the flow-index check refuses it with an error report
+        code, out = run(capsys, "verify", "flow-index", *argv[2:])
+        report = json.loads(out)
+        assert code == 2 and report["status"] == "error" and report["witness"].startswith(message)

@@ -24,7 +24,7 @@ def unit_mat(scale=1):
 
 def test_free_resolvent_layers():
     _, sd2 = dirac_symbol(OperatorFamily.free(3))
-    layers = ht.resolvent_symbols(sd2, 3)
+    layers = sy.resolvent_symbols(sd2, 3)
     assert list(layers[0].terms) == [((0, 0, 0), 0, 1)]
     assert all(layers[k].is_empty() for k in (1, 2, 3))
 
@@ -32,7 +32,7 @@ def test_free_resolvent_layers():
 def test_coupled_first_layer():
     fam = OperatorFamily.coupled(3)
     _, sd2 = dirac_symbol(fam)
-    layers = ht.resolvent_symbols(sd2, 1)
+    layers = sy.resolvent_symbols(sd2, 1)
     # one recursion step by hand: r1 = -r0 a1 r0 = -2 A_mu xi_mu (xi^2-lam)^{-2}
     A = [AlgebraElement.generator(gen(n, 3)) for n in fam.gauge]
     expect = ht.ResolventComponent(3, 1)
@@ -45,7 +45,7 @@ def test_coupled_first_layer():
 
 def test_conformal_leading_layer():
     _, sd2 = dirac_symbol(OperatorFamily.conformal(3, t_cap=1))
-    r0 = ht.resolvent_symbols(sd2, 0)[0]
+    r0 = sy.resolvent_symbols(sd2, 0)[0]
     h = AlgebraElement.generator(gen("h", 3))
     grade0 = {k: m.map(lambda v: v.t_grade(0)) for k, m in r0.terms.items()}
     assert set(k for k, m in grade0.items() if not m.is_zero()) == {((0, 0, 0), 0, 1)}
@@ -60,7 +60,7 @@ def test_conformal_leading_layer():
 
 def test_resolvent_render_shows_xi2_factor():
     _, sd2 = dirac_symbol(OperatorFamily.conformal(3, t_cap=2))
-    text = ht.resolvent_symbols(sd2, 0)[0].render()
+    text = sy.resolvent_symbols(sd2, 0)[0].render()
     assert text.startswith("(xi^2-lam)^{-1} . ")
     assert "  +  (xi^2)*(xi^2-lam)^{-2} . " in text
     assert "  +  (xi^2)^2*(xi^2-lam)^{-3} . " in text
@@ -81,7 +81,7 @@ def test_golden_layer_and_sign_renders():
 
     texts = {}
     for name, fam in (("coupled", OperatorFamily.coupled(3)), ("conformal_t1", OperatorFamily.conformal(3, 1))):
-        layers = ht.resolvent_symbols(dirac_symbol(fam)[1], 2)
+        layers = sy.resolvent_symbols(dirac_symbol(fam)[1], 2)
         texts.update({f"{name} r_{k}": layers[k].render() for k in (1, 2)})
     texts["coupled sign"] = sy.sign_symbol(OperatorFamily.coupled(3), -3).render()
     assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()} == GOLDEN_RENDERS
@@ -89,14 +89,14 @@ def test_golden_layer_and_sign_renders():
 
 def test_momentum_integrand_render_shows_the_xi2_power():
     _, sd2 = dirac_symbol(OperatorFamily.conformal(3, t_cap=1))
-    text = ht.lambda_contour_integral(ht.resolvent_symbols(sd2, 0)[0]).render()
+    text = ht.lambda_contour_integral(sy.resolvent_symbols(sd2, 0)[0]).render()
     assert text.startswith("1 . ") and "  +  (xi^2) . " in text
 
 
 def test_resolvent_homogeneity_audit():
     for fam in (OperatorFamily.coupled(3), OperatorFamily.conformal(3, t_cap=2)):
         _, sd2 = dirac_symbol(fam)
-        for k, layer in enumerate(ht.resolvent_symbols(sd2, 3)):
+        for k, layer in enumerate(sy.resolvent_symbols(sd2, 3)):
             for (beta, s, m) in layer.terms:
                 assert sum(beta) + 2 * s - 2 * m == -2 - k
 
@@ -150,7 +150,7 @@ def expand_xi2(layer):
 )
 def test_factored_layers_match_monomial_reference(fam):
     _, sd2 = dirac_symbol(fam)
-    layers = ht.resolvent_symbols(sd2, 3)
+    layers = sy.resolvent_symbols(sd2, 3)
     reference = reference_resolvent_symbols(sd2, 3)
     for layer, ref in zip(layers, reference, strict=True):
         assert layer.k == ref.k
@@ -163,10 +163,10 @@ def test_factored_layers_match_monomial_reference(fam):
 
 def test_negative_layer_count_is_domain_error():
     _, sd2 = dirac_symbol(OperatorFamily.free(2))
-    for fn in (ht.resolvent_symbols, ht.heat_coefficients):
+    for fn in (sy.resolvent_symbols, ht.heat_coefficients):
         with pytest.raises(DomainError, match="must be >= 0, got -5"):
             fn(sd2, -5)
-    assert len(ht.resolvent_symbols(sd2, 0)) == 1
+    assert len(sy.resolvent_symbols(sd2, 0)) == 1
 
 
 def test_resolvent_rejects_nonpolynomial():
@@ -174,7 +174,7 @@ def test_resolvent_rejects_nonpolynomial():
     _, sd2 = dirac_symbol(fam)
     bad = sy.sqrt_symbol(sd2, floor=0)
     with pytest.raises((DomainError, sy.EllipticityShapeError)):
-        ht.resolvent_symbols(bad, 1)
+        sy.resolvent_symbols(bad, 1)
 
 
 def contour_quadrature(m, xi2=1.7, radius=0.9):
@@ -587,7 +587,7 @@ def reference_resolvent_at_zero(sd2, floor):
     gives the degree -2 - j component, and (xi^2 - lam)^{-m} becomes
     (xi^2)^{-m}, next to the (xi^2)^s the layer keeps factored."""
     comps = []
-    for j, rc in enumerate(ht.resolvent_symbols(sd2, -floor - 2)):
+    for j, rc in enumerate(sy.resolvent_symbols(sd2, -floor - 2)):
         comp = Component(sd2.dim, -2 - j)
         for (beta, s, m), mat in rc.terms.items():
             comp.add_term(beta, 2 * (m - s), mat)
@@ -622,7 +622,7 @@ def test_resolvent_rejects_non_nilpotent_leading_perturbation():
         lead.add_term(tuple(2 if j == i else 0 for j in range(DIM)), 0, perturbed)
     sd2 = sy.Symbol.make(DIM, [lead])
     with pytest.raises(sy.EllipticityShapeError, match="not nilpotent"):
-        ht.resolvent_symbols(sd2, 0)
+        sy.resolvent_symbols(sd2, 0)
 
 
 def test_laurent_normalization_against_lattice():
@@ -690,7 +690,7 @@ def test_golden_conformal_inverse_power_renders():
 def test_contour_integral_drops_odd_moments():
     # every term of r_1 and r_3 is odd in some xi_i, so its moment is zero
     _, sd2 = dirac_symbol(OperatorFamily.conformal(3, t_cap=2))
-    layers = ht.resolvent_symbols(sd2, 3)
+    layers = sy.resolvent_symbols(sd2, 3)
     for k in (1, 3):
         assert not layers[k].is_empty()
         assert ht.lambda_contour_integral(layers[k]).is_empty()
@@ -717,7 +717,7 @@ def test_golden_conformal_heat_renders_at_t_cap_3():
 def reference_heat_coefficients(sd2, count, localizer=None):
     """The contour integral of the full layers of ``resolvent_symbols``, as
     (matrix, traced, tau) per coefficient, and the layers themselves."""
-    layers = ht.resolvent_symbols(sd2, count)
+    layers = sy.resolvent_symbols(sd2, count)
     out = []
     for rc in layers:
         mat = ht.momentum_integral(ht.lambda_contour_integral(rc))
@@ -796,8 +796,8 @@ def test_an_odd_last_layer_builds_no_rung_and_no_product(monkeypatch):
         return dict(calls)
 
     _, sd2 = dirac_symbol(OperatorFamily.conformal(3, t_cap=2))
-    below = cost(ht.resolvent_symbols, sd2, 2)
+    below = cost(sy.resolvent_symbols, sd2, 2)
     assert cost(ht.heat_coefficients, sd2, 3) == below
     # the full layer r_3 costs both
-    full = cost(ht.resolvent_symbols, sd2, 3)
+    full = cost(sy.resolvent_symbols, sd2, 3)
     assert full["delta"] > below["delta"] > 0 and full["mul"] > below["mul"] > 0

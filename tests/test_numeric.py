@@ -585,6 +585,38 @@ def test_flow_grid_needs_two_points(n):
     assert str(err.value) == f"grid must be >= 2 points on [0, 1], got {n}"
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: nm.build_operator(nm.NumericFamily("free_dirac", 2), 19),
+         "the matrix size 2(2 cutoff + 1)^dim must be <= 3000 "
+         "(a dense eigensolve grows with its cube: 5.8 s at 2662), got 3042"),
+        (lambda: nm.heat_trace_lattice(0.1, 1_000_001, 3),
+         "cutoff must be <= 1000000 (a few floats per point of [-cutoff, cutoff]), got 1000001"),
+        (lambda: nm.flow_grid(10_000_001),
+         "grid must be <= 10000000 (a flow holds grid points x eigenvalues floats), got 10000001"),
+        (lambda: nm.unitary_flow_spectra((1, 0, 0), [0.0] * 2276, 6, 3),
+         "grid points x eigenvalues must be <= 10000000 "
+         "(the cost is linear in it: 0.36 s and 117 MB at the bound), got 10000744"),
+    ],
+    ids=["operator", "heat-cutoff", "flow-grid", "flow-values"],
+)
+def test_numeric_sizes_past_their_bounds_are_refused_before_any_allocation(call, message, monkeypatch):
+    # the largest sizes in use: 3-d L = 4 and 2-d L = 10 operators, a
+    # 101-point flow at cutoff 6 and a heat trace at cutoff 40
+    assert max(2 * 9**3, 2 * 21**2) <= nm.MAX_OPERATOR_SIZE and 40 <= nm.MAX_HEAT_CUTOFF
+    assert 101 * 2 * 13**3 <= nm.MAX_FLOW_VALUES
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("allocated before the size was checked")
+
+    for module, name in ((nm, "_dirac_blocks"), (nm, "mode_box"), (np, "arange"), (np, "linspace")):
+        monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_spectral_flow_conformal_family():
     h = nm.ConcreteElement.cosine(3, (1, 0, 0), amplitude=0.3)
     fam = nm.NumericFamily("conformal_dirac", 3, theta=THETA3, weyl=h)
@@ -609,6 +641,26 @@ def test_evaluate_tau_products():
     # derivations kill the concrete trace
     d = a.twisted_mul(b, THETA3).delta(1)
     assert abs(d.tau()) < 1e-15
+
+
+def test_evaluate_tau_reads_a_starred_derived_letter_as_the_algebra_does():
+    # the letter d(1)(u*) is delta_1(u*), which is -(delta_1 u)* on concrete
+    # data as in AlgebraElement.adjoint; only a u that is not self-adjoint
+    # tells the two readings apart
+    data = nm.ConcreteElement(3, {(1, 0, 0): 0.7 + 0.2j, (0, 1, 0): -0.3 + 0.5j, (1, 1, 0): 0.4})
+    u = AlgebraElement.generator(gen("u", 3, selfadj=False))
+    star_u = u.adjoint()
+    cases = [
+        # tau(x* y) with x = delta_1 u, y = u
+        (u.delta(1).adjoint() * u, data.delta(1).star().twisted_mul(data, THETA3)),
+        (star_u.delta(1) * u, data.star().delta(1).twisted_mul(data, THETA3)),
+        (star_u.delta(1) * u.delta(2), data.star().delta(1).twisted_mul(data.delta(2), THETA3)),
+    ]
+    assert star_u.delta(1).render() == "[d(1)(u*)]"
+    for word, concrete in cases:
+        expect = concrete.tau()
+        assert abs(expect) > 0.1
+        assert abs(nm.evaluate_tau(tau_class(word), {"u": data}, THETA3) - expect) < 1e-12
 
 
 def test_evaluate_tau_requires_bindings():
