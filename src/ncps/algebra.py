@@ -15,14 +15,14 @@ necklaces of the relevant grade.  Deformation phases never enter at this
 level; concrete evaluation lives in :mod:`ncps.numeric`.
 
 Products truncate in the nilpotent grade ``t`` before any coefficient is
-multiplied: a word pair whose coefficients' lowest t grades sum past the
-smaller of their caps is skipped, since its product would vanish; the right
-rows ascend in lowest grade, so the first pair past the left cap ends the
-row.  That one loop, :func:`_mul_rows_into`, merges every product in place,
-under a phase 1 or +-i for the Pauli products of :mod:`ncps.clifford`.  Every
-finite series in a nilpotent perturbation sums one orbit of
-:func:`nilpotent_orbit`, the iterates ``x, step(x), ...`` of a step that
-raises the t grade, up to the last nonzero one: the powers of
+multiplied: a word pair whose coefficients' t grades sum past the smaller of
+their caps is skipped, since its product would vanish, uncapped grades
+included; the right rows ascend in t grade, so the first pair past the left
+cap ends the row.  That one loop, :func:`_mul_rows_into`, merges every
+product in place, under a phase 1 or +-i for the Pauli products of
+:mod:`ncps.clifford`.  Every finite series in a nilpotent perturbation sums
+one orbit of :func:`nilpotent_orbit`, the iterates ``x, step(x), ...`` of a
+step that raises the t grade, up to the last nonzero one: the powers of
 :func:`nilpotent_powers` behind the Neumann inverse and binomial square root
 of a perturbed unit and the leading resolvent layer of :mod:`ncps.symbols`, the
 powers of ``c t h`` in :func:`exp_expand`, and the two-sided solve of the
@@ -38,7 +38,9 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .scalars import _MEMO, _NO_CAP, DomainError, ExactScalar, RationalLike, _interned
+from .scalars import DomainError, ExactScalar, RationalLike
+
+_NO_CAP = 1 << 62  # above every t grade: stands for an absent cap in the product loop
 
 
 class Generator(NamedTuple):
@@ -112,55 +114,29 @@ def _render_word(w: Word) -> str:
 
 
 def _grade_rows(a: "AlgebraElement") -> list[tuple[int, int, Word, ExactScalar]]:
-    """One ``(lowest t grade, cap, word, coefficient)`` row per term of ``a``,
-    in ascending lowest grade.
-
-    An uncapped coefficient gets grade 0 and cap ``_NO_CAP``, which no grade
-    sum reaches, so its pairs are never skipped.
-    """
-    rows = []
-    for w, s in a._terms.items():
-        cap = s.t_cap
-        if cap is None:
-            rows.append((0, _NO_CAP, w, s))
-            continue
-        lo = cap
-        for _p, j in s._terms:
-            if j < lo:
-                lo = j
-        rows.append((lo, cap, w, s))
+    """One ``(t grade, cap, word, coefficient)`` row per term of ``a``, in
+    ascending grade; an uncapped coefficient gets cap ``_NO_CAP``, which no
+    grade sum reaches."""
+    rows = [(s.j, _NO_CAP if s.t_cap is None else s.t_cap, w, s) for w, s in a._terms.items()]
     rows.sort(key=itemgetter(0))
     return rows
-
-
-def _rotated(s: ExactScalar, phase: int) -> ExactScalar:
-    """``i^phase s`` for phase +-1: each triple ``(re, im, den)`` becomes
-    ``(-phase im, phase re, den)``, canonical again, so nothing multiplies;
-    memoized like the ring operations of :mod:`ncps.scalars`."""
-    hit = _MEMO.get(memo_key := (id(s), phase, "i"))
-    if hit is None:
-        terms = {k: (-phase * im, phase * re, den) for k, (re, im, den) in s._terms.items()}
-        hit = _MEMO[memo_key] = _interned(terms, s.t_cap)
-    return hit
 
 
 def _mul_rows_into(out: dict, left: list, right: list, phase: int = 0) -> None:
     """Merge ``i^phase x y`` (phase 0, 1 or -1) into the zero-free term map
     ``out``, given the :func:`_grade_rows` ``left`` of ``x`` and ``right`` of
     ``y``; pairs are skipped past either cap, and past the left cap the row
-    ends."""
-    for lo1, cap1, w1, s1 in left:
+    ends.  Every pair left has a nonzero product."""
+    for j1, cap1, w1, s1 in left:
         if phase:
-            s1 = _rotated(s1, phase)
-        top = cap1 - lo1
-        for lo2, cap2, w2, s2 in right:
-            if lo2 > top:
+            s1 = s1.times_i(phase)
+        top = cap1 - j1
+        for j2, cap2, w2, s2 in right:
+            if j2 > top:
                 break
-            if lo1 + lo2 > cap2:
+            if j1 + j2 > cap2:
                 continue
-            s = s1 * s2
-            if s._terms:
-                _accumulate(out, w1 + w2, s)
+            _accumulate(out, w1 + w2, s1 * s2)
 
 
 def _accumulate(out: dict, w: Word, s: ExactScalar) -> None:
@@ -238,14 +214,7 @@ class AlgebraElement:
         return AlgebraElement._raw(out)
 
     def scale(self, s: ExactScalar) -> "AlgebraElement":
-        if s.is_zero():
-            return AlgebraElement.zero()
-        out = {}
-        for w, c in self._terms.items():
-            v = c * s
-            if not v.is_zero():
-                out[w] = v
-        return AlgebraElement._raw(out)
+        return AlgebraElement({w: c * s for w, c in self._terms.items()})
 
     def scale_rational(self, q: RationalLike) -> "AlgebraElement":
         if q == 0:
@@ -476,12 +445,9 @@ def _group_in_delta_span(terms: dict[Word, ExactScalar]) -> bool:
     # target vectors, one rational channel per (pi power, t grade, re/im)
     channels: dict[tuple, list[Fraction]] = {}
     for w, s in terms.items():
-        for (p, jg), (re, im) in s.terms():
-            for tag, val in (("re", re), ("im", im)):
-                if val:
-                    channels.setdefault((p, jg, tag), [Fraction(0)] * len(index))[
-                        index[w]
-                    ] = val
+        for tag, val in zip(("re", "im"), s.coefficient()):
+            if val:
+                channels.setdefault((s.p, s.j, tag), [Fraction(0)] * len(index))[index[w]] = val
     targets = list(channels.values())
 
     # eliminate: reduce [mat | targets] and demand zero residual targets
@@ -531,8 +497,7 @@ def exp_expand(base: Generator, c: RationalLike, m: int) -> AlgebraElement:
 
 def _split_unit(a: AlgebraElement) -> tuple[Fraction, AlgebraElement]:
     """Write ``a = c*1 + nil`` with c rational and nil t-nilpotent, or raise."""
-    unit = a.unit_coefficient()
-    c_re, c_im = unit.t_grade(0).rational_part()
+    c_re, c_im = a.unit_coefficient().rational_part()
     grade0 = a.t_grade(0)
     if c_im != 0 or not (grade0 - AlgebraElement.rational(c_re)).is_zero():
         raise DomainError(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .algebra import AlgebraElement, _accumulate, _grade_rows, _mul_rows_into, _rotated
+from .algebra import AlgebraElement, _accumulate, _grade_rows, _mul_rows_into
 from .scalars import DomainError, ExactScalar, RationalLike
 
 
@@ -26,7 +26,7 @@ from .scalars import DomainError, ExactScalar, RationalLike
 
 def _times_i(x: AlgebraElement) -> AlgebraElement:
     """``i x``, a permutation of each coefficient triple."""
-    return AlgebraElement._raw({w: _rotated(s, 1) for w, s in x._terms.items()})
+    return AlgebraElement._raw({w: s.times_i() for w, s in x._terms.items()})
 
 
 # sigma_i sigma_j = delta_ij 1 + i eps_ijk sigma_k, with sigma_0 = 1: row i,

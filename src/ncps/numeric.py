@@ -355,14 +355,20 @@ def _defect_and_scale(mat: np.ndarray) -> tuple[float, float]:
     return defect, scale
 
 
+def _check_hermitian(mat: np.ndarray, what: str) -> None:
+    """Refuse a ``mat`` whose Hermiticity defect exceeds ``1e-10`` of its
+    largest entry (of 1, if that is smaller); a NaN entry is refused too."""
+    defect, scale = _defect_and_scale(mat)
+    if not defect <= 1e-10 * max(1.0, scale):
+        raise DomainError(f"{what} is not Hermitian: max |a - a^*| is {defect:.3g}")
+
+
 def hermitian_eigenvalues(T: TruncatedOperator | np.ndarray) -> np.ndarray:
     """All eigenvalues of a dense Hermitian matrix, ascending."""
     mat = T.matrix if isinstance(T, TruncatedOperator) else np.asarray(T)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError("matrix must be square")
-    defect, scale = _defect_and_scale(mat)
-    if not defect <= 1e-10 * max(1.0, scale):  # a NaN entry is refused too
-        raise DomainError("matrix is not Hermitian")
+    _check_hermitian(mat, "matrix")
     return np.linalg.eigvalsh(mat)
 
 
@@ -379,16 +385,20 @@ def heat_trace_lattice(t: float, L: int, dim: int, weight: complex = 1.0) -> flo
     """Localized free heat trace ``weight * sum_{|k|<=L} 2 exp(-t |k|^2)``.
 
     The weight is the zero mode of the localizer, which is all the diagonal
-    of a multiplication operator contributes for the flat family.
+    of a multiplication operator contributes for the flat family.  The trace
+    is returned as a float, so a weight with a nonzero imaginary part (a
+    localizer that is not self-adjoint) is refused.
     """
     _check_heat_parameter(t)
+    if weight.imag:
+        raise DomainError(f"heat trace weight must be real, got {weight}")
     clifford.check_dim(dim)
     if L < 0:
         raise DomainError(f"cutoff must be >= 0 (mode box |k|_inf <= cutoff), got {L}")
     _check_size("cutoff", L, MAX_HEAT_CUTOFF, "a few floats per point of [-cutoff, cutoff]")
     js = np.arange(-L, L + 1)
     theta1 = np.exp(-t * js**2).sum()
-    return float(2.0 * (weight.real if isinstance(weight, complex) else weight) * theta1**dim)
+    return float(2.0 * weight.real * theta1**dim)
 
 
 def heat_trace_operator(
@@ -408,6 +418,7 @@ def heat_trace_operator(
     off-diagonal blocks drop out of the trace.  Any other operator is
     diagonalized whole, and eigenvector ``v_j`` is weighed by ``v_j^* a v_j``.
     Either way the weights are read off BLAS products and a row-wise dot.
+    The trace is real only for a Hermitian localizer, so any other is refused.
     """
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
@@ -421,6 +432,7 @@ def heat_trace_operator(
             raise DomainError(
                 f"localizer shape {loc.shape} does not match operator shape {mat.shape}"
             )
+        _check_hermitian(loc, "localizer")
     if not mat[0::2, 0::2].any() and not mat[1::2, 1::2].any():
         x = mat[0::2, 1::2]
         if loc is None:

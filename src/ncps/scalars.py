@@ -1,34 +1,28 @@
 """Exact coefficient ring for the symbolic engine.
 
-Scalars are finite sums
+A scalar is one term ``(a + b i) * pi^{p/2} * t^j``, or zero: ``a, b``
+rational, ``p >= 0`` a half-power of pi and ``j >= 0`` the grade of a
+nilpotent parameter ``t``.  One term is all the calculus builds, since every
+word of a symbol, a resolvent layer or a density carries one pi power and one
+t grade, so a sum of nonzero terms of different ``(p, j)`` is refused with
+:class:`DomainError`.  A cap ``t_cap = M`` makes a grade ``j > M`` zero, so
+``t`` is nilpotent of order ``M + 1``; sums and products take the smaller
+cap, and ``None`` means no truncation.
 
-    (a + b i) * pi^{p/2} * t^j
-
-with ``a, b`` arbitrary-precision rationals, ``p >= 0`` an integer exponent of
-the formal square root of pi, and ``j >= 0`` the grade of a nilpotent
-deformation parameter ``t``.  A scalar may carry a cap ``t_cap = M``; grades
-``j > M`` are identically dropped by every operation, which makes ``t``
-nilpotent of order ``M + 1``.  A cap of ``None`` means "no truncation".
-
-Each coefficient ``a + b i`` is stored as an integer triple ``(re, im, den)``
-meaning ``(re + im i) / den``, in canonical form: ``den > 0``,
-``gcd(re, im, den) == 1`` and never ``re == im == 0``.  Ring arithmetic is
-plain integer arithmetic on these triples and builds no
-:class:`fractions.Fraction`.  Fractions appear only at the boundary: the
-constructors accept ``int`` or ``Fraction`` values, and :meth:`ExactScalar.terms`
-and :meth:`ExactScalar.rational_part` return ``Fraction`` pairs.
-
-pi is never evaluated numerically on the symbolic path: sphere and Gaussian
-integrals produce exact rational multiples of half-integer powers of pi and
-all vanishing statements are decided by exact zero tests.
+``a + b i`` is held as the canonical integer triple ``(re, im, den)`` of
+``(re + im i) / den``: ``den > 0``, ``gcd(re, im, den) == 1``, never
+``re == im == 0``.  Arithmetic builds no :class:`fractions.Fraction`; those
+appear only in the constructors and :meth:`ExactScalar.coefficient`.  pi is
+never evaluated on the symbolic path, so every vanishing statement is an
+exact zero test.
 
 Scalars are hash-consed: every construction, ``copy`` and pickle included,
-returns the one interned object of its value, the cap counted as part of it.
-Products, sums, scalings, negations and the ``i``-rotations of
-:mod:`ncps.algebra` look their result up in one memo keyed on operand ``id()``s
-and compute only on a miss.  That is sound because interned objects are never
-freed, so no id is reused, and no code mutates a scalar's ``_terms`` after
-construction.  Equality and hashing stay value-based and ignore the cap.
+returns the one interned object of its value and cap.  Products, sums,
+scalings, negations and ``i``-rotations look their result up in one memo
+keyed on operand ``id()``s and compute only on a miss; without it the deep
+symbol and heat runs took 10% to 95% longer.  That is sound
+because interned objects are never freed, so no id is reused, and none is
+mutated.  Equality and hashing are value-based and ignore the cap.
 """
 
 from __future__ import annotations
@@ -36,13 +30,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Mapping, Optional, Union
+from typing import Optional, Union
 
 RationalLike = Union[int, Fraction]
 Triple = tuple[int, int, int]
 
-_NO_CAP = 1 << 62  # above every t grade: stands for an absent cap in loops
-_INTERN: dict = {}  # (t_cap, sorted term items) -> the one scalar of that value
+_INTERN: dict = {}  # (t_cap, p, j, triple) -> the one scalar of that value
 _MEMO: dict = {}  # operand ids and operation tag -> result
 
 
@@ -79,46 +72,24 @@ def parse_value(key: str, value, parse, what: str):
         raise DomainError(f"{key} must be {what}, got {value!r}") from None
 
 
-def _min_cap(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _triple(re: RationalLike, im: RationalLike) -> Optional[Triple]:
-    """Canonical triple of ``re + im i``, or None for zero."""
-    a, b = re.numerator, re.denominator
-    c, d = im.numerator, im.denominator
-    if not (a or c):
-        return None
-    den = b * d // gcd(b, d)
-    return (a * (den // b), c * (den // d), den)
-
-
-def _add_triples(x: Triple, y: Triple) -> Optional[Triple]:
-    """Canonical sum of two canonical triples, or None for zero."""
-    a, b, d = x
-    c, f, e = y
-    if d == e:
-        re, im, den = a + c, b + f, d
-    else:
-        re, im, den = a * e + c * d, b * e + f * d, d * e
+def _canonical(re: int, im: int, den: int) -> Optional[Triple]:
+    """``(re, im, den)`` in lowest terms, for ``den > 0``; None for zero."""
     if not (re or im):
         return None
     g = gcd(re, im, den)
     return (re, im, den) if g == 1 else (re // g, im // g, den // g)
 
 
-def _interned(terms: dict[tuple[int, int], Triple], t_cap: Optional[int]) -> "ExactScalar":
-    """The one scalar of this value; ``terms`` must already hold canonical
-    triples only and respect the cap."""
-    key = (t_cap, tuple(sorted(terms.items())))
+def _interned(c: Optional[Triple], p: int, j: int, t_cap: Optional[int]) -> "ExactScalar":
+    """The one scalar of this value; ``c`` must be a canonical triple, or
+    None for zero, and ``j`` must respect the cap.  Zero has ``p = j = 0``."""
+    if c is None:
+        p = j = 0
+    key = (t_cap, p, j, c)
     obj = _INTERN.get(key)
     if obj is None:
         obj = _INTERN[key] = object.__new__(ExactScalar)
-        obj._terms, obj.t_cap = terms, t_cap
+        obj._c, obj.p, obj.j, obj.t_cap = c, p, j, t_cap
     return obj
 
 
@@ -132,108 +103,89 @@ def _fmt_rational(num: int, den: int) -> str:
 def _fmt_complex(re: int, im: int, den: int) -> str:
     if im == 0:
         return _fmt_rational(re, den)
+    sign = "" if im > 0 else "-"
+    imtxt = "i" if abs(im) == den else f"{_fmt_rational(abs(im), den)} i"
     if re == 0:
-        if im == den:
-            return "i"
-        if im == -den:
-            return "-i"
-        return f"{_fmt_rational(im, den)} i"
-    sign = "+" if im > 0 else "-"
-    mag = abs(im)
-    imtxt = "i" if mag == den else f"{_fmt_rational(mag, den)} i"
-    return f"{_fmt_rational(re, den)} {sign} {imtxt}"
+        return sign + imtxt
+    return f"{_fmt_rational(re, den)} {sign or '+'} {imtxt}"
 
 
 class ExactScalar:
-    """Immutable element of the coefficient ring.
+    """Immutable element of the coefficient ring: the canonical triple ``_c``
+    of ``a + b i``, or None for zero, the pi half-power ``p`` and the t grade
+    ``j`` (both 0 for zero), and the cap."""
 
-    The term map sends ``(p, j)`` (pi half-power, t grade) to the canonical
-    integer triple ``(re, im, den)`` of a nonzero complex rational.  Zero
-    values are never stored, so ``is_zero`` is a trivial emptiness check, and
-    equal values have equal term maps.
-    """
+    __slots__ = ("_c", "p", "j", "t_cap")
 
-    __slots__ = ("_terms", "t_cap")
-
-    def __new__(
-        cls,
-        terms: Optional[Mapping[tuple[int, int], tuple[RationalLike, RationalLike]]] = None,
-        t_cap: Optional[int] = None,
-    ):
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0, p: int = 0, j: int = 0,
+                t_cap: Optional[int] = None):
+        """``(re + im i) * pi^{p/2} * t^j``, zero when ``j`` exceeds the cap."""
         if t_cap is not None and t_cap < 0:
             raise DomainError("t_cap must be >= 0")
-        clean: dict[tuple[int, int], Triple] = {}
-        if terms:
-            for (p, j), (re, im) in terms.items():
-                if p < 0 or j < 0:
-                    raise DomainError("pi half-power and t grade must be >= 0")
-                if t_cap is not None and j > t_cap:
-                    continue
-                v = _triple(re, im)
-                if v is not None:
-                    clean[(p, j)] = v
-        return _interned(clean, t_cap)
+        if p < 0 or j < 0:
+            raise DomainError("pi half-power and t grade must be >= 0")
+        b, d = re.denominator, im.denominator
+        den = b * d // gcd(b, d)
+        c = _canonical(re.numerator * (den // b), im.numerator * (den // d), den)
+        return _interned(c if t_cap is None or j <= t_cap else None, p, j, t_cap)
 
     def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the constructor, which
-        # returns the interned object instead of filling a fresh one
-        return ExactScalar, (dict(self.terms()), self.t_cap)
+        # copy, deepcopy and pickle rebuild through the constructor: the interned object
+        return ExactScalar, (*self.coefficient(), self.p, self.j, self.t_cap)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, t_cap: Optional[int] = None) -> "ExactScalar":
-        return cls({}, t_cap)
+        return cls(0, 0, 0, 0, t_cap)
 
     @classmethod
     def rational(
-        cls,
-        re: RationalLike,
-        im: RationalLike = 0,
-        t_cap: Optional[int] = None,
+        cls, re: RationalLike, im: RationalLike = 0, t_cap: Optional[int] = None
     ) -> "ExactScalar":
-        return cls({(0, 0): (re, im)}, t_cap)
+        return cls(re, im, 0, 0, t_cap)
 
     @classmethod
     def one(cls, t_cap: Optional[int] = None) -> "ExactScalar":
-        return cls.rational(1, 0, t_cap)
+        return cls(1, 0, 0, 0, t_cap)
 
     @classmethod
     def pi_half(cls, p: int, coeff: RationalLike = 1, t_cap: Optional[int] = None) -> "ExactScalar":
         """``coeff * pi^{p/2}``."""
-        return cls({(p, 0): (coeff, 0)}, t_cap)
+        return cls(coeff, 0, p, 0, t_cap)
 
     @classmethod
     def t_power(cls, j: int, coeff: RationalLike = 1, t_cap: Optional[int] = None) -> "ExactScalar":
         """``coeff * t^j``."""
-        return cls({(0, j): (coeff, 0)}, t_cap)
+        return cls(coeff, 0, 0, j, t_cap)
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        cap = self.t_cap
-        if cap != other.t_cap:
-            cap = _min_cap(cap, other.t_cap)
+        cap, cap2 = self.t_cap, other.t_cap
+        if cap != cap2:
+            cap = cap2 if cap is None else cap if cap2 is None else min(cap, cap2)
             return self.truncate_t(cap) + other.truncate_t(cap)
         hit = _MEMO.get(memo_key := (id(self), id(other), "+"))
         if hit is not None:
             return hit
-        out = self._terms.copy()
-        for key, v in other._terms.items():
-            if key in out:
-                v = _add_triples(out[key], v)
-                if v is None:
-                    del out[key]
-                    continue
-            out[key] = v
-        return _MEMO.setdefault(memo_key, _interned(out, cap))
+        x, y = self._c, other._c
+        if x is None or y is None:
+            return _MEMO.setdefault(memo_key, self if y is None else other)
+        if self.p != other.p or self.j != other.j:
+            raise DomainError(
+                "a sum of two terms of different pi power or t grade: "
+                f"{self.render()} and {other.render()}"
+            )
+        (a, b, d), (c, f, e) = x, y
+        if d == e:
+            out = _canonical(a + c, b + f, d)
+        else:
+            out = _canonical(a * e + c * d, b * e + f * d, d * e)
+        return _MEMO.setdefault(memo_key, _interned(out, self.p, self.j, cap))
 
     def __neg__(self) -> "ExactScalar":
-        hit = _MEMO.get(memo_key := (id(self), "-"))
-        if hit is None:
-            terms = {k: (-re, -im, den) for k, (re, im, den) in self._terms.items()}
-            hit = _MEMO[memo_key] = _interned(terms, self.t_cap)
-        return hit
+        return self.times_i(2)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         return self + (-other)
@@ -244,121 +196,102 @@ class ExactScalar:
             return hit
         c1, c2 = self.t_cap, other.t_cap
         cap = c2 if c1 is None else c1 if c2 is None or c1 < c2 else c2
-        top = _NO_CAP if cap is None else cap
-        out: dict[tuple[int, int], Triple] = {}
-        right = other._terms.items()
-        for (p1, j1), (a1, b1, d1) in self._terms.items():
-            for (p2, j2), (a2, b2, d2) in right:
-                j = j1 + j2
-                if j > top:
-                    continue
-                # a product of nonzero Gaussian rationals is nonzero
-                re, im, den = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
-                g = gcd(re, im, den)
-                v = (re, im, den) if g == 1 else (re // g, im // g, den // g)
-                key = (p1 + p2, j)
-                if key in out:
-                    v = _add_triples(out[key], v)
-                    if v is None:
-                        del out[key]
-                        continue
-                out[key] = v
-        return _MEMO.setdefault(memo_key, _interned(out, cap))
+        x, y, j = self._c, other._c, self.j + other.j
+        if x is None or y is None or (cap is not None and j > cap):
+            return _MEMO.setdefault(memo_key, _interned(None, 0, 0, cap))
+        # a product of nonzero Gaussian rationals is nonzero
+        (a1, b1, d1), (a2, b2, d2) = x, y
+        re, im, den = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+        g = gcd(re, im, den)
+        c = (re, im, den) if g == 1 else (re // g, im // g, den // g)
+        return _MEMO.setdefault(memo_key, _interned(c, self.p + other.p, j, cap))
 
     def scale(self, q: RationalLike) -> "ExactScalar":
         hit = _MEMO.get(memo_key := (id(self), q, "q"))
         if hit is not None:
             return hit
-        n, m = q.numerator, q.denominator
+        n, m, c = q.numerator, q.denominator, self._c
         if n == 0:
             return ExactScalar.zero(self.t_cap)
-        out = {}
-        for k, (re, im, den) in self._terms.items():
-            re, im, den = re * n, im * n, den * m
-            g = gcd(re, im, den)
-            out[k] = (re, im, den) if g == 1 else (re // g, im // g, den // g)
-        return _MEMO.setdefault(memo_key, _interned(out, self.t_cap))
+        if c is not None:
+            c = _canonical(c[0] * n, c[1] * n, c[2] * m)
+        return _MEMO.setdefault(memo_key, _interned(c, self.p, self.j, self.t_cap))
+
+    def times_i(self, k: int = 1) -> "ExactScalar":
+        """``i^k`` times this scalar, for k = 1, -1 or 2: the triple's parts
+        swap or change sign, so it stays canonical and nothing multiplies."""
+        hit = _MEMO.get(memo_key := (id(self), k, "i"))
+        if hit is None:
+            c = self._c
+            if c is not None:
+                re, im, den = c
+                c = (-re, -im, den) if k == 2 else (-k * im, k * re, den)
+            hit = _MEMO[memo_key] = _interned(c, self.p, self.j, self.t_cap)
+        return hit
 
     def conjugate(self) -> "ExactScalar":
-        return _interned(
-            {k: (re, -im, den) for k, (re, im, den) in self._terms.items()}, self.t_cap
-        )
+        c = self._c
+        return _interned(c and (c[0], -c[1], c[2]), self.p, self.j, self.t_cap)
 
     # -- structure queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return self._c is None
 
-    def terms(self) -> Iterator[tuple[tuple[int, int], tuple[Fraction, Fraction]]]:
-        """Sorted ``((p, j), (re, im))`` pairs with Fraction parts."""
-        return (
-            (k, (Fraction(re, den), Fraction(im, den)))
-            for k, (re, im, den) in sorted(self._terms.items())
-        )
+    def coefficient(self) -> tuple[Fraction, Fraction]:
+        """``(a, b)`` of the term ``(a + b i) * pi^{p/2} * t^j``."""
+        re, im, den = self._c or (0, 0, 1)
+        return Fraction(re, den), Fraction(im, den)
 
     def t_grade(self, j: int) -> "ExactScalar":
-        """The sub-sum of terms with t grade exactly ``j`` (t factor kept)."""
-        return _interned(
-            {k: v for k, v in self._terms.items() if k[1] == j}, self.t_cap
-        )
+        """This scalar if its t grade is ``j`` (t factor kept), else zero."""
+        return self if self.j == j else _interned(None, 0, 0, self.t_cap)
 
     def truncate_t(self, m: int) -> "ExactScalar":
-        """Drop all grades above ``m``; the cap becomes ``min(t_cap, m)``."""
+        """Zero if the t grade is above ``m``; the cap becomes ``min(t_cap, m)``."""
         if m < 0:
             raise DomainError("truncation order must be >= 0")
         cap = m if self.t_cap is None else min(self.t_cap, m)
-        return _interned(
-            {k: v for k, v in self._terms.items() if k[1] <= m}, cap
-        )
+        return _interned(self._c if self.j <= m else None, self.p, self.j, cap)
 
     def rational_part(self) -> tuple[Fraction, Fraction]:
-        """Coefficient of the pi-free, t-free term."""
-        v = self._terms.get((0, 0))
-        if v is None:
-            return Fraction(0), Fraction(0)
-        re, im, den = v
-        return Fraction(re, den), Fraction(im, den)
+        """The coefficient if the term is pi-free and t-free, else zero."""
+        return (Fraction(0), Fraction(0)) if self.p or self.j else self.coefficient()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return self._terms == other._terms
+        return self._c == other._c and self.p == other.p and self.j == other.j
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._c, self.p, self.j))
 
     def to_complex(self, t: float = 1.0) -> complex:
         """Numerical value with pi evaluated and the t grade read at ``t``."""
-        total = 0j
-        for (p, j), (re, im, den) in self._terms.items():
-            total += complex(re / den, im / den) * math.pi ** (p / 2.0) * t**j
-        return total
+        re, im, den = self._c or (0, 0, 1)
+        return complex(re / den, im / den) * math.pi ** (self.p / 2.0) * t**self.j
 
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
-        if not self._terms:
+        if self._c is None:
             return "0"
-        parts = []
-        for (p, j) in sorted(self._terms, key=lambda k: (k[1], k[0])):
-            body = _fmt_complex(*self._terms[(p, j)])
-            factors = []
-            if p:
-                factors.append(f"pi^{{{p}/2}}" if p % 2 else "pi" if p == 2 else f"pi^{p // 2}")
-            if j:
-                factors.append("t" if j == 1 else f"t^{j}")
-            if not factors:
-                parts.append(body)
-                continue
-            if body == "1":
-                parts.append(" * ".join(factors))
-            elif body == "-1":
-                parts.append("-" + " * ".join(factors))
-            else:
-                if " " in body or body.startswith("-"):
-                    body = f"({body})"
-                parts.append(" * ".join([body] + factors))
-        return " + ".join(parts)
+        p, j = self.p, self.j
+        body = _fmt_complex(*self._c)
+        factors = []
+        if p:
+            factors.append(f"pi^{{{p}/2}}" if p % 2 else "pi" if p == 2 else f"pi^{p // 2}")
+        if j:
+            factors.append("t" if j == 1 else f"t^{j}")
+        if not factors:
+            return body
+        if body == "1":
+            return " * ".join(factors)
+        if body == "-1":
+            return "-" + " * ".join(factors)
+        if " " in body or body.startswith("-"):
+            body = f"({body})"
+        return " * ".join([body] + factors)
 
     __str__ = render
 

@@ -235,17 +235,17 @@ words = st.lists(st.sampled_from((H, A1, D1H)), max_size=2).map(tuple)
 
 
 @st.composite
-def coefficients(draw):
-    """Scalars with caps None and 0..3; uncapped ones may carry any t grade."""
-    cap = draw(st.one_of(st.none(), st.integers(0, 3)))
+def elements(draw):
+    """Elements whose coefficients have caps None and 0..3, with the t grade
+    fixed by the word, as the calculus builds them: one per h letter (``h``
+    or ``d(1)(h)``), and a pi half-power per ``A1``; a grade past the cap
+    leaves the word out."""
     terms = {}
-    for _ in range(draw(st.integers(1, 3))):
-        key = (draw(st.integers(0, 2)), draw(st.integers(0, 4)))
-        terms[key] = (draw(small), draw(small))
-    return ExactScalar(terms, t_cap=cap)
-
-
-elements = st.dictionaries(words, coefficients(), max_size=4).map(AlgebraElement)
+    for w in draw(st.lists(words, max_size=4)):
+        p, j = w.count(A1), len(w) - w.count(A1)
+        cap = draw(st.one_of(st.none(), st.integers(0, 3)))
+        terms[w] = ExactScalar(draw(small), draw(small), p, j, t_cap=cap)
+    return AlgebraElement(terms)
 
 
 def naive_product(a, b):
@@ -258,7 +258,7 @@ def naive_product(a, b):
 
 
 @settings(max_examples=300, deadline=None)
-@given(elements, elements)
+@given(elements(), elements())
 def test_product_matches_pairwise_reference(a, b):
     prod = a * b
     ref = naive_product(a, b)
@@ -267,15 +267,22 @@ def test_product_matches_pairwise_reference(a, b):
     assert prod.render() == ref.render()
 
 
-def test_product_with_uncapped_t_grades():
-    # an uncapped t^2 against a cap-1 coefficient: the pair cap is 1, and the
-    # uncapped grade is not known to the pruning, so the multiply decides
-    capped = elem(H).scale(ExactScalar.rational(1, t_cap=1) + ExactScalar.t_power(1, t_cap=1))
-    uncapped = elem(A1).scale(ExactScalar.t_power(2) + ExactScalar.rational(3))
-    for a, b in ((capped, uncapped), (uncapped, capped)):
+def test_product_with_uncapped_t_grades(monkeypatch):
+    # against a cap-1 t, the pair cap is 1: an uncapped t^2 is skipped
+    # unmultiplied, since its grade is known to the pruning, and an uncapped
+    # 3 is multiplied under the cap
+    capped = elem(H).scale(ExactScalar.t_power(1, t_cap=1))
+    high = elem(A1).scale(ExactScalar.t_power(2))
+    low = elem(A1).scale(ExactScalar.rational(3))
+    for a, b in ((capped, low), (low, capped)):
         assert a * b == naive_product(a, b)
         ((_w, s),) = list((a * b).terms())
-        assert s == ExactScalar.rational(3, t_cap=1) + ExactScalar.t_power(1, 3, t_cap=1)
+        assert s is ExactScalar.t_power(1, 3, t_cap=1)
+    calls = []
+    mul = ExactScalar.__mul__
+    monkeypatch.setattr(ExactScalar, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    assert (capped * high).is_zero() and (high * capped).is_zero()
+    assert calls == []
 
 
 def test_product_skips_every_pair_over_the_cap(monkeypatch):

@@ -10,7 +10,7 @@ from ncps import numeric as nm
 from ncps import symbols as sy
 from ncps.algebra import AlgebraElement
 from ncps.checks import CHECKS, _residue_verdict, run_check
-from ncps.scalars import DomainError
+from ncps.scalars import DomainError, ExactScalar
 
 
 def test_registry_has_descriptions():
@@ -208,36 +208,43 @@ def test_residue_verdict_takes_the_weakest_level(level, grades, verdict):
     assert _residue_verdict(_Density(level), grades) == verdict
 
 
+PI_WITNESS = {1: "pi", 2: "(2 * pi)", 7: "(7 * pi)"}
+
+
 @pytest.mark.parametrize(
     "broken, witness",
     [
-        ({"flat pair"}, "1"),
-        ({"conformal pair"}, "2"),
-        ({"flat value"}, "(3 + 4 * pi)"),
+        ({"flat pair"}, 1),
+        ({"conformal pair"}, 2),
+        ({"flat value"}, 7),
         # the flat pair wins over the conformal pair, which wins over the flat value
-        ({"flat pair", "conformal pair", "flat value"}, "1"),
-        ({"conformal pair", "flat value"}, "2"),
-        ({"flat pair", "flat value"}, "1"),
+        ({"flat pair", "conformal pair", "flat value"}, 1),
+        ({"conformal pair", "flat value"}, 2),
+        ({"flat pair", "flat value"}, 1),
     ],
 )
 def test_res_heat_failure_witness(monkeypatch, broken, witness):
-    # the flat pair's sides differ by 1, the conformal pair's by 2, and a
-    # flat value off 4 pi is 3 more on both sides, so each failure renders apart
+    # both sides are multiples of pi, and so is what is injected: the flat
+    # pair's sides differ by pi, the conformal pair's by 2 pi, and a flat
+    # value off 4 pi is 3 pi more on both sides, so each failure renders
+    # apart as the multiple of pi given
     crosscheck = ht.res_heat_crosscheck
+    pi = AlgebraElement.scalar(ExactScalar.pi_half(2))
 
     def broken_crosscheck(k, fam):
         pair = crosscheck(k, fam)
         lhs, rhs = pair.lhs_traced, pair.rhs_traced
         name = "flat" if fam.kind == "free_dirac" else "conformal"
         if f"{name} value" in broken:
-            lhs, rhs = lhs + AlgebraElement.rational(3), rhs + AlgebraElement.rational(3)
+            lhs, rhs = lhs + pi.scale_rational(3), rhs + pi.scale_rational(3)
         if f"{name} pair" in broken:
-            rhs = rhs - AlgebraElement.rational(1 if name == "flat" else 2)
+            rhs = rhs - pi.scale_rational(1 if name == "flat" else 2)
         return ht.ResHeatPair(lhs, rhs)
 
     monkeypatch.setattr(ht, "res_heat_crosscheck", broken_crosscheck)
     report = run_check("res-heat")
-    assert (report.status, report.vanishing_level, report.witness) == ("fail", "n-a", witness)
+    assert (report.status, report.vanishing_level) == ("fail", "n-a")
+    assert report.witness == PI_WITNESS[witness]
     assert report.details["flat"]["agree"] is ("flat pair" not in broken)
     assert report.details["flat"]["equals_4pi"] is ("flat value" not in broken)
     assert report.details["conformal"]["agree"] is ("conformal pair" not in broken)

@@ -267,7 +267,7 @@ def test_cs_density_closed_form():
         for n, l, sign in ((nu, lam, 1), (lam, nu, -1)):
             term = dA[mu] * (A[l].delta(n + 1) + A[n] * A[l])
             expect = expect + term.scale_rational(sign)
-    expect = expect.scale(ExactScalar({(2, 0): (0, -4)}))
+    expect = expect.scale(ExactScalar(0, -4, p=2))
     assert not full.is_zero()
     assert tau_class(full.representative - expect).is_zero()
     assert hashlib.sha256(full.render().encode()).hexdigest() == GOLDEN_CS_DENSITY

@@ -382,6 +382,17 @@ def test_anomaly_density_grades():
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ANOMALY_T2
 
 
+def test_anomaly_grade_is_not_the_weyl_letter_count():
+    # the localizer h carries no t, so every grade-1 word of the anomaly
+    # density has two h letters: the t grade cannot be read off the words,
+    # and it stays in the coefficient
+    grades = ht.anomaly_density(OperatorFamily.conformal(2, t_cap=1))
+    terms = list(grades[1].representative.terms())
+    assert [len(w) for w, _s in terms] == [2, 2]
+    assert all(g.base == "h" for w, _s in terms for g in w)
+    assert all(s.j == 1 for _w, s in terms)
+
+
 def test_anomaly_density_rejects_wrong_family():
     with pytest.raises(DomainError):
         ht.anomaly_density(OperatorFamily.free(2))

@@ -346,6 +346,25 @@ def test_heat_trace_rejects_wrong_localizer_shape():
         nm.heat_trace_operator(top, 0.3, np.eye(48))
 
 
+def test_heat_traces_refuse_a_complex_weight_or_non_hermitian_localizer():
+    # both traces are returned as real numbers, so an imaginary part would be
+    # dropped: Tr(i exp(-0.1 D^2)) of the free 2-d member is 34.45 i, not 0
+    with pytest.raises(DomainError, match=r"weight must be real, got 1j"):
+        nm.heat_trace_lattice(0.1, 3, 2, weight=1j)
+    assert nm.heat_trace_lattice(0.1, 3, 2, weight=0.5 + 0j) == nm.heat_trace_lattice(0.1, 3, 2, 0.5)
+    top = nm.build_operator(nm.NumericFamily("free_dirac", 2), 2)
+    eye = np.eye(top.size)
+    with pytest.raises(DomainError, match=r"localizer is not Hermitian: max \|a - a\^\*\| is 2"):
+        nm.heat_trace_operator(top, 0.1, 1j * eye)
+    skew = eye.astype(complex)
+    skew[0, 1] = 1e-3
+    with pytest.raises(DomainError, match="localizer is not Hermitian"):
+        nm.heat_trace_operator(top, 0.1, skew)
+    # a defect at round-off is accepted, as for the eigensolve
+    skew[0, 1] = 1e-12
+    assert abs(nm.heat_trace_operator(top, 0.1, skew) - nm.heat_trace_operator(top, 0.1)) < 1e-9
+
+
 def _dense_heat_trace(mat, s, loc):
     vals, vecs = np.linalg.eigh(mat)
     return np.trace(loc @ (vecs * np.exp(-s * vals**2)) @ vecs.conj().T).real

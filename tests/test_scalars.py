@@ -14,25 +14,25 @@ rationals = st.fractions(
 )
 
 
-def raw_scalars(max_cap=3):
-    """``(terms, cap)`` with Fraction parts, before any ExactScalar is built."""
-
-    @st.composite
-    def build(draw):
-        n_terms = draw(st.integers(0, 3))
-        terms = {}
-        for _ in range(n_terms):
-            p = draw(st.integers(0, 4))
-            j = draw(st.integers(0, 3))
-            terms[(p, j)] = (draw(rationals), draw(rationals))
-        cap = draw(st.one_of(st.none(), st.integers(0, max_cap)))
-        return terms, cap
-
-    return build()
+parts = st.one_of(st.just(Fraction(0)), rationals)
 
 
-def scalars(max_cap=3):
-    return raw_scalars(max_cap).map(lambda tc: ExactScalar(*tc))
+def raw_scalars(max_cap=3, p=st.integers(0, 4), j=st.integers(0, 3)):
+    """``(re, im, p, j, cap)`` of one term with Fraction parts, before any
+    ExactScalar is built; the parts are zero now and then."""
+    return st.tuples(parts, parts, p, j, st.one_of(st.none(), st.integers(0, max_cap)))
+
+
+def scalars(max_cap=3, **term):
+    return raw_scalars(max_cap, **term).map(lambda x: ExactScalar(*x))
+
+
+@st.composite
+def term_scalars(draw, n):
+    """``n`` scalars of one pi power and t grade, so every sum of them is
+    one term, as in the calculus."""
+    key = {"p": st.just(draw(st.integers(0, 4))), "j": st.just(draw(st.integers(0, 3)))}
+    return [draw(scalars(**key)) for _ in range(n)]
 
 
 def test_half_gamma_values():
@@ -59,23 +59,21 @@ def test_half_gamma_functional_equation(two_x):
 
 
 def test_truncate_examples():
-    s = (
-        ExactScalar.one()
-        + ExactScalar.t_power(1)
-        + ExactScalar.t_power(2)
-    )
-    assert s.truncate_t(1) == ExactScalar.one() + ExactScalar.t_power(1)
+    assert ExactScalar.t_power(1).truncate_t(1) == ExactScalar.t_power(1, t_cap=1)
+    assert ExactScalar.t_power(2).truncate_t(1) is ExactScalar.zero(t_cap=1)
     assert (ExactScalar.pi_half(2) * ExactScalar.t_power(3)).truncate_t(2).is_zero()
     assert ExactScalar.rational(Fraction(3, 4)).truncate_t(0) == ExactScalar.rational(
         Fraction(3, 4)
     )
 
 
-@given(scalars(), scalars(), scalars())
+@given(scalars(), term_scalars(3))
 @settings(max_examples=150)
-def test_ring_axioms(a, b, c):
-    assert ((a + b) + c) == (a + (b + c))
+def test_ring_axioms(a, same):
+    b, c, d = same
+    assert ((b + c) + d) == (b + (c + d))
     assert ((a * b) * c) == (a * (b * c))
+    assert a * b == b * a
     assert (a * (b + c)) == (a * b + a * c)
     assert (a - a).is_zero()
 
@@ -95,9 +93,9 @@ def test_conjugation_is_multiplicative(a, b):
 
 
 def test_zero_is_empty_map():
-    s = ExactScalar.rational(1) - ExactScalar.rational(1)
-    assert s.is_zero()
-    assert list(s.terms()) == []
+    s = ExactScalar.pi_half(1, 3, t_cap=2) - ExactScalar.pi_half(1, 3)
+    assert s.is_zero() and s is ExactScalar.zero(t_cap=2)
+    assert (s.p, s.j, s.coefficient()) == (0, 0, (0, 0))
 
 
 def test_caps_combine_to_minimum():
@@ -111,8 +109,11 @@ def test_caps_combine_to_minimum():
 
 
 def test_render_grammar():
-    s = ExactScalar({(3, 2): (Fraction(3, 4), Fraction(1, 2))})
+    s = ExactScalar(Fraction(3, 4), Fraction(1, 2), 3, 2)
     assert s.render() == "(3/4 + 1/2 i) * pi^{3/2} * t^2"
+    assert ExactScalar(Fraction(-3, 4), 0, 0, 1).render() == "(-3/4) * t"
+    assert ExactScalar(0, -1, 4, 0).render() == "(-i) * pi^2"
+    assert ExactScalar(2, 1).render() == "2 + i"
     assert ExactScalar.zero().render() == "0"
     assert ExactScalar.pi_half(2).render() == "pi"
     assert (-ExactScalar.t_power(1)).render() == "-t"
@@ -121,14 +122,17 @@ def test_render_grammar():
 def test_to_complex():
     import math
 
-    s = ExactScalar.pi_half(1, Fraction(1, 2)) + ExactScalar.t_power(2, 3)
-    assert abs(s.to_complex(t=0.5) - (0.5 * math.sqrt(math.pi) + 3 * 0.25)) < 1e-14
+    s = ExactScalar.pi_half(1, Fraction(1, 2)) * ExactScalar.t_power(2, 3)
+    assert abs(s.to_complex(t=0.5) - 1.5 * math.sqrt(math.pi) * 0.25) < 1e-14
+    assert ExactScalar(1, -2).to_complex() == 1 - 2j
+    assert ExactScalar.zero().to_complex() == 0
 
 
 # -- integer-triple kernel against a Fraction reference ------------------------
 #
 # The reference ring keeps ``(p, j) -> (re, im)`` Fraction pairs with a cap,
-# exactly as the coefficient ring is specified.
+# exactly as the coefficient ring is specified; a sum the reference holds as
+# two terms is one the scalar refuses.
 
 
 def ref_clean(terms, cap):
@@ -165,32 +169,49 @@ def ref_scale(x, q):
     return ref_clean({k: (re * q, im * q) for k, (re, im) in x[0].items()}, x[1]), x[1]
 
 
-def ref_value(terms, cap):
-    return ref_clean(terms, cap), cap
+def ref_value(re, im, p, j, cap):
+    return ref_clean({(p, j): (re, im)}, cap), cap
+
+
+def ref_neg(x):
+    return ref_scale(x, -1)
 
 
 def assert_matches(s, ref):
     terms, cap = ref
     assert s.t_cap == cap
-    assert dict(s.terms()) == terms
-    for (re, im) in dict(s.terms()).values():
-        assert type(re) is Fraction and type(im) is Fraction
+    assert ({} if s.is_zero() else {(s.p, s.j): s.coefficient()}) == terms
+    re, im = s.coefficient()
+    assert type(re) is Fraction and type(im) is Fraction
     assert_canonical(s)
     # the same value built directly from the reference has the same identity
-    direct = ExactScalar(terms, cap)
-    assert s == direct
+    (p, j), (re, im) = next(iter(terms.items()), ((0, 0), (0, 0)))
+    direct = ExactScalar(re, im, p, j, cap)
+    assert s is direct
     assert hash(s) == hash(direct)
     assert s.render() == direct.render()
 
 
 def assert_canonical(s):
-    for (p, j), (re, im, den) in s._terms.items():
-        assert type(re) is int and type(im) is int and type(den) is int
-        assert den > 0
-        assert (re, im) != (0, 0)
-        assert math.gcd(re, im, den) == 1
-        assert p >= 0 and j >= 0
-        assert s.t_cap is None or j <= s.t_cap
+    assert s.p >= 0 and s.j >= 0
+    assert s.t_cap is None or s.j <= s.t_cap
+    if s._c is None:
+        assert (s.p, s.j) == (0, 0)
+        return
+    re, im, den = s._c
+    assert type(re) is int and type(im) is int and type(den) is int
+    assert den > 0
+    assert (re, im) != (0, 0)
+    assert math.gcd(re, im, den) == 1
+
+
+def assert_sum_matches(op, ref):
+    """``op()`` matches the reference sum, or refuses one of two terms."""
+    if len(ref[0]) > 1:
+        with pytest.raises(DomainError, match="different pi power or t grade"):
+            op()
+    else:
+        assert_matches(op(), ref)
 
 
 @given(raw_scalars(), raw_scalars())
@@ -198,10 +219,28 @@ def assert_canonical(s):
 def test_kernel_add_sub_match_fraction_reference(x, y):
     a, b = ExactScalar(*x), ExactScalar(*y)
     assert_matches(a, ref_value(*x))
-    assert_matches(a + b, ref_add(ref_value(*x), ref_value(*y)))
-    neg_y = ({k: (-re, -im) for k, (re, im) in y[0].items()}, y[1])
-    assert_matches(-b, ref_value(*neg_y))
-    assert_matches(a - b, ref_add(ref_value(*x), ref_value(*neg_y)))
+    assert_sum_matches(lambda: a + b, ref_add(ref_value(*x), ref_value(*y)))
+    assert_matches(-b, ref_neg(ref_value(*y)))
+    assert_sum_matches(lambda: a - b, ref_add(ref_value(*x), ref_neg(ref_value(*y))))
+
+
+@given(term_scalars(2))
+@settings(max_examples=200)
+def test_kernel_add_of_one_term_matches_fraction_reference(same):
+    a, b = same
+    ref = ref_add(ref_value(*a.coefficient(), a.p, a.j, a.t_cap),
+                  ref_value(*b.coefficient(), b.p, b.j, b.t_cap))
+    assert_matches(a + b, ref)
+
+
+def test_sum_of_different_terms_names_both():
+    with pytest.raises(DomainError, match=r"3/4 \* pi and \(2 \+ i\) \* t$"):
+        ExactScalar.pi_half(2, Fraction(3, 4)) + ExactScalar(2, 1, 0, 1)
+    with pytest.raises(DomainError, match="different pi power or t grade"):
+        ExactScalar.one() - ExactScalar.pi_half(1)
+    # a grade past the smaller cap is zero before the sum is taken
+    assert ExactScalar.one(t_cap=1) + ExactScalar.t_power(2) is ExactScalar.one(t_cap=1)
+    assert ExactScalar.pi_half(1) + ExactScalar.zero() is ExactScalar.pi_half(1)
 
 
 @given(raw_scalars(), raw_scalars())
@@ -226,6 +265,8 @@ def test_kernel_conjugate_grade_truncate_match_fraction_reference(x, j, m):
     assert_matches(a.t_grade(j), ({k: v for k, v in terms.items() if k[1] == j}, cap))
     trunc_cap = m if cap is None else min(cap, m)
     assert_matches(a.truncate_t(m), ({k: v for k, v in terms.items() if k[1] <= m}, trunc_cap))
+    assert_matches(a.times_i(), ({k: (-im, re) for k, (re, im) in terms.items()}, cap))
+    assert_matches(a.times_i(-1), ({k: (im, -re) for k, (re, im) in terms.items()}, cap))
 
 
 def test_equal_values_built_differently_share_identity():
@@ -235,7 +276,7 @@ def test_equal_values_built_differently_share_identity():
     assert hash(one) == hash(ExactScalar.one())
     assert one.render() == "1"
     three_sixths = ExactScalar.rational(3).scale(Fraction(1, 6))
-    assert three_sixths._terms == {(0, 0): (1, 0, 2)}
+    assert three_sixths._c == (1, 0, 2)
     assert three_sixths == half
     assert hash(three_sixths) == hash(half)
     assert three_sixths.render() == half.render() == "1/2"
@@ -243,20 +284,19 @@ def test_equal_values_built_differently_share_identity():
     w = ExactScalar.rational(Fraction(1, 2), Fraction(1, 2)) * ExactScalar.rational(1, -1)
     assert w == ExactScalar.one() and w.render() == "1"
     thirds = ExactScalar.rational(Fraction(1, 3), Fraction(2, 3)).scale(3)
-    assert thirds._terms == {(0, 0): (1, 2, 1)}
+    assert thirds._c == (1, 2, 1)
     assert thirds.render() == "1 + 2 i"
 
 
 def test_boundary_returns_fractions():
-    s = ExactScalar({(0, 0): (Fraction(3, 4), Fraction(-1, 6)), (1, 0): (2, 0)})
-    assert s._terms[(0, 0)] == (9, -2, 12)
-    assert s.rational_part() == (Fraction(3, 4), Fraction(-1, 6))
-    assert list(s.terms()) == [
-        ((0, 0), (Fraction(3, 4), Fraction(-1, 6))),
-        ((1, 0), (Fraction(2), Fraction(0))),
-    ]
-    assert ExactScalar.zero().rational_part() == (0, 0)
-    assert s.render() == "3/4 - 1/6 i + 2 * pi^{1/2}"
+    s = ExactScalar(Fraction(3, 4), Fraction(-1, 6))
+    assert s._c == (9, -2, 12)
+    assert s.rational_part() == s.coefficient() == (Fraction(3, 4), Fraction(-1, 6))
+    assert all(type(v) is Fraction for v in s.coefficient())
+    pi = ExactScalar.pi_half(1, 2)
+    assert pi.coefficient() == (Fraction(2), Fraction(0))
+    assert pi.rational_part() == ExactScalar.zero().rational_part() == (0, 0)
+    assert s.render() == "3/4 - 1/6 i" and pi.render() == "2 * pi^{1/2}"
 
 
 # -- hash-consing: one object per value, memoized arithmetic ---------------------
@@ -266,9 +306,7 @@ def test_equal_value_and_cap_give_the_same_object():
     half = ExactScalar.rational(Fraction(1, 2), t_cap=2)
     assert half + half is ExactScalar.one(t_cap=2)
     assert ExactScalar.rational(3).scale(Fraction(1, 6)) is ExactScalar.rational(Fraction(1, 2))
-    assert ExactScalar({(0, 1): (1, 0), (2, 0): (0, 1)}) is ExactScalar(
-        {(2, 0): (0, 1), (0, 1): (1, 0)}
-    )
+    assert ExactScalar(Fraction(2, 4), 1, 2, 1) is ExactScalar(Fraction(1, 2), Fraction(3, 3), 2, 1)
     assert ExactScalar.t_power(3, t_cap=2) is ExactScalar.zero(t_cap=2)
 
 
@@ -285,9 +323,9 @@ def test_copy_deepcopy_and_pickle_return_the_interned_object(cap):
     import copy
     import pickle
 
-    s = ExactScalar({(1, 0): (3, 1), (0, 0): (Fraction(-2, 7), 0)}, t_cap=cap)
-    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-        assert twin is s
+    for s in (ExactScalar(3, Fraction(-2, 7), 1, 0, t_cap=cap), ExactScalar.zero(cap)):
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin is s
     assert copy.deepcopy([s, s]) == [s, s]
     assert ExactScalar.zero().is_zero() and ExactScalar.zero().render() == "0"
     assert ExactScalar.one().render() == "1"
@@ -308,12 +346,15 @@ def fresh(op):
 @given(raw_scalars(), raw_scalars(), st.one_of(st.integers(-6, 6), rationals))
 @settings(max_examples=200)
 def test_memoized_arithmetic_matches_a_fresh_computation(x, y, q):
+    # y is moved to the term of x, so that the sum is one term
+    y = y[:2] + x[2:4] + y[4:]
     a, b = ExactScalar(*x), ExactScalar(*y)
     ops = {
         "mul": (lambda: a * b, ref_mul(ref_value(*x), ref_value(*y))),
         "add": (lambda: a + b, ref_add(ref_value(*x), ref_value(*y))),
         "scale": (lambda: a.scale(q), ref_scale(ref_value(*x), Fraction(q))),
-        "neg": (lambda: -a, ref_scale(ref_value(*x), -1)),
+        "neg": (lambda: -a, ref_neg(ref_value(*x))),
+        "i": (lambda: a.times_i(), ref_mul(ref_value(*x), ref_value(0, 1, 0, 0, None))),
     }
     for op, ref in ops.values():
         first, again = op(), op()
@@ -321,3 +362,21 @@ def test_memoized_arithmetic_matches_a_fresh_computation(x, y, q):
         computed = fresh(op)
         assert computed is first and computed.t_cap == first.t_cap
         assert_matches(first, ref)
+
+
+def test_no_module_imports_a_private_name_of_scalars():
+    # the memo and the intern table are the scalar ring's own: every other
+    # module goes through ExactScalar
+    import ast
+    from pathlib import Path
+
+    import ncps
+
+    offenders = []
+    for path in sorted(Path(ncps.__file__).parent.glob("*.py")):
+        if path.stem == "scalars":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("scalars", "ncps.scalars"):
+                offenders += [f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []

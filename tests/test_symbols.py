@@ -151,7 +151,8 @@ def same_terms(a, b):
 @st.composite
 def components(draw):
     """Components in dim 2 and 3: mixed parities and levels of m, t-graded
-    coefficients under one cap, and terms that cancel one level up through
+    coefficients under one cap with the grade fixed by the word (one per
+    ``h``), and terms that cancel one level up through
     ``xi^beta (xi^2)^{-m/2} = sum_i xi^{beta + 2e_i} (xi^2)^{-(m+2)/2}``."""
     dim = draw(st.sampled_from((2, 3)))
     degree = draw(st.integers(-3, 2))
@@ -164,8 +165,9 @@ def components(draw):
             beta = (beta[0] + degree - sum(beta),) + beta[1:]
         m = sum(beta) - degree
         coeff = Fraction(draw(st.sampled_from((-3, -1, 1, 2))), draw(st.integers(1, 3)))
-        v = AlgebraElement.scalar(ExactScalar.t_power(draw(st.integers(0, 2)), coeff, cap))
-        if draw(st.booleans()):
+        grade = draw(st.integers(0, 2))
+        v = AlgebraElement.scalar(ExactScalar.t_power(grade, coeff, cap))
+        for _ in range(grade):
             v = v * h
         entries = [AlgebraElement.zero()] * 4
         entries[draw(st.integers(0, 3))] = v
@@ -740,11 +742,12 @@ PAULI_LETTERS = (gen("h", 3), gen("A1", 3), Generator("h", (1, 0, 0)))
 
 @st.composite
 def entry_rows(draw, cap):
-    """Entry rows over non-commuting words.  A coefficient is an uncapped
-    t-free Gaussian rational or carries t grades up to the example's cap, so
-    one matrix mixes the caps None and ``cap``.  Ties between entries make
-    Pauli components vanish: s = p kills a3, r = q kills a2, q = r = 0 kills
-    a1 and a2."""
+    """Entry rows over non-commuting words.  A coefficient's t grade is fixed
+    by its word, one per ``h`` letter, as the calculus builds them; it
+    carries the example's cap, or none when it is t-free, so one matrix
+    mixes the caps None and ``cap``.  Ties between entries make Pauli
+    components vanish: s = p kills a3, r = q kills a2, q = r = 0 kills a1
+    and a2."""
 
     def entry():
         out = AlgebraElement.zero()
@@ -752,11 +755,9 @@ def entry_rows(draw, cap):
             word = tuple(draw(st.lists(st.sampled_from(PAULI_LETTERS), max_size=2)))
             re = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
             im = draw(st.integers(-2, 2))
-            if draw(st.booleans()):
-                coeff = ExactScalar.rational(re, im)
-            else:
-                grade = draw(st.integers(0, 2 if cap is None else cap))
-                coeff = ExactScalar({(0, grade): (re, im)}, t_cap=cap)
+            grade = sum(g.base == "h" for g in word)
+            free = grade == 0 and draw(st.booleans())
+            coeff = ExactScalar(re, im, j=grade, t_cap=None if free else cap)
             out = out + AlgebraElement({word: coeff})
         return out
 
@@ -821,9 +822,9 @@ def test_mat2_rows_with_mixed_t_caps_are_rejected():
     with pytest.raises(DomainError, match="mix t caps"):
         Mat2(((z, p), (s, z)))
     # one cap, or an uncapped t-free entry beside a capped one, round-trips
-    one = AlgebraElement.unit()
-    assert Mat2(((p, z), (z, p * p))).e == ((p, z), (z, p * p))
-    assert Mat2(((one, s), (z, s))).e == ((one, s), (z, s))
+    one, p3 = AlgebraElement.unit(), p.scale_rational(-3)
+    assert Mat2(((p, z), (z, p3))).e == ((p, z), (z, p3))
+    assert Mat2(((one, z), (s, z))).e == ((one, z), (s, z))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
