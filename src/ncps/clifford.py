@@ -1,10 +1,10 @@
 """2x2 matrices over the free algebra, and the gamma algebra on them.
 
 :class:`Mat2` is the one 2x2 type of the package: the symbol calculus of
-:mod:`ncps.symbols` (which held it before) stores every matrix coefficient in
-it, and the gamma algebra here is built on the same type.  The generators in
-dimensions 2 and 3 are the Pauli matrices, ``gamma_mu = sigma_mu``: the Pauli
-component ``a_mu`` is 1 and the others vanish.  Products and traces are exact,
+:mod:`ncps.symbols` stores every matrix coefficient in it, and the gamma
+algebra here is built on the same type.  The generators in dimensions 2 and 3
+are the Pauli matrices, ``gamma_mu = sigma_mu``: the Pauli component ``a_mu``
+is 1 and the others vanish.  Products and traces are exact,
 so the anticommutation relation and the trace identities (vanishing
 single-gamma trace, Levi-Civita three-gamma trace) hold as matrix identities
 rather than rewrite rules.  Products walk only pairs of nonzero components,

@@ -172,9 +172,11 @@ def induced_cs_density(f: OperatorFamily, gauge_cap: Optional[int] = None) -> Ta
 
     Returns ``Wres(gamma^mu dA_mu |D|^{-1})`` as an explicit trace class,
     linear in the fresh variation generators ``dA1 .. dA<dim>``.
-    ``gauge_cap`` runs the whole pipeline with words of gauge degree above
-    the cap dropped after every stage, which must not change the low-degree
-    outcome; it serves as an independent cross-check path.
+    ``gauge_cap`` runs the same pipeline with the words of gauge degree above
+    the cap dropped after every stage.  No stage lowers the gauge degree of a
+    word, so that gives the full density truncated at the cap: equal to the
+    full density exactly when it has gauge degree at most the cap.  It is the
+    same computation, not an independent route.
     """
     if f.kind != "coupled_dirac":
         raise DomainError("the induced gauge density is defined for coupled families")

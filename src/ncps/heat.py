@@ -124,7 +124,7 @@ def heat_coefficients(
     xi-even, and builds no ``delta`` rung that feeds none of them.  This is
     exact: a term's parity class depends on its key alone, ``r_0`` has
     ``beta = 0``, so ``r_count = -r_0 . cross`` keeps the classes of
-    ``cross``, and ``reduced`` leaves a layer's keys as they are.  The audit
+    ``cross``, and a layer's keys are their own normal form.  The audit
     ``|beta| + 2s - 2m = -2 - k`` makes every key of an odd layer odd in some
     ``xi_i``, so an odd ``r_count`` costs no rung and no product at all.
     """

@@ -387,9 +387,11 @@ def heat_trace_lattice(t: float, L: int, dim: int, weight: complex = 1.0) -> flo
     The weight is the zero mode of the localizer, which is all the diagonal
     of a multiplication operator contributes for the flat family.  The trace
     is returned as a float, so a weight with a nonzero imaginary part (a
-    localizer that is not self-adjoint) is refused.
+    localizer that is not self-adjoint) is refused, as is a non-finite one.
     """
     _check_heat_parameter(t)
+    if not cmath.isfinite(weight):
+        raise DomainError(f"heat trace weight must be finite, got {weight}")
     if weight.imag:
         raise DomainError(f"heat trace weight must be real, got {weight}")
     clifford.check_dim(dim)

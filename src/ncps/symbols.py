@@ -7,16 +7,16 @@ sum of terms
 
 with ``C`` a 2x2 matrix over the free algebra, ``beta`` a monomial multi-index
 and ``m >= 0``.  ``C`` is a :class:`ncps.clifford.Mat2`, held in the Pauli
-basis ``a0 1 + sum_k a_k sigma_k``; the type moved from here to
-:mod:`ncps.clifford`, where the gamma generators of :func:`dirac_symbol` are
-built on it, and is re-exported here.  Coefficient maps, all complex-linear,
-act on each Pauli component.  The degree of a term is ``|beta| - m``.
-Components carry an exact zero test: each term is rewritten on its own by
+basis ``a0 1 + sum_k a_k sigma_k``, the type the gamma generators of
+:func:`dirac_symbol` are built on in :mod:`ncps.clifford`.  Coefficient maps,
+all complex-linear, act on each Pauli component.  The degree of a term is
+``|beta| - m``.  A component holds every term in normal form from the moment
+it is inserted: a term is rewritten on its own by
 ``xi_1^2 = xi^2 - sum_{i>=2} xi_i^2`` until every term with ``m >= 2`` has
 ``beta_1 < 2``.  That form is unique, since ``xi^2`` is monic in ``xi_1^2``:
 over a common denominator it is the expansion of the numerator in powers of
-``xi^2`` with remainders of ``xi_1``-degree below 2.  A component is zero iff
-its canonical form has no terms.
+``xi^2`` with remainders of ``xi_1``-degree below 2.  So a component is zero
+iff it has no terms.
 
 The composition law is the graded star product
 
@@ -58,13 +58,14 @@ integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Collection, Iterable, Optional
 
 from .algebra import (
     AlgebraElement,
+    _accumulate,
     exp_expand,
     gen,
     invert_perturbed_unit,
@@ -137,9 +138,12 @@ class TermMap:
     Subclasses fix what the powers mean: :meth:`_audit` checks a new key
     against the degree, :meth:`_join` gives the key of a product of two
     terms, and ``_powers`` prints them, one factor text per power (empty
-    where the factor is 1) after the ``xi^beta`` factors.  A plain term map,
-    the momentum integrand of :mod:`ncps.heat`, is keyed ``(beta, s)`` for
-    ``xi^beta (xi^2)^s``."""
+    where the factor is 1) after the ``xi^beta`` factors.  ``_pieces`` gives
+    the normal form of a key as ``(key, integer coefficient)`` pairs; every
+    insert goes through it, so a map only ever holds normal-form keys.  A
+    plain term map, the momentum integrand of :mod:`ncps.heat`, is keyed
+    ``(beta, s)`` for ``xi^beta (xi^2)^s``, and each key is its own normal
+    form."""
 
     __slots__ = ("dim", "degree", "terms", "_keep")
     _powers: tuple[Callable[[int], str], ...] = (
@@ -161,6 +165,8 @@ class TermMap:
     def _audit(self, key: tuple) -> None:
         pass
 
+    _pieces = staticmethod(lambda key: ((key, 1),))
+
     @staticmethod
     def _join(k1: tuple, k2: tuple) -> tuple:
         """Key of the product of two terms: every entry adds."""
@@ -168,8 +174,11 @@ class TermMap:
         return (beta,) + tuple(x + y for x, y in zip(k1[1:], k2[1:]))
 
     def add_term(self, *entry) -> None:
-        """``add_term(*key, mat)``: merge ``mat`` into the term at ``key``."""
-        self._merge(entry[:-1], entry[-1])
+        """``add_term(*key, mat)``: merge ``mat`` into the terms of the normal
+        form of ``key``."""
+        mat = entry[-1]
+        for key, c in self._pieces(entry[:-1]):
+            self._merge(key, mat if c == 1 else mat.scale_rational(c))
 
     def _merge(self, key: tuple, mat: Mat2) -> None:
         if mat.is_zero():
@@ -185,12 +194,9 @@ class TermMap:
         else:
             self.terms[key] = s
 
-    def is_empty(self) -> bool:
+    def is_zero(self) -> bool:
+        """No terms: every key is in normal form, so that is the exact zero test."""
         return not self.terms
-
-    def reduced(self):
-        """Canonical representative; the keys of a plain term map already are."""
-        return self
 
     def render(self) -> str:
         """Terms sorted on (powers reversed, beta), as ``factors . matrix``."""
@@ -265,9 +271,11 @@ class TermMap:
         return out
 
     def add_product(self, left: "TermMap", right: "TermMap") -> None:
-        """Merge the pointwise product ``left . right`` into this map: each key
-        accumulates four component term maps and becomes one ``Mat2``."""
-        join, keep = self._join, self._keep
+        """Merge the pointwise product ``left . right`` into this map: each
+        joined key accumulates four component term maps in place, those of a
+        key outside normal form then add into the maps of its pieces, and
+        each key left becomes one ``Mat2``."""
+        join, keep, pieces = self._join, self._keep, self._pieces
         rights = [(k2, _component_rows(mat2)) for k2, mat2 in right.terms.items()]
         acc: dict = {}
         for k1, mat1 in left.terms.items():
@@ -276,13 +284,14 @@ class TermMap:
                 key = join(k1, k2)
                 if keep is not None and not keep(key):
                     continue
-                comps = acc.get(key)
-                if comps is None:
-                    old = self.terms.get(key)
-                    if old is None:
-                        self._audit(key)
-                    comps = acc[key] = tuple(dict(v._terms) for v in (old or Mat2.zero()).a)
-                _mul_into(comps, rows1, rows2)
+                _mul_into(acc.get(key) or self._open(acc, key), rows1, rows2)
+        for key in [k for k in acc if pieces(k)[0][0] != k]:
+            comps = acc.pop(key)
+            for piece, c in pieces(key):
+                into = acc.get(piece) or self._open(acc, piece)
+                for out, v in zip(into, comps):
+                    for w, s in v.items():
+                        _accumulate(out, w, s if c == 1 else s.scale(c))
         for key, comps in acc.items():
             mat = Mat2._of(*map(AlgebraElement._raw, comps))
             if mat.is_zero():
@@ -290,12 +299,42 @@ class TermMap:
             else:
                 self.terms[key] = mat
 
+    def _open(self, acc: dict, key: tuple) -> tuple:
+        """The four component term maps accumulating at ``key`` in ``acc``,
+        seeded with the term this map holds there."""
+        old = self.terms.get(key)
+        if old is None:
+            self._audit(key)
+        comps = acc[key] = tuple(dict(v._terms) for v in (old or Mat2.zero()).a)
+        return comps
+
+
+@lru_cache(maxsize=None)
+def _normal_form(key: TermKey) -> tuple[tuple[TermKey, int], ...]:
+    """``xi^beta (xi^2)^{-m/2}``, keyed ``(beta, m)``, as ``(key', coeff)``
+    terms with ``beta'_1 < 2`` whenever ``m' >= 2``, by rewriting
+    ``xi_1^2 = xi^2 - sum_{i>=2} xi_i^2`` until no term allows it."""
+    beta, m = key
+    if m < 2 or beta[0] < 2:
+        return ((key, 1),)
+    rest = (beta[0] - 2,) + beta[1:]
+    pieces = [((rest, m - 2), 1)]
+    for i in range(1, len(beta)):
+        pieces.append(((rest[:i] + (rest[i] + 2,) + rest[i + 1 :], m), -1))
+    acc: dict[TermKey, int] = {}
+    for piece, sign in pieces:
+        for k, c in _normal_form(piece):
+            acc[k] = acc.get(k, 0) + sign * c
+    return tuple((k, c) for k, c in acc.items() if c)
+
 
 class Component(TermMap):
-    """Homogeneous component of fixed degree: term map (beta, m) -> matrix."""
+    """Homogeneous component of fixed degree: term map (beta, m) -> matrix,
+    each key in the normal form of :func:`_normal_form`."""
 
     __slots__ = ()
     _powers = (lambda m: f"(xi^2)^{{-{m}/2}}" if m else "",)
+    _pieces = staticmethod(_normal_form)
 
     @classmethod
     def scalar(cls, dim: int, a: AlgebraElement) -> "Component":
@@ -323,7 +362,7 @@ class Component(TermMap):
         for (beta, m), mat in self.terms.items():
             m_new = m - half
             if m_new >= 0:
-                out._merge((beta, m_new), mat)
+                out.add_term(beta, m_new, mat)
                 continue
             pos = -m_new  # leftover positive half-power
             if pos % 2 == 0:
@@ -332,7 +371,7 @@ class Component(TermMap):
                 k, m_final = (pos + 1) // 2, 1
             for mono, coeff in xi2_monomials(self.dim, k):
                 b = tuple(x + y for x, y in zip(beta, mono))
-                out._merge((b, m_final), mat.scale_rational(coeff))
+                out.add_term(b, m_final, mat.scale_rational(coeff))
         return out
 
     def xi_derivative(self, i: int, q: RationalLike = 1) -> "Component":
@@ -342,51 +381,19 @@ class Component(TermMap):
             if beta[i] > 0:
                 b = list(beta)
                 b[i] -= 1
-                out._merge((tuple(b), m), mat.scale_rational(beta[i] * q))
+                out.add_term(tuple(b), m, mat.scale_rational(beta[i] * q))
             if m > 0:
                 b = list(beta)
                 b[i] += 1
-                out._merge((tuple(b), m + 2), mat.scale_rational(-m * q))
+                out.add_term(tuple(b), m + 2, mat.scale_rational(-m * q))
         return out
 
     def is_polynomial(self) -> bool:
         return all(m == 0 for (_beta, m) in self.terms)
 
-    # -- canonical form ----------------------------------------------------------
-
-    def reduced(self) -> "Component":
-        """Canonical representative: the sum of the cached normal forms of the
-        terms (:func:`_normal_form`).  Terms at m >= 2 end with beta_1 < 2,
-        terms at m = 0, 1 are left alone; unique as the module doc explains."""
-        out = Component(self.dim, self.degree)
-        for (beta, m), mat in self.terms.items():
-            for b, mm, c in _normal_form(beta, m):
-                out._merge((b, mm), mat if c == 1 else mat.scale_rational(c))
-        return out
-
-    def is_zero(self) -> bool:
-        return self.reduced().is_empty()
-
     def equals(self, other: "Component") -> bool:
         return self.sub(other).is_zero()
 
-
-@lru_cache(maxsize=None)
-def _normal_form(beta: tuple[int, ...], m: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """``xi^beta (xi^2)^{-m/2}`` as ``(beta', m', coeff)`` terms with
-    ``beta'_1 < 2`` whenever ``m' >= 2``, by rewriting
-    ``xi_1^2 = xi^2 - sum_{i>=2} xi_i^2`` until no term allows it."""
-    if m < 2 or beta[0] < 2:
-        return ((beta, m, 1),)
-    rest = (beta[0] - 2,) + beta[1:]
-    pieces = [(rest, m - 2, 1)]
-    for i in range(1, len(beta)):
-        pieces.append((rest[:i] + (rest[i] + 2,) + rest[i + 1 :], m, -1))
-    acc: dict[TermKey, int] = {}
-    for b, mm, sign in pieces:
-        for key_b, key_m, c in _normal_form(b, mm):
-            acc[(key_b, key_m)] = acc.get((key_b, key_m), 0) + sign * c
-    return tuple((b, mm, c) for (b, mm), c in acc.items() if c)
 
 
 # -- symbols ---------------------------------------------------------------------
@@ -410,16 +417,8 @@ class Symbol:
     ) -> "Symbol":
         merged: dict[int, Component] = {}
         for c in components:
-            if c.degree in merged:
-                merged[c.degree] = merged[c.degree].add(c)
-            else:
-                merged[c.degree] = c
-        comps: dict[int, Component] = {}
-        for d, c in merged.items():
-            r = c.reduced()
-            if not r.is_empty():
-                comps[d] = r
-        return cls(dim, comps, floor)
+            merged[c.degree] = merged[c.degree].add(c) if c.degree in merged else c
+        return cls(dim, {d: c for d, c in merged.items() if c.terms}, floor)
 
     @property
     def order(self) -> int:
@@ -437,9 +436,6 @@ class Symbol:
 
     def known_down_to(self, d: int) -> bool:
         return self.floor is None or self.floor <= d
-
-    def reduced(self) -> "Symbol":
-        return Symbol.make(self.dim, self.components.values(), self.floor)
 
     def add(self, other: "Symbol") -> "Symbol":
         floor = _combine_floor(self.floor, other.floor)
@@ -536,12 +532,12 @@ class _Moyal:
         keep = out._keep
         for alpha in multi_indices(a.dim, r):
             left = self._rung(_taylor_step, a, alpha)
-            if left.is_empty() or keep is not None and not any(
+            if left.is_zero() or keep is not None and not any(
                 keep(out._join(k1, k2)) for k1 in left.terms for k2 in b.terms
             ):
                 continue
             right = self._rung(_delta_step, b, alpha)
-            if not right.is_empty():
+            if not right.is_zero():
                 out.add_product(left, right)
 
     def cross(self, lefts: Iterable[Component], rights: Collection[TermMap], out: TermMap) -> None:
@@ -567,7 +563,7 @@ class _Moyal:
 
 def _taylor_step(c: Component, i: int, n: int) -> Component:
     # d/dxi_i of the Taylor coefficient below, over the new alpha_i = n
-    return c.xi_derivative(i, Fraction(1, n)).reduced()
+    return c.xi_derivative(i, Fraction(1, n))
 
 
 def _delta_step(c: TermMap, i: int, _n: int) -> TermMap:
@@ -618,11 +614,10 @@ def _central_leading(a: Symbol) -> tuple[int, AlgebraElement]:
     Returns the degree and the algebra element; raises
     :class:`EllipticityShapeError` otherwise.
     """
-    a = a.reduced()
     if not a.components:
         raise EllipticityShapeError("zero symbol has no leading component")
     d = a.order
-    flat = a.components[d].mul_xi2(-d).reduced()
+    flat = a.components[d].mul_xi2(-d)
     keys = set(flat.terms)
     unit_key = ((0,) * a.dim, 0)
     if keys != {unit_key}:
@@ -640,7 +635,6 @@ def _central_leading(a: Symbol) -> tuple[int, AlgebraElement]:
 
 def invert_symbol(a: Symbol, floor: int) -> Symbol:
     """Symbol ``b`` with ``a * b = 1`` modulo degrees below ``floor``."""
-    a = a.reduced()
     r, u = _central_leading(a)
     try:
         uinv = invert_perturbed_unit(u)
@@ -651,7 +645,7 @@ def invert_symbol(a: Symbol, floor: int) -> Symbol:
         raise DomainError(f"floor {floor} is above the leading inverse degree {-r}")
     _require_known(a, 2 * r + floor, "inversion")
 
-    lead = Component.scalar(a.dim, uinv).mul_xi2(-r).reduced()
+    lead = Component.scalar(a.dim, uinv).mul_xi2(-r)
     return Symbol.make(a.dim, _inverse_layers(a, lead, kmax), floor)
 
 
@@ -673,7 +667,7 @@ def _inverse_layers(a: Symbol, lead: TermMap, count: int, keep=None) -> list:
         if k == count:
             cross._keep = keep
         moyal.cross(a.components.values(), layers, cross)
-        layers.append(minus_lead.mul(cross).reduced())
+        layers.append(minus_lead.mul(cross))
     return layers
 
 
@@ -682,7 +676,8 @@ def _solve_symmetric(v: AlgebraElement, rhs: Component) -> Component:
 
     With ``A(X) = w X + X w`` the equation is ``(2 + A) X = rhs``.  ``w`` is
     t-nilpotent, so ``A`` is too, and ``X = 1/2 sum_k (-1/2)^k A^k(rhs)`` sums
-    one orbit of ``A``; ``A`` keeps every key, so no term needs reducing.
+    one orbit of ``A``; ``A`` acts on coefficients only, so every key of the
+    orbit is a key of ``rhs`` and stays in normal form.
     """
     w = v - AlgebraElement.unit()
     orbit = nilpotent_orbit(rhs, lambda x: x.lmul_elem(w).add(x.rmul_elem(w)))
@@ -694,7 +689,6 @@ def _solve_symmetric(v: AlgebraElement, rhs: Component) -> Component:
 
 def sqrt_symbol(a: Symbol, floor: int) -> Symbol:
     """Symbol ``b`` of half the order with ``b * b = a`` modulo the floor."""
-    a = a.reduced()
     two_r, u = _central_leading(a)
     if two_r % 2:
         raise EllipticityShapeError("square root needs a symbol of even order")
@@ -708,7 +702,7 @@ def sqrt_symbol(a: Symbol, floor: int) -> Symbol:
         raise DomainError(f"floor {floor} is above the leading square-root degree {r}")
     _require_known(a, r + floor, "square root")
 
-    lead = Component.scalar(a.dim, v).mul_xi2(r).reduced()
+    lead = Component.scalar(a.dim, v).mul_xi2(r)
 
     b: dict[int, Component] = {r: lead}
     moyal = _Moyal()
@@ -717,11 +711,11 @@ def sqrt_symbol(a: Symbol, floor: int) -> Symbol:
         cross = Component(a.dim, 2 * r - k)
         moyal.cross(b.values(), b.values(), cross)
         # divide by the central scalar (xi^2)^{r/2}
-        rhs = a.component(2 * r - k).sub(cross).mul_xi2(-r).reduced()
-        comp = _solve_symmetric(v, rhs).reduced()
-        if not comp.is_empty():
+        rhs = a.component(2 * r - k).sub(cross).mul_xi2(-r)
+        comp = _solve_symmetric(v, rhs)
+        if not comp.is_zero():
             b[r - k] = comp
-    return Symbol(a.dim, b, floor).reduced()
+    return Symbol(a.dim, b, floor)
 
 
 # -- resolvent layers and the inverse square root ------------------------------------
@@ -813,19 +807,24 @@ def mellin_inverse_power(sd2: Symbol, floor: int) -> Symbol:
     termwise on the resolvent layers: layer ``r_j`` gives the degree
     ``-1 - j`` component, and its term ``xi^beta (xi^2)^s (xi^2 + lam)^{-m}``
     integrates to a rational multiple of ``xi^beta (xi^2)^{s + 1/2 - m}``; no
-    ``(xi^2)^s`` is expanded, and :meth:`Symbol.make` reduces the result to
-    normal form.  One recursion whose left factor is the polynomial ``sd2``,
-    where the square-root/inversion route runs two with non-polynomial left
-    factors; the tests hold the two routes equal component by component.
+    ``(xi^2)^s`` is expanded.  The terms of one ``beta`` and ``m - s`` land on
+    one key, so they are summed before the key enters in normal form.  One
+    recursion whose left factor is the polynomial ``sd2``, where the
+    square-root/inversion route runs two with non-polynomial left factors;
+    the tests hold the two routes equal component by component.
     """
     if floor > -1:
         raise DomainError("floor must be at most -1 for an order -1 expansion")
     comps = []
     for j, rc in enumerate(resolvent_symbols(sd2, -floor - 1)):
-        comp = Component(sd2.dim, -1 - j)
+        raw: dict = {}
         for (beta, s, m), mat in rc.terms.items():
             w = _mellin_half_factor(m)
-            comp.add_term(beta, 2 * (m - s) - 1, mat if w == 1 else mat.scale_rational(w))
+            key = (beta, 2 * (m - s) - 1)
+            raw.setdefault(key, []).append(mat if w == 1 else mat.scale_rational(w))
+        comp = Component(sd2.dim, -1 - j)
+        for key, mats in raw.items():
+            comp.add_term(*key, Mat2.sum(mats))
         comps.append(comp)
     return Symbol.make(sd2.dim, comps, floor)
 
@@ -859,7 +858,7 @@ def _inverse_abs(sd2: Symbol, floor: int) -> Symbol:
 
 
 # The fields each kind reads besides "kind" and "dim", with how a report echoes
-# each; a family file giving any other field is refused.
+# each; a family giving any other field is refused.
 FAMILY_FIELDS = {
     "free_dirac": {},
     "coupled_dirac": {"gauge": list},
@@ -895,12 +894,17 @@ class OperatorFamily:
             raise FamilyError(f"unknown family kind {self.kind!r}")
         if self.dim not in (2, 3):
             raise FamilyError("families are modeled in dimensions 2 and 3")
-        if self.kind == "coupled_dirac" and len(self.gauge) != self.dim:
+        reads = FAMILY_FIELDS[self.kind]
+        if "gauge" in reads and len(self.gauge) != self.dim:
             raise FamilyError("coupled family needs one gauge generator per direction")
-        if self.kind == "conformal_dirac" and (self.t_cap is None or self.t_cap < 0):
+        if "t_cap" in reads and (self.t_cap is None or self.t_cap < 0):
             raise FamilyError("conformal family needs a t cap >= 0")
-        if self.kind == "unitary_flow" and len(self.flow_k) != self.dim:
+        if "flow_k" in reads and len(self.flow_k) != self.dim:
             raise FamilyError("unitary flow needs an integer lattice vector of length dim")
+        defaults = {f.name: f.default for f in fields(self)[2:]}  # after kind and dim
+        unread = [k for k, d in defaults.items() if k not in reads and getattr(self, k) != d]
+        if unread:
+            raise FamilyError(f"a {self.kind} family does not read {', '.join(map(repr, unread))}")
 
     @classmethod
     def free(cls, dim: int) -> "OperatorFamily":
@@ -935,19 +939,17 @@ class OperatorFamily:
 
         kind = data["kind"]
         dim = parse_value("dim", data["dim"], parse_int, "an integer")
-        fam = cls(
-            kind=kind,
-            dim=dim,
+        given = dict(
             t_cap=field("t_cap", parse_int, "an integer"),
             weyl=field("weyl", lambda v: _names([v])[0], "a generator name", "h"),
-            gauge=field("gauge", _names, "a list of generator names", ()) or (
-                tuple(f"A{m}" for m in range(1, dim + 1)) if kind == "coupled_dirac" else ()
-            ),
+            gauge=field("gauge", _names, "a list of generator names", ())
+            or tuple(f"A{m}" for m in range(1, dim + 1)),
             flow_k=field("flow_k", parse_ints, "a list of integers", ()),
             flow_t=field("flow_t", lambda v: Fraction(str(v)), "a rational number", Fraction(0)),
         )
-        reads = {"kind", "dim", *FAMILY_FIELDS[kind]}
-        unread = [k for k, v in data.items() if v is not None and k not in reads]
+        reads = FAMILY_FIELDS.get(kind, {}) if isinstance(kind, str) else {}
+        fam = cls(kind, dim, **{k: v for k, v in given.items() if k in reads})
+        unread = [k for k, v in data.items() if v is not None and k not in {"kind", "dim", *reads}]
         if unread:
             raise FamilyError(f"a {kind} family does not read {', '.join(map(repr, unread))}")
         return fam
@@ -984,27 +986,19 @@ def _xi_slash(dim: int) -> Component:
 
 
 def dirac_symbol(f: OperatorFamily) -> tuple[Symbol, Symbol]:
-    """Symbols of the family operator and of its square."""
+    """Symbols of the family operator ``E (xi-slash + A-slash) E`` and of its
+    square.  ``A_mu`` is the gauge generator or the rational ``flow_t k_mu``
+    (zero where the family gives neither), and ``E = exp(t weyl / 2)`` up to
+    ``t_cap`` (1 where the family gives no cap)."""
     dim = f.dim
-    free = Symbol.make(dim, [_xi_slash(dim)])
-    if f.kind == "free_dirac":
-        sd = free
-    elif f.kind == "coupled_dirac":
-        coeffs = [AlgebraElement.generator(gen(name, dim)) for name in f.gauge]
-        sd = free.add(Symbol.make(dim, [_slash_component(dim, coeffs)]))
-    elif f.kind == "unitary_flow":
-        coeffs = [
-            AlgebraElement.rational(f.flow_t * k) for k in f.flow_k
-        ]
-        sd = free.add(Symbol.make(dim, [_slash_component(dim, coeffs)]))
-    elif f.kind == "conformal_dirac":
+    coeffs = [AlgebraElement.generator(gen(name, dim)) for name in f.gauge]
+    coeffs += [AlgebraElement.rational(f.flow_t * k) for k in f.flow_k]
+    sd = Symbol.make(dim, [_xi_slash(dim), _slash_component(dim, coeffs)])
+    if f.t_cap is not None:
         half = exp_expand(gen(f.weyl, dim), Fraction(1, 2), f.t_cap)
         e_sym = Symbol.make(dim, [Component.scalar(dim, half)])
-        sd = star_product(e_sym, star_product(free, e_sym))
-    else:  # pragma: no cover - guarded by __post_init__
-        raise FamilyError(f.kind)
-    sd2 = star_product(sd, sd)
-    return sd, sd2
+        sd = star_product(e_sym, star_product(sd, e_sym))
+    return sd, star_product(sd, sd)
 
 
 def inverse_abs_symbol(f: OperatorFamily, floor: int) -> Symbol:

@@ -212,7 +212,7 @@ def _component_pair(kind):
 def merged_one_at_a_time(out, left, right):
     for k1, m1 in left.terms.items():
         for k2, m2 in right.terms.items():
-            out._merge(out._join(k1, k2), m1.mul(m2))
+            out.add_term(*out._join(k1, k2), m1.mul(m2))
 
 
 @pytest.mark.parametrize("kind", ["coupled", "conformal"])

@@ -352,6 +352,10 @@ def test_heat_traces_refuse_a_complex_weight_or_non_hermitian_localizer():
     with pytest.raises(DomainError, match=r"weight must be real, got 1j"):
         nm.heat_trace_lattice(0.1, 3, 2, weight=1j)
     assert nm.heat_trace_lattice(0.1, 3, 2, weight=0.5 + 0j) == nm.heat_trace_lattice(0.1, 3, 2, 0.5)
+    # a non-finite weight would come back as nan or inf
+    for weight, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (complex("nan"), r"\(nan\+0j\)")):
+        with pytest.raises(DomainError, match=rf"weight must be finite, got {shown}$"):
+            nm.heat_trace_lattice(0.1, 3, 2, weight=weight)
     top = nm.build_operator(nm.NumericFamily("free_dirac", 2), 2)
     eye = np.eye(top.size)
     with pytest.raises(DomainError, match=r"localizer is not Hermitian: max \|a - a\^\*\| is 2"):

@@ -55,13 +55,13 @@ def test_zero_test_xi2_identity():
         beta = tuple(2 if j == i else 0 for j in range(DIM))
         c.add_term(beta, 3, unit_mat())
     c.add_term((0, 0, 0), 1, unit_mat(-1))
-    assert c.reduced().is_empty()
+    assert c.is_zero()
 
 
 def test_zero_test_odd_function():
     c = Component(DIM, 0)
     c.add_term((1, 0, 0), 1, unit_mat())
-    assert not c.reduced().is_empty()
+    assert not c.is_zero()
 
 
 def test_zero_test_no_free_commutation():
@@ -69,18 +69,18 @@ def test_zero_test_no_free_commutation():
     d1h = h.delta(1)
     c = Component(DIM, 1)
     c.add_term((1, 0, 0), 0, elem_mat(h * d1h - d1h * h))
-    assert not c.reduced().is_empty()
+    assert not c.is_zero()
 
 
 def test_reduction_is_canonical():
-    # the same function written at two denominator levels reduces identically
+    # the same function written at two denominator levels is held identically
     a = Component(DIM, 0)
     a.add_term((2, 0, 0), 2, unit_mat())
     b = Component(DIM, 0)
     b.add_term((2, 2, 0), 4, unit_mat())
     b.add_term((4, 0, 0), 4, unit_mat())
     b.add_term((2, 0, 2), 4, unit_mat())
-    assert a.reduced().terms.keys() == b.reduced().terms.keys()
+    assert a.terms.keys() == b.terms.keys()
     assert a.sub(b).is_zero()
 
 
@@ -113,28 +113,30 @@ def _reference_divmod(numer, dim):
             _reference_acc(work, tuple(b), mat.neg())
 
 
-def reference_reduced(comp):
-    """The former canonicalization: per parity class of m, clear to a common
+def reference_reduced(dim, entries):
+    """The common-denominator canonical form of the terms ``(beta, m, mat)``,
+    as a map ``(beta, m) -> mat``: per parity class of m, clear to a common
     denominator, then peel xi^2 factors off the numerator level by level."""
-    out = Component(comp.dim, comp.degree)
+    raw = {}
+    for beta, m, mat in entries:
+        _reference_acc(raw, (beta, m), mat)
+    out = {}
     for parity in (0, 1):
-        group = {k: v for k, v in comp.terms.items() if k[1] % 2 == parity}
+        group = {k: v for k, v in raw.items() if k[1] % 2 == parity}
         if not group:
             continue
         level = max(m for (_b, m) in group)
         numer = {}
         for (beta, m), mat in group.items():
-            for mono, coeff in sy.xi2_monomials(comp.dim, (level - m) // 2):
+            for mono, coeff in sy.xi2_monomials(dim, (level - m) // 2):
                 b = tuple(x + y for x, y in zip(beta, mono))
                 _reference_acc(numer, b, mat.scale_rational(coeff))
         while True:
             if level < 2:
-                for beta, mat in numer.items():
-                    out.add_term(beta, level, mat)
+                out.update(((beta, level), mat) for beta, mat in numer.items())
                 break
-            quot, rem = _reference_divmod(numer, comp.dim)
-            for beta, mat in rem.items():
-                out.add_term(beta, level, mat)
+            quot, rem = _reference_divmod(numer, dim)
+            out.update(((beta, level), mat) for beta, mat in rem.items())
             if not quot:
                 break
             level -= 2
@@ -142,23 +144,18 @@ def reference_reduced(comp):
     return out
 
 
-def same_terms(a, b):
-    return a.terms.keys() == b.terms.keys() and all(
-        a.terms[k] == b.terms[k] for k in a.terms
-    )
-
-
 @st.composite
-def components(draw):
-    """Components in dim 2 and 3: mixed parities and levels of m, t-graded
-    coefficients under one cap with the grade fixed by the word (one per
-    ``h``), and terms that cancel one level up through
+def term_lists(draw):
+    """``(dim, degree, terms)``: terms ``(beta, m, mat)`` of one degree in dim 2
+    and 3, with mixed parities and levels of m, t-graded coefficients under one
+    cap with the grade fixed by the word (one per ``h``), and terms that cancel
+    one level up through
     ``xi^beta (xi^2)^{-m/2} = sum_i xi^{beta + 2e_i} (xi^2)^{-(m+2)/2}``."""
     dim = draw(st.sampled_from((2, 3)))
     degree = draw(st.integers(-3, 2))
     cap = draw(st.sampled_from((None, 2)))
     h = AlgebraElement.generator(gen("h", dim))
-    c = Component(dim, degree)
+    terms = []
     for _ in range(draw(st.integers(1, 6))):
         beta = tuple(draw(st.integers(0, 4)) for _ in range(dim))
         if sum(beta) < degree:
@@ -172,40 +169,84 @@ def components(draw):
         entries = [AlgebraElement.zero()] * 4
         entries[draw(st.integers(0, 3))] = v
         mat = Mat2(((entries[0], entries[1]), (entries[2], entries[3])))
-        c.add_term(beta, m, mat)
+        terms.append((beta, m, mat))
         if draw(st.booleans()):
             for i in range(dim):
                 b = tuple(x + 2 * (j == i) for j, x in enumerate(beta))
-                c.add_term(b, m + 2, mat.neg())
+                terms.append((b, m + 2, mat.neg()))
+    return dim, degree, terms
+
+
+def component_of(dim, degree, terms):
+    c = Component(dim, degree)
+    for beta, m, mat in terms:
+        c.add_term(beta, m, mat)
     return c
 
 
 @settings(max_examples=300, deadline=None)
-@given(components())
-def test_reduced_matches_common_denominator_reference(c):
-    assert same_terms(c.reduced(), reference_reduced(c))
+@given(term_lists())
+def test_reduced_matches_common_denominator_reference(drawn):
+    dim, degree, terms = drawn
+    assert component_of(dim, degree, terms).terms == reference_reduced(dim, terms)
 
 
 @settings(max_examples=100, deadline=None)
-@given(components())
-def test_reduced_is_idempotent_and_peeled(c):
-    r = c.reduced()
-    assert same_terms(r.reduced(), r)
-    assert all(beta[0] < 2 for (beta, m) in r.terms if m >= 2)
+@given(term_lists())
+def test_reduced_is_idempotent_and_peeled(drawn):
+    dim, degree, terms = drawn
+    c = component_of(dim, degree, terms)
+    again = component_of(dim, degree, [(beta, m, mat) for (beta, m), mat in c.terms.items()])
+    assert again.terms == c.terms
+    assert all(beta[0] < 2 for (beta, m) in c.terms if m >= 2)
+
+
+def _insert_as_product(c, beta, m, mat):
+    """Merge ``xi^beta (xi^2)^{-m/2} mat`` into ``c`` through ``add_product``,
+    whose joined key is ``(beta, m)`` as given, in normal form or not."""
+    left = Component(c.dim, sum(beta))
+    left.add_term(beta, 0, mat)
+    right = Component(c.dim, -m)
+    right.add_term((0,) * c.dim, m, unit_mat())
+    c.add_product(left, right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_lists(), st.data())
+def test_insertion_order_gives_one_term_map(drawn, data):
+    """Terms inserted shuffled, split into parts, by ``add_term`` or as
+    products, and with cancelling pairs, give one term map: the reference."""
+    dim, degree, terms = drawn
+    ref = reference_reduced(dim, terms)
+    pairs = data.draw(st.lists(st.sampled_from(terms), max_size=3))
+    work = data.draw(st.permutations(terms + pairs + [(b, m, mat.neg()) for b, m, mat in pairs]))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(work)), max_size=3)))
+    parts = []
+    for lo, hi in zip([0] + cuts, cuts + [len(work)]):
+        part = Component(dim, degree)
+        for beta, m, mat in work[lo:hi]:
+            if data.draw(st.booleans()):
+                _insert_as_product(part, beta, m, mat)
+            else:
+                part.add_term(beta, m, mat)
+        parts.append(part)
+    total = Symbol.make(dim, parts).component(degree)
+    assert total.terms == ref
+    assert total.is_zero() == (not ref)
 
 
 def test_reduced_peels_xi1_squared_dim2():
     c = Component(2, 0)
     c.add_term((2, 0), 2, unit_mat())
     expect = {((0, 0), 0): unit_mat(), ((0, 2), 2): unit_mat(-1)}
-    assert c.reduced().terms == expect
+    assert c.terms == expect
 
 
 @pytest.mark.parametrize("beta, m", [((4, 1), 0), ((3, 2), 1), ((0, 0), 1)])
 def test_reduced_keeps_polynomial_and_inverse_abs_levels(beta, m):
     c = Component(2, sum(beta) - m)
     c.add_term(beta, m, unit_mat(3))
-    assert c.reduced().terms == {(beta, m): unit_mat(3)}
+    assert c.terms == {(beta, m): unit_mat(3)}
 
 
 # -- star product -----------------------------------------------------------------
@@ -330,6 +371,23 @@ def test_family_validation():
         OperatorFamily("nonsense", 3)
     with pytest.raises(sy.FamilyError):
         OperatorFamily("free_dirac", 4)
+
+
+@pytest.mark.parametrize(
+    "kind, given, unread",
+    [
+        ("free_dirac", {"gauge": ("A1", "A2", "A3")}, "'gauge'"),
+        ("free_dirac", {"weyl": "k", "flow_t": Fraction(1, 2)}, "'weyl', 'flow_t'"),
+        ("coupled_dirac", {"gauge": ("A1", "A2", "A3"), "t_cap": 0}, "'t_cap'"),
+        ("conformal_dirac", {"t_cap": 1, "flow_k": (1, 0, 0)}, "'flow_k'"),
+        ("unitary_flow", {"flow_k": (1, 0, 0), "gauge": ("A1", "A2", "A3")}, "'gauge'"),
+    ],
+)
+def test_family_refuses_a_field_its_kind_does_not_read(kind, given, unread):
+    # the family file wording; a field left at its default is not given
+    with pytest.raises(sy.FamilyError, match=f"^a {kind} family does not read {unread}$"):
+        OperatorFamily(kind, 3, **given)
+    assert OperatorFamily("free_dirac", 3, weyl="h", flow_t=Fraction(0)) == OperatorFamily.free(3)
 
 
 def test_family_roundtrip_dict():
